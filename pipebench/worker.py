@@ -57,37 +57,37 @@ class Loop:
         return ops >= self.min_ops and elapsed >= self.seconds
 
 
-def cpu_s() -> float:
-    """CPU seconds used by this process and its waited-for children."""
-    child = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return time.process_time() + child.ru_utime + child.ru_stime
-
-
 def _run_op(wl, i, errors):
-    """(wall s, cpu s, ok) for op i; a raise or failed check is not ok."""
-    t0, c0 = now(), cpu_s()
+    """(wall s, ok) for op i; a raise or failed check is not ok."""
+    t0 = now()
     try:
         out = wl.op(i)
     except Exception:
         errors.append(f"op {i} raised:\n{traceback.format_exc()}")
-        return now() - t0, cpu_s() - c0, False
-    dt, dc = now() - t0, cpu_s() - c0
+        return now() - t0, False
+    dt = now() - t0
     try:
         wl.check(i, out)
     except Exception:
         errors.append(f"op {i} check failed:\n{traceback.format_exc()}")
-        return dt, dc, False
-    return dt, dc, True
+        return dt, False
+    return dt, True
 
 
 def timed_run(wl, seconds: float) -> dict:
-    times, cpu, ok, errors = [], [], [], []
+    import reference
+
+    reference_s = reference.fresh_interpreter_s if wl.fresh_process else reference.kernel_s
+    times, ok, errors = [], [], []
+    reference_s()  # warm-up
+    # the host's speed just before and just after each op (and its check)
+    refs = [reference_s()]
     loop = Loop(seconds, MIN_OPS)
     i = 0
     while True:
-        dt, dc, good = _run_op(wl, i, errors)
+        dt, good = _run_op(wl, i, errors)
+        refs.append(reference_s())
         times.append(dt)
-        cpu.append(dc)
         ok.append(good)
         i += 1
         if loop.done(i):
@@ -97,7 +97,8 @@ def timed_run(wl, seconds: float) -> dict:
     )
     return {
         "times": times,
-        "cpu": cpu,
+        # reference time around each op: see reference.py
+        "ref": [(a + b) / 2 for a, b in zip(refs, refs[1:])],
         "ok": ok,
         "errors": errors[:3],
         "peak_rss_mb": usage.ru_maxrss / 1024.0,  # ru_maxrss is KiB on Linux
@@ -134,7 +135,7 @@ def traced_run(wl, seconds: float, src: str) -> dict:
         tr.install()
         wl.tracer = tr
         try:
-            dt, _, good = _run_op(wl, i, errors)
+            dt, good = _run_op(wl, i, errors)
             return dt, good
         finally:
             wl.tracer = None
@@ -151,7 +152,7 @@ def traced_run(wl, seconds: float, src: str) -> dict:
                 if i < window:
                     window_counts.append(counts)
             else:
-                dt, _, good = _run_op(wl, i, errors)
+                dt, good = _run_op(wl, i, errors)
                 plain_s.append(dt)
             ok.append(good)
         i += 1

@@ -77,6 +77,7 @@ class Lsg:
 
     name = "lsg"
     window = 2  # ops whose counts are reported: one disk, one ellipse
+    fresh_process = False  # ops run in a fresh process: see reference.py
     samples = 300
     grid_n = 80
     pool = 256
@@ -121,6 +122,7 @@ class Transport:
 
     name = "transport"
     window = 2
+    fresh_process = False
     atoms = 350
     grid_n = 512
     p = 2.5
@@ -180,6 +182,7 @@ class CexGrid:
 
     name = "cex_grid"
     window = 2
+    fresh_process = False
     pairs = 8
     atoms_per_arc = 24
     grid_n = 16
@@ -233,6 +236,7 @@ class Cli:
 
     name = "cli"
     window = 6  # one op of each command
+    fresh_process = True
     samples = 400
     grid_n = 64
     cex_pairs = 12
