@@ -16,7 +16,7 @@ _WANT_NUMBA = _env not in ("0", "false", "no", "off")
 HAS_NUMBA = False
 if _WANT_NUMBA:
     try:
-        from numba import njit, prange
+        from numba import njit
 
         HAS_NUMBA = True
     except ImportError:
@@ -33,8 +33,6 @@ if not HAS_NUMBA:
             return func
 
         return wrap
-
-    prange = range
 
 USE_NUMBA = HAS_NUMBA
 

@@ -413,14 +413,6 @@ def quadratic(a) -> QuadraticNorm:
     return QuadraticNorm(np.asarray(a, dtype=float))
 
 
-def norm_eval(norm: Norm, v) -> np.ndarray:
-    return norm(v)
-
-
-def dual_norm_eval(norm: Norm, v) -> np.ndarray:
-    return norm.dual(v)
-
-
 def chord_cost(norm: Norm, domain: Domain, s1, s2) -> np.ndarray:
     """Cost ||x(s2) - x(s1)|| between two boundary points."""
     p1 = domain.boundary_point(s1)

@@ -1,9 +1,11 @@
 """Grid kernels: segment deposition, crossing counts, intersection tests.
 
-Every public kernel dispatches to a numba loop implementation or a
-vectorized numpy implementation according to :mod:`transportlab.backend`.
-Both variants visit segments in input order and touch each cell at most
-once per segment, so results agree to floating-point roundoff.
+Segment deposition and pairwise intersection dispatch to a numba loop
+implementation or a vectorized numpy implementation according to
+:mod:`transportlab.backend`.  Both variants visit segments in input
+order and touch each cell at most once per segment, so results agree to
+floating-point roundoff.  The crossing field is a numpy sweep in either
+case.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from .backend import USE_NUMBA, njit, prange
+from .backend import USE_NUMBA, njit
 
 
 # ---------------------------------------------------------------------------
@@ -140,152 +142,98 @@ def deposit_segments(values, origin, cell, start, end, lam):
 
 # ---------------------------------------------------------------------------
 # signed crossing accumulation for least-gradient reconstruction
-#
-# Hit criterion shared by both backends: an endpoint q interferes with the
-# scan path p0 -> p1 when |cross(r, q - p0)| <= eps * |r| and the projection
-# of q - p0 onto r lies in [-eps * |r|, |r|^2 + eps * |r|], with r = p1 - p0.
 
 
-@njit(cache=True)
-def _leg_crossings_nb(px0, py0, px1, py1, ax, ay, bx, by, mass):
-    acc = 0.0
-    rx = px1 - px0
-    ry = py1 - py0
-    for k in range(ax.shape[0]):
-        dxk = bx[k] - ax[k]
-        dyk = by[k] - ay[k]
-        d1 = dxk * (py0 - ay[k]) - dyk * (px0 - ax[k])
-        d2 = dxk * (py1 - ay[k]) - dyk * (px1 - ax[k])
-        if not ((d1 > 0.0 and d2 < 0.0) or (d1 < 0.0 and d2 > 0.0)):
-            continue
-        d3 = rx * (ay[k] - py0) - ry * (ax[k] - px0)
-        d4 = rx * (by[k] - py0) - ry * (bx[k] - px0)
-        if (d3 > 0.0 and d4 < 0.0) or (d3 < 0.0 and d4 > 0.0):
-            s = dxk * ry - dyk * rx
-            acc += -mass[k] if s > 0.0 else mass[k]
-    return acc
+def _left_of(d, v):
+    """Whether offsets v lie left of directions d.
 
-
-@njit(cache=True, parallel=True)
-def _crossing_field_nb(cx, cy, p0x, p0y, ax, ay, bx, by, mass, eps_hit, detour):
-    n_cells = cx.shape[0]
-    n_seg = ax.shape[0]
-    out = np.empty(n_cells)
-    for c in prange(n_cells):
-        px1 = cx[c]
-        py1 = cy[c]
-        rx = px1 - p0x
-        ry = py1 - p0y
-        rlen = math.sqrt(rx * rx + ry * ry)
-        tol_c = eps_hit * rlen
-        hi_t = rlen * rlen + tol_c
-        hit = False
-        for k in range(n_seg):
-            wxa = ax[k] - p0x
-            wya = ay[k] - p0y
-            if abs(rx * wya - ry * wxa) <= tol_c:
-                dt = wxa * rx + wya * ry
-                if -tol_c <= dt <= hi_t:
-                    hit = True
-                    break
-            wxb = bx[k] - p0x
-            wyb = by[k] - p0y
-            if abs(rx * wyb - ry * wxb) <= tol_c:
-                dt = wxb * rx + wyb * ry
-                if -tol_c <= dt <= hi_t:
-                    hit = True
-                    break
-        if not hit:
-            out[c] = _leg_crossings_nb(p0x, p0y, px1, py1, ax, ay, bx, by, mass)
-        else:
-            # two-leg detour through a deterministically perturbed waypoint
-            rn = rlen if rlen > 0.0 else 1.0
-            wx = 0.5 * (p0x + px1) - detour * ry / rn
-            wy = 0.5 * (p0y + py1) + detour * rx / rn
-            out[c] = _leg_crossings_nb(
-                p0x, p0y, wx, wy, ax, ay, bx, by, mass
-            ) + _leg_crossings_nb(wx, wy, px1, py1, ax, ay, bx, by, mass)
-    return out
-
-
-def _leg_crossings_np_block(p0, pts, a, b, mass):
-    """Crossing sums for a block of targets; also reports endpoint hits."""
-    d = b - a  # (k,2)
-    rx = pts[:, 0] - p0[0]  # (B,)
-    ry = pts[:, 1] - p0[1]
-    d1 = d[:, 0] * (p0[1] - a[:, 1]) - d[:, 1] * (p0[0] - a[:, 0])  # (k,)
-    d2 = d[:, 0, None] * (pts[None, :, 1] - a[:, 1, None]) - d[:, 1, None] * (
-        pts[None, :, 0] - a[:, 0, None]
-    )  # (k,B)
-    wax = a[:, 0, None] - p0[0]  # (k,1)
-    way = a[:, 1, None] - p0[1]
-    wbx = b[:, 0, None] - p0[0]
-    wby = b[:, 1, None] - p0[1]
-    d3 = rx[None, :] * way - ry[None, :] * wax  # (k,B)
-    d4 = rx[None, :] * wby - ry[None, :] * wbx
-    straddle_seg = ((d1[:, None] > 0) & (d2 < 0)) | ((d1[:, None] < 0) & (d2 > 0))
-    straddle_ray = ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
-    s = d[:, 0, None] * ry[None, :] - d[:, 1, None] * rx[None, :]
-    contrib = np.where(s > 0, -mass[:, None], mass[:, None])
-    acc = np.sum(contrib * (straddle_seg & straddle_ray), axis=0)  # (B,)
-    return acc, (rx, ry, wax, way, wbx, wby, d3, d4)
-
-
-def _crossing_field_np(cx, cy, p0x, p0y, ax, ay, bx, by, mass, eps_hit, detour):
-    p0 = np.array([p0x, p0y])
-    a = np.stack([ax, ay], axis=1)
-    b = np.stack([bx, by], axis=1)
-    n = cx.shape[0]
-    out = np.empty(n)
-    block = max(1, int(2**22 // max(len(ax), 1)))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        pts = np.stack([cx[lo:hi], cy[lo:hi]], axis=1)
-        acc, (rx, ry, wax, way, wbx, wby, d3, d4) = _leg_crossings_np_block(
-            p0, pts, a, b, mass
-        )
-        rlen = np.hypot(rx, ry)
-        tol_c = eps_hit * rlen  # (B,)
-        hi_t = rlen * rlen + tol_c
-        dta = wax * rx[None, :] + way * ry[None, :]
-        dtb = wbx * rx[None, :] + wby * ry[None, :]
-        hit_a = (np.abs(d3) <= tol_c) & (dta >= -tol_c) & (dta <= hi_t)
-        hit_b = (np.abs(d4) <= tol_c) & (dtb >= -tol_c) & (dtb <= hi_t)
-        hits = (hit_a | hit_b).any(axis=0)
-        out[lo:hi] = acc
-        if np.any(hits):
-            rn = np.where(rlen > 0, rlen, 1.0)
-            for t in np.nonzero(hits)[0]:
-                cpt = pts[t]
-                wpt = 0.5 * (p0 + cpt) + detour * np.array(
-                    [-(cpt[1] - p0[1]), cpt[0] - p0[0]]
-                ) / rn[t]
-                acc1, _ = _leg_crossings_np_block(p0, wpt[None, :], a, b, mass)
-                acc2, _ = _leg_crossings_np_block(wpt, cpt[None, :], a, b, mass)
-                out[lo + t] = acc1[0] + acc2[0]
-    return out
-
-
-def crossing_field(centers, anchor, seg_a, seg_b, mass, eps_hit, detour):
-    """Signed mass crossed by scan paths from an anchor to each center.
-
-    A path crossing a segment oriented a -> b from its left side to its
-    right side contributes +mass.  Paths passing within ``eps_hit`` of a
-    segment endpoint are replaced by a two-leg detour through a waypoint
-    perturbed by ``detour`` off the midpoint.
+    An offset exactly on the line counts as if nudged by (+eps, +eps**2),
+    which makes every left-indicator right-continuous along x (along y
+    for horizontal lines).
     """
-    cx = np.ascontiguousarray(centers[:, 0], dtype=np.float64)
-    cy = np.ascontiguousarray(centers[:, 1], dtype=np.float64)
-    ax = np.ascontiguousarray(seg_a[:, 0], dtype=np.float64)
-    ay = np.ascontiguousarray(seg_a[:, 1], dtype=np.float64)
-    bx = np.ascontiguousarray(seg_b[:, 0], dtype=np.float64)
-    by = np.ascontiguousarray(seg_b[:, 1], dtype=np.float64)
-    mass = np.ascontiguousarray(mass, dtype=np.float64)
-    impl = _crossing_field_nb if USE_NUMBA else _crossing_field_np
-    return impl(
-        cx, cy, float(anchor[0]), float(anchor[1]), ax, ay, bx, by, mass,
-        float(eps_hit), float(detour),
-    )
+    c = d[:, 0] * v[..., 1] - d[:, 1] * v[..., 0]
+    tie = np.where(d[:, 1] != 0.0, -d[:, 1], d[:, 0])
+    return (c > 0.0) | ((c == 0.0) & (tie > 0.0))
+
+
+def crossing_field(centers, anchor, seg_a, seg_b, mass, inside, normal):
+    """Signed mass crossed by straight paths from an anchor to each center.
+
+    The segments are chords a -> b of a convex domain, ``anchor`` is a
+    boundary point off every chord's line and ``normal`` is the inward
+    unit normal there.  ``centers`` is a tensor grid of shape (ny, nx, 2)
+    (rows of equal y, x increasing along each row) and ``inside`` marks
+    the centers in the closed domain.  A path crossing a segment from
+    its left side to its right side contributes +mass.
+
+    Inside the domain a path crosses chord k exactly when the center and
+    the anchor lie on opposite sides of the chord's line, so the field is
+    sum_k m_k ([anchor left of k] - [center left of k]).  Along a row
+    each indicator is one step in x, so the steps are binned per row and
+    summed up by a cumulative sum.  A center exactly on a chord's line
+    takes the value just beyond it in +x (in +y for horizontal chords):
+    the field is right-continuous, like the boundary datum.
+
+    Outside the domain the path leaves through the chord from the anchor
+    to its exit point, and crosses chord k exactly when its direction
+    lies strictly between the directions to a_k and b_k.  Directions are
+    angles from ``normal``, which lie in [-pi/2, pi/2] for every boundary
+    point, so they never wrap; a path through an endpoint crosses
+    nothing there.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    p0 = np.asarray(anchor, dtype=np.float64)
+    normal = np.asarray(normal, dtype=np.float64)
+    a = np.asarray(seg_a, dtype=np.float64)
+    b = np.asarray(seg_b, dtype=np.float64)
+    d = b - a
+    mass = np.asarray(mass, dtype=np.float64)
+    ny, nx = inside.shape
+    xs = centers[0, :, 0]
+    ys = centers[:, 0, 1]
+    anchor_left = _left_of(d, p0 - a)
+    out = np.empty((ny, nx))
+
+    # inside: one step per (row, non-horizontal chord) at x* on its line
+    slanted = d[:, 1] != 0.0
+    ds, a_s = d[slanted], a[slanted]
+    x_star = a_s[:, 0] + (ys[:, None] - a_s[:, 1]) * (ds[:, 0] / ds[:, 1])
+    col = np.searchsorted(xs, x_star.ravel(), side="left").reshape(ny, -1)
+    # left of the line before the step when the chord points up, after it
+    # when it points down
+    up = ds[:, 1] > 0.0
+    step = np.where(up, -mass[slanted], mass[slanted])
+    level = ~slanted
+    row_left = _left_of(d[level], centers[:, :1] - a[level])
+    # column 0 of each row starts from the mass left of the row's first step
+    base = mass[slanted][up].sum() + row_left @ mass[level]
+    rows = np.arange(ny)[:, None] * (nx + 1)
+    steps = np.bincount(
+        np.concatenate([rows[:, 0], (rows + col).ravel()]),
+        weights=np.concatenate([base, np.broadcast_to(step, col.shape).ravel()]),
+        minlength=ny * (nx + 1),
+    ).reshape(ny, nx + 1)
+    left_mass = np.cumsum(steps, axis=1)[:, :nx]
+    out[inside] = (mass @ anchor_left - left_mass)[inside]
+
+    # outside: [lo < theta < hi] = [lo < theta] - [hi <= theta], each read
+    # off a cumulative sum over the chords sorted by that endpoint angle
+    tangent = np.array([-normal[1], normal[0]])
+
+    def angle(v):
+        return np.arctan2(v @ tangent, v @ normal)
+
+    ang = np.stack([angle(a - p0), angle(b - p0)])
+    lo, hi = ang.min(axis=0), ang.max(axis=0)
+    w = np.where(anchor_left, mass, -mass)
+    theta = angle(centers[~inside] - p0)
+    field = np.zeros(theta.shape)
+    for edge, side, sign in ((lo, "left", 1.0), (hi, "right", -1.0)):
+        order = np.argsort(edge, kind="stable")
+        cum = np.concatenate([[0.0], np.cumsum(w[order])])
+        field += sign * cum[np.searchsorted(edge[order], theta, side=side)]
+    out[~inside] = field
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,6 @@ from .geom import ChordCost, Domain, Norm
 from .measures import BoundaryDatum, remove_common_mass, tangential_derivative
 from .ot import TransportPlan, solve_kantorovich
 
-# scan paths dodging a segment endpoint: hit window and detour size,
-# both relative to the domain diameter
-EPS_HIT_REL = 1e-12
-DETOUR_REL = 1e-9
-
 
 @dataclass
 class SegmentFlow:
@@ -65,13 +60,15 @@ def reconstruct_u(
     domain: Domain,
     anchor_s: float = 0.0,
 ) -> GridField:
-    """Crossing-number reconstruction of u on grid cell centers.
+    """Half-plane reconstruction of u on grid cell centers.
 
-    u(center) accumulates signed ray masses along the straight scan
-    path from the boundary anchor to the center, starting from
-    g(anchor).  Crossing a ray from its left to its right adds the
-    mass.  Paths grazing a ray endpoint take a deterministic two-leg
-    detour instead.
+    u(center) is g(anchor) plus the signed ray masses crossed by the
+    straight path from the boundary anchor to the center; crossing a ray
+    from its left to its right adds the mass.  Rays are chords, so inside
+    the domain a ray is crossed exactly when the center and the anchor
+    lie on opposite sides of its line (see ``kernels.crossing_field``
+    for the sweep, the rule for centers outside the domain and the tie
+    rule for centers exactly on a ray's line).
 
     An anchor sitting exactly on a ray endpoint (or on a jump of g,
     which is the same point) has no well-defined side, so the anchor
@@ -85,18 +82,18 @@ def reconstruct_u(
     diam = domain.diameter
     anchor_s = _generic_anchor(float(anchor_s), flow, domain, clear=1e-8 * diam)
     anchor = np.asarray(domain.boundary_point(anchor_s), dtype=float).reshape(2)
+    normal = np.asarray(domain.inward_normal(anchor_s), dtype=float).reshape(2)
     u0 = float(g.eval(anchor_s)[0])
-    centers = grid.centers().reshape(-1, 2)
     acc = kernels.crossing_field(
-        centers,
+        grid.centers(),
         anchor,
         flow.a,
         flow.b,
         flow.mass,
-        eps_hit=EPS_HIT_REL * diam,
-        detour=DETOUR_REL * diam,
+        interior_mask(grid, domain),
+        normal,
     )
-    out.values[:] = u0 + acc.reshape(grid.ny, grid.nx)
+    out.values[:] = u0 + acc
     return out
 
 
