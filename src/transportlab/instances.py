@@ -64,35 +64,31 @@ def smooth_arc_instance(
     return f_plus, f_minus
 
 
-def cosine_datum(n_samples: int, domain: Domain = None) -> BoundaryDatum:
-    """g = cos(angle) sampled on a disk boundary.
+def cosine_datum(n_samples: int, radius: float = 1.0) -> BoundaryDatum:
+    """g = cos(angle) sampled on the boundary of a disk of given radius.
 
     The least-gradient solution for this datum on the unit disk is
     u(x, y) = x, with vertical level chords; it anchors the benchmark
     and convergence suites.
     """
-    if domain is None:
-        domain = disk(1.0)
-    P = domain.perimeter
+    P = disk(radius).perimeter
     s = np.linspace(0.0, P, n_samples, endpoint=False)
-    theta = s / domain.radius
+    theta = s / radius
     return BoundaryDatum(
         samples=np.stack([s, np.cos(theta)], axis=1), jumps=None, perimeter=P
     )
 
 
 def mirror_cosine_measures(
-    n_per_side: int, domain: Domain = None
+    n_per_side: int, radius: float = 1.0
 ) -> tuple[BoundaryMeasure, BoundaryMeasure]:
     """Quadrature of f+ = cos^+ and f- = cos^- on a disk boundary.
 
     The optimal plan reflects across the vertical axis; used for the
     large-instance duality and runtime checks.
     """
-    if domain is None:
-        domain = disk(1.0)
-    P = domain.perimeter
-    R = domain.radius
+    R = radius
+    P = disk(R).perimeter
     half = np.pi * R / 2.0
     f_plus = quadrature_atoms(
         lambda s: np.cos(s / R), (-half, half), n_per_side, P
@@ -104,7 +100,7 @@ def mirror_cosine_measures(
 
 
 def holder_half_measures(
-    n_per_side: int, domain: Domain = None
+    n_per_side: int, radius: float = 1.0
 ) -> tuple[BoundaryMeasure, BoundaryMeasure]:
     """Quadrature of the sqrt(|sin|) density split by sign pattern.
 
@@ -112,10 +108,8 @@ def holder_half_measures(
     which is Holder continuous of exponent 1/2 at its zeros; its
     transport density is the marginal L^4 test case.
     """
-    if domain is None:
-        domain = disk(1.0)
-    P = domain.perimeter
-    R = domain.radius
+    R = radius
+    P = disk(R).perimeter
     dens = lambda s: np.sqrt(np.abs(np.sin(s / R)))
     f_minus = quadrature_atoms(dens, (0.0, np.pi * R), n_per_side, P)
     f_plus = quadrature_atoms(dens, (np.pi * R, 2 * np.pi * R), n_per_side, P)

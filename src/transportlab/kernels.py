@@ -1,11 +1,12 @@
-"""Grid kernels: segment deposition, crossing counts, intersection tests.
+"""Grid and chord kernels: segment deposition, crossing fields, chord crossings.
 
-Segment deposition and pairwise intersection dispatch to a numba loop
-implementation or a vectorized numpy implementation according to
+Segment deposition dispatches to a numba loop implementation or a
+vectorized numpy implementation according to
 :mod:`transportlab.backend`.  Both variants visit segments in input
 order and touch each cell at most once per segment, so results agree to
-floating-point roundoff.  The crossing field is a numpy sweep in either
-case.
+floating-point roundoff.  The crossing field and the chord-crossing
+check are single numpy/Python sweeps in either case; the check compares
+arclength positions exactly, with no geometry and no tolerance.
 """
 
 from __future__ import annotations
@@ -237,116 +238,52 @@ def crossing_field(centers, anchor, seg_a, seg_b, mass, inside, normal):
 
 
 # ---------------------------------------------------------------------------
-# pairwise proper-intersection detection
+# interior crossings of boundary chords
 
 
-@njit(cache=True)
-def _proper_cross(x1, y1, x2, y2, x3, y3, x4, y4, tol):
-    d1x = x2 - x1
-    d1y = y2 - y1
-    d2x = x4 - x3
-    d2y = y4 - y3
-    den = d1x * d2y - d1y * d2x
-    ex = x3 - x1
-    ey = y3 - y1
-    if den != 0.0:
-        t = (ex * d2y - ey * d2x) / den
-        uu = (ex * d1y - ey * d1x) / den
-        if 0.0 < t < 1.0 and 0.0 < uu < 1.0:
-            px = x1 + t * d1x
-            py = y1 + t * d1y
-            t2 = tol * tol
-            if (px - x1) * (px - x1) + (py - y1) * (py - y1) <= t2:
-                return False
-            if (px - x2) * (px - x2) + (py - y2) * (py - y2) <= t2:
-                return False
-            if (px - x3) * (px - x3) + (py - y3) * (py - y3) <= t2:
-                return False
-            if (px - x4) * (px - x4) + (py - y4) * (py - y4) <= t2:
-                return False
-            return True
-        return False
-    # parallel: collinear overlap of positive length counts as crossing
-    l1 = math.sqrt(d1x * d1x + d1y * d1y)
-    if l1 <= 0.0:
-        return False
-    off = abs(ex * d1y - ey * d1x) / l1
-    if off > tol:
-        return False
-    t3 = (ex * d1x + ey * d1y) / (l1 * l1)
-    t4 = ((x4 - x1) * d1x + (y4 - y1) * d1y) / (l1 * l1)
-    lo = t3 if t3 < t4 else t4
-    hi = t4 if t3 < t4 else t3
-    ov_lo = lo if lo > 0.0 else 0.0
-    ov_hi = hi if hi < 1.0 else 1.0
-    return (ov_hi - ov_lo) * l1 > tol
+def crossing_pairs(s_a, s_b):
+    """Pairs of boundary chords that cross in the interior of the domain.
 
+    Chord k joins the boundary points at arclengths ``s_a[k]`` and
+    ``s_b[k]``.  The domain is strictly convex, so two chords cross
+    exactly when their ends strictly interleave in arclength order; the
+    test is an exact comparison, free of tolerances.  Chords sharing an
+    endpoint never cross, a zero-length chord crosses nothing, and
+    coincident chords (the same two positions) do not cross each other.
 
-@njit(cache=True)
-def _crossing_pairs_nb(ax, ay, bx, by, tol):
-    n = ax.shape[0]
-    cap = 64
-    out_i = np.empty(cap, np.int64)
-    out_j = np.empty(cap, np.int64)
-    cnt = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _proper_cross(
-                ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j], tol
-            ):
-                if cnt == cap:
-                    cap *= 2
-                    tmp_i = np.empty(cap, np.int64)
-                    tmp_j = np.empty(cap, np.int64)
-                    tmp_i[:cnt] = out_i[:cnt]
-                    tmp_j[:cnt] = out_j[:cnt]
-                    out_i = tmp_i
-                    out_j = tmp_j
-                out_i[cnt] = i
-                out_j[cnt] = j
-                cnt += 1
-    return out_i[:cnt], out_j[:cnt]
-
-
-def _crossing_pairs_np(ax, ay, bx, by, tol):
-    n = ax.shape[0]
-    ii, jj = np.triu_indices(n, k=1)
-    d1x, d1y = bx[ii] - ax[ii], by[ii] - ay[ii]
-    d2x, d2y = bx[jj] - ax[jj], by[jj] - ay[jj]
-    ex, ey = ax[jj] - ax[ii], ay[jj] - ay[ii]
-    den = d1x * d2y - d1y * d2x
-    safe = np.where(den != 0, den, 1.0)
-    t = (ex * d2y - ey * d2x) / safe
-    uu = (ex * d1y - ey * d1x) / safe
-    inside = (den != 0) & (t > 0) & (t < 1) & (uu > 0) & (uu < 1)
-    px = ax[ii] + t * d1x
-    py = ay[ii] + t * d1y
-    clear = np.ones_like(inside)
-    for qx, qy in ((ax, ay), (bx, by)):
-        for idx in (ii, jj):
-            clear &= (px - qx[idx]) ** 2 + (py - qy[idx]) ** 2 > tol**2
-    res = inside & clear
-    par = den == 0
-    if np.any(par):
-        l1 = np.hypot(d1x, d1y)
-        ok = par & (l1 > 0)
-        safe_l = np.where(l1 > 0, l1, 1.0)
-        off = np.abs(ex * d1y - ey * d1x) / safe_l
-        t3 = (ex * d1x + ey * d1y) / safe_l**2
-        t4 = ((bx[jj] - ax[ii]) * d1x + (by[jj] - ay[ii]) * d1y) / safe_l**2
-        lo = np.minimum(t3, t4)
-        hi = np.maximum(t3, t4)
-        overlap = (np.minimum(hi, 1.0) - np.maximum(lo, 0.0)) * l1
-        res |= ok & (off <= tol) & (overlap > tol)
-    return ii[res], jj[res]
-
-
-def crossing_pairs(seg_a, seg_b, tol):
-    """Indices of segment pairs that cross at interior points."""
-    ax = np.ascontiguousarray(seg_a[:, 0], dtype=np.float64)
-    ay = np.ascontiguousarray(seg_a[:, 1], dtype=np.float64)
-    bx = np.ascontiguousarray(seg_b[:, 0], dtype=np.float64)
-    by = np.ascontiguousarray(seg_b[:, 1], dtype=np.float64)
-    impl = _crossing_pairs_nb if USE_NUMBA else _crossing_pairs_np
-    i, j = impl(ax, ay, bx, by, float(tol))
-    return np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    One stack sweep over the sorted ends lists every crossing in
+    O(k log k + crossings) time and O(k) memory.  At one position
+    closes come before opens, closes go innermost first, opens
+    outermost first, and identical chords nest by index, so a chord
+    below the top of the stack when it closes crosses exactly the
+    chords above it.  Returns int64 arrays (i, j) with i < j, in
+    lexicographic order.
+    """
+    s_a = np.asarray(s_a, dtype=np.float64)
+    s_b = np.asarray(s_b, dtype=np.float64)
+    lo, hi = np.minimum(s_a, s_b), np.maximum(s_a, s_b)
+    idx = np.flatnonzero(lo < hi)
+    lo, hi = lo[idx], hi[idx]
+    # event keys, most significant last: position, close (0) or open (1),
+    # then innermost-first closes and outermost-first opens
+    n = len(idx)
+    events = np.lexsort((
+        np.concatenate([-idx, idx]),
+        np.concatenate([-lo, -hi]),
+        np.repeat([0, 1], n),
+        np.concatenate([hi, lo]),
+    ))
+    stack, pairs = [], []
+    for e in events.tolist():
+        if e >= n:
+            stack.append(e - n)
+            continue
+        at = len(stack) - 1
+        while stack[at] != e:
+            at -= 1
+        pairs.extend((e, c) for c in stack[at + 1:])
+        del stack[at]
+    ij = idx[np.array(pairs, dtype=np.int64).reshape(-1, 2)]
+    i, j = ij.min(axis=1), ij.max(axis=1)
+    order = np.lexsort((j, i))
+    return i[order], j[order]

@@ -28,9 +28,9 @@ BALANCE_TOL = 1e-10
 class BoundaryMeasure:
     """Atomic measure on a boundary of given perimeter.
 
-    Atoms are sorted by arclength; positions within ``1e-12 * perimeter``
-    of each other are merged (masses and sublengths add); zero-mass atoms
-    are dropped.
+    Positions are reduced to [0, perimeter) and sorted; positions within
+    ``1e-12 * perimeter`` of each other are merged (masses and sublengths
+    add); zero-mass atoms are dropped.
     """
 
     s: np.ndarray
@@ -40,6 +40,9 @@ class BoundaryMeasure:
 
     def __post_init__(self):
         s = np.mod(np.asarray(self.s, dtype=float).ravel(), self.perimeter)
+        # mod rounds tiny negative positions up to the perimeter itself,
+        # which is the boundary point at 0
+        s[s == self.perimeter] = 0.0
         mass = np.asarray(self.mass, dtype=float).ravel()
         if s.shape != mass.shape:
             raise ValueError(f"positions and masses differ in length: {s.shape} vs {mass.shape}")

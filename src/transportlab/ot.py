@@ -275,10 +275,14 @@ def dual_potentials(plan: TransportPlan, cost: ChordCost) -> DualPotentials:
     return DualPotentials(phi_source=phi[:n], phi_target=phi[n:])
 
 
-def check_noncrossing(plan: TransportPlan, tol: float = 1e-10) -> list[tuple[int, int]]:
-    """Entry pairs whose chords intersect at points interior to both."""
-    a, b = plan.entry_segments()
-    i, j = kernels.crossing_pairs(a, b, tol)
+def check_noncrossing(plan: TransportPlan) -> list[tuple[int, int]]:
+    """Entry pairs whose chords cross in the interior of the domain.
+
+    Exact: two chords cross when their ends strictly interleave in
+    arclength (see :func:`kernels.crossing_pairs`), so shared endpoints,
+    zero-length chords and coincident chords never count.
+    """
+    i, j = kernels.crossing_pairs(plan.source.s[plan.i], plan.target.s[plan.j])
     return list(zip(i.tolist(), j.tolist()))
 
 

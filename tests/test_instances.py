@@ -81,3 +81,19 @@ class TestHolderHalf:
         expect, _ = quad(lambda s: math.sqrt(math.sin(s)), 0, math.pi)
         f_plus, _ = holder_half_measures(4000)
         assert f_plus.total_mass == pytest.approx(expect, rel=1e-3)
+
+
+def test_disk_generators_at_radius_two():
+    R = 2.0
+    P = 2 * math.pi * R
+    g = cosine_datum(256, radius=R)
+    assert g.perimeter == P
+    assert g.eval(math.pi * R)[0] == pytest.approx(-1.0, abs=1e-3)
+    # the mass of cos(s / R) over a half circle is 2R
+    f_plus, f_minus = mirror_cosine_measures(500, radius=R)
+    assert f_plus.perimeter == f_minus.perimeter == P
+    assert f_plus.total_mass == pytest.approx(2 * R, rel=1e-5)
+    assert np.all((f_minus.s > P / 4) & (f_minus.s < 3 * P / 4))
+    h_plus, h_minus = holder_half_measures(1000, radius=R)
+    assert h_plus.total_mass == pytest.approx(h_minus.total_mass, rel=1e-9)
+    assert np.all(h_minus.s < P / 2) and np.all(h_plus.s > P / 2)

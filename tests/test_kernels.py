@@ -1,7 +1,7 @@
 """Kernel tests.  Where a jit kernel has a numpy fallback the two must
 agree (bit-identical for the simplex, tight float agreement for the
-geometric accumulators); the crossing field is compared cell by cell
-with the scan-path kernel it replaced, kept here as the reference."""
+deposit).  The crossing field and the chord-crossing check are compared
+with the geometric kernels they replaced, kept here as references."""
 
 import math
 
@@ -10,9 +10,11 @@ import pytest
 
 from transportlab import kernels, simplex
 from transportlab.density import grid_for_domain
-from transportlab.geom import EuclideanNorm, disk, ellipse, radial
+from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse, radial
+from transportlab.instances import smooth_arc_instance
 from transportlab.leastgrad import _generic_anchor, interior_mask, solve_least_gradient
-from transportlab.measures import BoundaryDatum
+from transportlab.measures import BoundaryDatum, BoundaryMeasure
+from transportlab.ot import solve_kantorovich
 
 
 def random_segments(rng, n, lo=-1.0, hi=1.0):
@@ -247,50 +249,146 @@ class TestCrossingField:
         assert field.tolist() == [[0.0, 0.0], [0.0, -1.0]]
 
 
+def reference_crossing_pairs(a, b, tol=1e-10):
+    """The pairwise segment-intersection test that the arclength sweep
+    replaced.
+
+    Segments a -> b cross when they meet at a point farther than ``tol``
+    from all four endpoints, or overlap collinearly over more than
+    ``tol``.  It builds O(k**2) index arrays, so keep k small.
+    """
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    ii, jj = np.triu_indices(len(a), k=1)
+    d1x, d1y = bx[ii] - ax[ii], by[ii] - ay[ii]
+    d2x, d2y = bx[jj] - ax[jj], by[jj] - ay[jj]
+    ex, ey = ax[jj] - ax[ii], ay[jj] - ay[ii]
+    den = d1x * d2y - d1y * d2x
+    safe = np.where(den != 0, den, 1.0)
+    t = (ex * d2y - ey * d2x) / safe
+    uu = (ex * d1y - ey * d1x) / safe
+    inside = (den != 0) & (t > 0) & (t < 1) & (uu > 0) & (uu < 1)
+    px = ax[ii] + t * d1x
+    py = ay[ii] + t * d1y
+    clear = np.ones_like(inside)
+    for qx, qy in ((ax, ay), (bx, by)):
+        for idx in (ii, jj):
+            clear &= (px - qx[idx]) ** 2 + (py - qy[idx]) ** 2 > tol**2
+    res = inside & clear
+    par = den == 0
+    if np.any(par):
+        l1 = np.hypot(d1x, d1y)
+        ok = par & (l1 > 0)
+        safe_l = np.where(l1 > 0, l1, 1.0)
+        off = np.abs(ex * d1y - ey * d1x) / safe_l
+        t3 = (ex * d1x + ey * d1y) / safe_l**2
+        t4 = ((bx[jj] - ax[ii]) * d1x + (by[jj] - ay[ii]) * d1y) / safe_l**2
+        lo = np.minimum(t3, t4)
+        hi = np.maximum(t3, t4)
+        overlap = (np.minimum(hi, 1.0) - np.maximum(lo, 0.0)) * l1
+        res |= ok & (off <= tol) & (overlap > tol)
+    return ii[res], jj[res]
+
+
+def random_plan(rng, domain, norm, n):
+    """Solved plan between n random atoms of random mass per side."""
+    per = domain.perimeter
+    f_plus = BoundaryMeasure(rng.uniform(0, per, n), rng.uniform(0.1, 2.0, n), per)
+    mass = rng.uniform(0.1, 2.0, n)
+    mass *= f_plus.total_mass / mass.sum()
+    f_minus = BoundaryMeasure(rng.uniform(0, per, n), mass, per)
+    return solve_kantorovich(f_plus, f_minus, ChordCost(domain, norm))
+
+
+def pair_list(i, j):
+    return list(zip(np.asarray(i).tolist(), np.asarray(j).tolist()))
+
+
+CHORD_DOMAINS = pytest.mark.parametrize(
+    "domain",
+    [disk(1.0), ellipse(2.0, 1.0), radial(lambda t: 1.0 + 0.05 * math.cos(3 * t))],
+    ids=["disk", "ellipse", "radial"],
+)
+CHORD_NORMS = pytest.mark.parametrize(
+    "norm", [EuclideanNorm(), LqNorm(3.0)], ids=["euclid", "l3"]
+)
+
+
 class TestCrossingPairs:
-    def _both(self, a, b, tol=1e-10):
-        res = []
-        for impl in (kernels._crossing_pairs_nb, kernels._crossing_pairs_np):
-            i, j = impl(
-                np.ascontiguousarray(a[:, 0]),
-                np.ascontiguousarray(a[:, 1]),
-                np.ascontiguousarray(b[:, 0]),
-                np.ascontiguousarray(b[:, 1]),
-                tol,
+    """The arclength sweep against the geometric reference on real plans,
+    and pinned on the degenerate configurations it defines."""
+
+    def _agree(self, plan, i, j):
+        got = kernels.crossing_pairs(plan.source.s[i], plan.target.s[j])
+        assert all(x.dtype == np.int64 for x in got)
+        ref = reference_crossing_pairs(plan.source_points[i], plan.target_points[j])
+        assert pair_list(*got) == pair_list(*ref)
+        return len(got[0])
+
+    @CHORD_DOMAINS
+    @CHORD_NORMS
+    def test_matches_reference_on_solved_plans(self, domain, norm):
+        rng = np.random.default_rng(8)
+        plans = [random_plan(rng, domain, norm, n) for n in (5, 30, 80)]
+        plans.append(
+            solve_kantorovich(
+                *smooth_arc_instance(rng, domain, 150), ChordCost(domain, norm)
             )
-            res.append(set(zip(np.asarray(i).tolist(), np.asarray(j).tolist())))
-        return res
+        )
+        for plan in plans:
+            assert self._agree(plan, plan.i, plan.j) == 0
+
+    @CHORD_DOMAINS
+    @CHORD_NORMS
+    def test_matches_reference_on_scrambled_plans(self, domain, norm):
+        rng = np.random.default_rng(9)
+        found = 0
+        for n in (4, 12, 40):
+            plan = random_plan(rng, domain, norm, n)
+            entries = np.unique(np.stack([plan.i, rng.permutation(plan.j)], 1), axis=0)
+            found += self._agree(plan, *entries.T)
+        assert found > 0
 
     def test_x_crossing(self):
-        a = np.array([[-1.0, -1.0], [-1.0, 1.0]])
-        b = np.array([[1.0, 1.0], [1.0, -1.0]])
-        nb, npy = self._both(a, b)
-        assert nb == npy == {(0, 1)}
+        i, j = kernels.crossing_pairs([0.0, 1.0], [2.0, 3.0])
+        assert pair_list(i, j) == [(0, 1)]
+        # orientation does not matter
+        assert pair_list(*kernels.crossing_pairs([2.0, 1.0], [0.0, 3.0])) == [(0, 1)]
 
     def test_shared_endpoint_excluded(self):
-        a = np.array([[0.0, 0.0], [0.0, 0.0]])
-        b = np.array([[1.0, 0.0], [0.0, 1.0]])
-        nb, npy = self._both(a, b)
-        assert nb == npy == set()
+        # one source to two targets, one on either side of it
+        assert pair_list(*kernels.crossing_pairs([1.0, 1.0], [0.5, 3.0])) == []
+        # one chord's target is another chord's source
+        assert pair_list(*kernels.crossing_pairs([0.0, 2.0], [2.0, 3.0])) == []
+        assert pair_list(*kernels.crossing_pairs([1.0, 0.0], [3.0, 1.0])) == []
 
-    def test_t_junction_excluded(self):
-        a = np.array([[-1.0, 0.0], [0.0, 0.0]])
-        b = np.array([[1.0, 0.0], [0.0, 1.0]])
-        nb, npy = self._both(a, b)
-        assert nb == npy == set()
+    def test_coincident_chords_not_a_crossing(self):
+        # chords 0 and 1 are the same chord, 2 runs the other way;
+        # chord 3 crosses all three
+        i, j = kernels.crossing_pairs([1.0, 1.0, 3.0, 2.0], [3.0, 3.0, 1.0, 4.0])
+        assert pair_list(i, j) == [(0, 3), (1, 3), (2, 3)]
 
-    def test_collinear_overlap_counted(self):
-        a = np.array([[0.0, 0.0], [1.0, 0.0]])
-        b = np.array([[2.0, 0.0], [3.0, 0.0]])
-        nb, npy = self._both(a, b)
-        assert nb == npy == {(0, 1)}
+    def test_zero_length_chord_crosses_nothing(self):
+        i, j = kernels.crossing_pairs([1.0, 0.0, 2.5], [1.0, 2.0, 0.5])
+        assert pair_list(i, j) == [(1, 2)]
 
-    def test_backends_agree_random(self):
-        rng = np.random.default_rng(3)
-        a, b = random_segments(rng, 80)
-        nb, npy = self._both(a, b)
-        assert nb == npy
-        assert len(nb) > 0  # dense random segments do cross
+    def test_ends_at_zero(self):
+        i, j = kernels.crossing_pairs([0.0, 1.0, 0.0, 3.0], [2.0, 3.0, 1.0, 0.0])
+        assert pair_list(i, j) == [(0, 1)]
+
+    def test_matches_interleave_definition_with_ties(self):
+        # positions on a coarse lattice make every kind of tie frequent
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            k = int(rng.integers(0, 12))
+            s_a, s_b = rng.integers(0, 6, (2, k)).astype(float)
+            lo, hi = np.minimum(s_a, s_b), np.maximum(s_a, s_b)
+            want = [
+                (p, q)
+                for p in range(k)
+                for q in range(p + 1, k)
+                if lo[p] < lo[q] < hi[p] < hi[q] or lo[q] < lo[p] < hi[q] < hi[p]
+            ]
+            assert pair_list(*kernels.crossing_pairs(s_a, s_b)) == want
 
 
 class TestSimplexCores:

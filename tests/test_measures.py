@@ -28,6 +28,14 @@ class TestBoundaryMeasure:
         m = BoundaryMeasure([TWO_PI + 1.0], [1.0], TWO_PI)
         assert m.s[0] == pytest.approx(1.0)
 
+    def test_position_rounding_to_perimeter_folds_to_zero(self):
+        # mod(-1e-300, 2 pi) rounds to 2 pi, the same boundary point as 0
+        m = BoundaryMeasure([-1e-300, 1.0], [1.0, 1.0], TWO_PI)
+        assert m.s.tolist() == [0.0, 1.0]
+        m = BoundaryMeasure([-1e-300, 1.0, 0.0], [1.0, 1.0, 2.0], TWO_PI)
+        assert m.s.tolist() == [0.0, 1.0]
+        assert m.mass.tolist() == [3.0, 1.0]
+
     def test_merge_of_near_duplicates(self):
         eps = 1e-14
         m = BoundaryMeasure([1.0, 1.0 + eps, 2.0], [1.0, 3.0, 1.0], TWO_PI)

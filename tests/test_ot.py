@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from transportlab.errors import InfeasibleError
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse
+from transportlab.instances import mirror_cosine_measures
 from transportlab.measures import BoundaryMeasure
 from transportlab.ot import (
     brute_force_plan,
@@ -142,6 +144,28 @@ class TestNoncrossing:
         plan = solve_kantorovich(f_plus, f_minus, EUC)
         assert plan.n_entries == 2
         assert check_noncrossing(plan) == []
+
+    def test_near_collinear_fan_not_a_crossing(self):
+        # two chords into one target from sources 1.5e-6 apart share an
+        # endpoint, so they do not cross, though the segments nearly overlap
+        ell = ellipse(2.0, 1.0)
+        s = 8.306916937794801
+        f_plus = BoundaryMeasure([s, s + 1.5e-6], [1.0, 1.0], ell.perimeter)
+        f_minus = BoundaryMeasure([0.325392107304296], [2.0], ell.perimeter)
+        plan = solve_kantorovich(f_plus, f_minus, ChordCost(ell, EuclideanNorm()))
+        assert plan.j.tolist() == [0, 0]
+        assert check_noncrossing(plan) == []
+
+    def test_large_plan_memory_linear(self):
+        plan = solve_kantorovich(*mirror_cosine_measures(2000), EUC)
+        assert plan.n_entries == 3997
+        tracemalloc.start()
+        try:
+            assert check_noncrossing(plan) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestPlanMethods:
