@@ -1,28 +1,18 @@
-"""Numba/numpy backend selection.
+"""Numba detection for the one jit kernel, the simplex core.
 
-Hot kernels ship in two variants: a numba-compiled loop version and a
-vectorized numpy fallback.  Setting the environment variable
-``TRANSPORTLAB_NUMBA=0`` before import selects the fallback; the flag
-also flips automatically when numba is not importable.
+The simplex runs its numba-compiled core exactly when numba imports and
+its numpy twin otherwise; the two visit the same bases.  Without numba,
+``njit`` is a no-op so the jit source still imports.
 """
 
 from __future__ import annotations
 
-import os
+try:
+    from numba import njit
 
-_env = os.environ.get("TRANSPORTLAB_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _env not in ("0", "false", "no", "off")
-
-HAS_NUMBA = False
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        pass
-
-if not HAS_NUMBA:
+    USE_NUMBA = True
+except ImportError:
+    USE_NUMBA = False
 
     def njit(*args, **kwargs):
         """No-op replacement so kernel sources stay importable."""
@@ -33,8 +23,6 @@ if not HAS_NUMBA:
             return func
 
         return wrap
-
-USE_NUMBA = HAS_NUMBA
 
 
 def backend_name() -> str:

@@ -205,8 +205,9 @@ def _pair_grid_lp(
         ny=ny,
         values=np.zeros((ny, nx)),
     )
-    lam = plan.mass * plan.entry_costs / np.hypot(*(b - a).T)
-    kernels.deposit_segments(grid.values, grid.origin, grid.cell, a_loc, b_loc, lam)
+    kernels.deposit_segments(
+        grid.values, grid.origin, grid.cell, a_loc, b_loc, plan.mass * plan.entry_costs
+    )
     return float(np.sum(grid.values**p) * cell**2)
 
 

@@ -129,14 +129,10 @@ def deposit_partial_density(
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
     a, b = plan.entry_segments()
-    end = a + tau * (b - a)
-    seg_len = np.hypot(*(b - a).T)
-    ok = seg_len > 0
-    lam = np.zeros(len(seg_len))
-    lam[ok] = plan.mass[ok] * plan.entry_costs[ok] / seg_len[ok]
     out = grid.copy_empty(kind="density")
     kernels.deposit_segments(
-        out.values, out.origin, out.cell, a[ok], end[ok], lam[ok]
+        out.values, out.origin, out.cell, a, a + tau * (b - a),
+        tau * plan.mass * plan.entry_costs,
     )
     return out
 

@@ -401,18 +401,6 @@ class QuadraticNorm(Norm):
         return {"kind": "quadratic", "a": self.a.tolist()}
 
 
-def euclidean() -> EuclideanNorm:
-    return EuclideanNorm()
-
-
-def lq(q: float) -> LqNorm:
-    return LqNorm(float(q))
-
-
-def quadratic(a) -> QuadraticNorm:
-    return QuadraticNorm(np.asarray(a, dtype=float))
-
-
 def chord_cost(norm: Norm, domain: Domain, s1, s2) -> np.ndarray:
     """Cost ||x(s2) - x(s1)|| between two boundary points."""
     p1 = domain.boundary_point(s1)
@@ -452,9 +440,9 @@ def domain_from_config(cfg: dict) -> Domain:
 def norm_from_config(cfg: dict) -> Norm:
     kind = cfg.get("kind")
     if kind == "euclidean":
-        return euclidean()
+        return EuclideanNorm()
     if kind == "lq":
-        return lq(cfg["q"])
+        return LqNorm(float(cfg["q"]))
     if kind == "quadratic":
-        return quadratic(cfg["a"])
+        return QuadraticNorm(cfg["a"])
     raise ValueError(f"unknown norm kind {kind!r}")

@@ -1,143 +1,115 @@
 """Grid and chord kernels: segment deposition, crossing fields, chord crossings.
 
-Segment deposition dispatches to a numba loop implementation or a
-vectorized numpy implementation according to
-:mod:`transportlab.backend`.  Both variants visit segments in input
-order and touch each cell at most once per segment, so results agree to
-floating-point roundoff.  The crossing field and the chord-crossing
-check are single numpy/Python sweeps in either case; the check compares
+All three are single numpy passes with no per-item Python loop.  The
+deposit splits every segment exactly at the grid lines it crosses, rows
+first and then columns, and sums the pieces with one ``bincount``; the
+crossing field sums per-row steps; the chord-crossing check compares
 arclength positions exactly, with no geometry and no tolerance.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .backend import USE_NUMBA, njit
 
 
 # ---------------------------------------------------------------------------
 # exact segment-to-grid deposition
 
-
-@njit(cache=True)
-def _deposit_nb(values, ox, oy, cell, ax, ay, ex, ey, lam):
-    ny, nx = values.shape
-    inv_area = 1.0 / (cell * cell)
-    for k in range(ax.shape[0]):
-        x0 = ax[k]
-        y0 = ay[k]
-        dx = ex[k] - x0
-        dy = ey[k] - y0
-        seg_len = math.sqrt(dx * dx + dy * dy)
-        if seg_len <= 0.0:
-            continue
-        w = lam[k] * inv_area
-        ix = int(math.floor((x0 - ox) / cell))
-        iy = int(math.floor((y0 - oy) / cell))
-        if ix < 0:
-            ix = 0
-        elif ix > nx - 1:
-            ix = nx - 1
-        if iy < 0:
-            iy = 0
-        elif iy > ny - 1:
-            iy = ny - 1
-        step_x = 1 if dx > 0.0 else (-1 if dx < 0.0 else 0)
-        step_y = 1 if dy > 0.0 else (-1 if dy < 0.0 else 0)
-        if step_x > 0:
-            t_max_x = (ox + (ix + 1) * cell - x0) / dx
-            t_dx = cell / dx
-        elif step_x < 0:
-            t_max_x = (ox + ix * cell - x0) / dx
-            t_dx = -cell / dx
-        else:
-            t_max_x = math.inf
-            t_dx = math.inf
-        if step_y > 0:
-            t_max_y = (oy + (iy + 1) * cell - y0) / dy
-            t_dy = cell / dy
-        elif step_y < 0:
-            t_max_y = (oy + iy * cell - y0) / dy
-            t_dy = -cell / dy
-        else:
-            t_max_y = math.inf
-            t_dy = math.inf
-        t = 0.0
-        guard = 4 * (nx + ny) + 8
-        while guard > 0:
-            guard -= 1
-            t_next = t_max_x if t_max_x < t_max_y else t_max_y
-            if t_next > 1.0:
-                t_next = 1.0
-            if t_next > t:
-                values[iy, ix] += w * (t_next - t) * seg_len
-            if t_next >= 1.0:
-                break
-            advance_x = t_max_x <= t_max_y
-            advance_y = t_max_y <= t_max_x
-            if advance_x:
-                ix += step_x
-                t_max_x += t_dx
-                if ix < 0:
-                    ix = 0
-                elif ix > nx - 1:
-                    ix = nx - 1
-            if advance_y:
-                iy += step_y
-                t_max_y += t_dy
-                if iy < 0:
-                    iy = 0
-                elif iy > ny - 1:
-                    iy = ny - 1
-            t = t_next
+# most (segment, row, column) visits that one chunk of segments expands
+# to; bounds the deposit's scratch memory to a few MB
+MAX_VISITS = 1 << 14
 
 
-def _deposit_np(values, ox, oy, cell, ax, ay, ex, ey, lam):
-    ny, nx = values.shape
-    inv_area = 1.0 / (cell * cell)
-    for k in range(ax.shape[0]):
-        x0, y0 = ax[k], ay[k]
-        dx, dy = ex[k] - x0, ey[k] - y0
-        seg_len = math.hypot(dx, dy)
-        if seg_len <= 0.0:
-            continue
-        cuts = [np.array([0.0, 1.0])]
-        if dx != 0.0:
-            gx0 = math.floor((min(x0, x0 + dx) - ox) / cell) + 1
-            gx1 = math.ceil((max(x0, x0 + dx) - ox) / cell)
-            lines = ox + np.arange(gx0, gx1) * cell
-            cuts.append((lines - x0) / dx)
-        if dy != 0.0:
-            gy0 = math.floor((min(y0, y0 + dy) - oy) / cell) + 1
-            gy1 = math.ceil((max(y0, y0 + dy) - oy) / cell)
-            lines = oy + np.arange(gy0, gy1) * cell
-            cuts.append((lines - y0) / dy)
-        t = np.unique(np.clip(np.concatenate(cuts), 0.0, 1.0))
-        mids = 0.5 * (t[:-1] + t[1:])
-        lens = np.diff(t) * seg_len
-        ix = np.clip(np.floor((x0 + mids * dx - ox) / cell).astype(np.int64), 0, nx - 1)
-        iy = np.clip(np.floor((y0 + mids * dy - oy) / cell).astype(np.int64), 0, ny - 1)
-        np.add.at(values, (iy, ix), lam[k] * inv_area * lens)
+def _cell_index(coord, origin, cell, n):
+    """Index of the grid cell holding each coordinate, clamped to [0, n-1]."""
+    return np.clip(np.floor((coord - origin) / cell), 0, n - 1).astype(np.int64)
 
 
-def deposit_segments(values, origin, cell, start, end, lam):
+def _split(lo, hi, i0, i1, p0, d, origin, cell):
+    """Cut t-intervals into one piece per grid cell along one axis.
+
+    Interval q runs over [lo[q], hi[q]] of the line p0[q] + t * d[q] and
+    through cells i0[q] .. i1[q] in order.  Returns, per piece, the
+    interval index, the cell index and the piece's t-bounds.  A piece
+    ends at the t of the grid line to the next cell, clipped to
+    [lo, hi]; the interval's last piece ends at hi and each piece starts
+    where the one before ended (the first at lo).  So pieces tile their
+    interval and never have negative length.
+    """
+    step = np.sign(i1 - i0)
+    count = np.abs(i1 - i0) + 1
+    first = np.cumsum(count) - count
+    q = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(q)) - first[q]
+    idx = i0[q] + k * step[q]
+    t_out = hi[q]
+    inner = np.flatnonzero(k < count[q] - 1)
+    qi = q[inner]
+    line = origin + (idx[inner] + (step[qi] > 0)) * cell
+    t_out[inner] = np.clip((line - p0[qi]) / d[qi], lo[qi], hi[qi])
+    t_in = np.empty_like(t_out)
+    t_in[1:] = t_out[:-1]
+    t_in[first] = lo
+    return q, idx, t_in, t_out
+
+
+def deposit_segments(values, origin, cell, start, end, weight):
     """Add line measures to a grid, exactly splitting each segment by cell.
 
-    ``lam`` is the measure per unit euclidean length of each segment; the
-    per-cell increment is lam * length_in_cell / cell_area.  Accumulation
-    order is fixed (segments in order, cells along each segment), so the
-    result is reproducible bit for bit.
+    Segment k carries total measure ``weight[k]``, spread uniformly along
+    its length, so a cell gains weight * (fraction of the segment inside
+    it) / cell_area.  Cells are half-open, [x_i, x_i + cell); parts of a
+    segment outside the grid land in the nearest border cell, as if the
+    outermost rows and columns extended to infinity.  Zero-length
+    segments deposit nothing.
+
+    Each segment is cut at the horizontal grid lines into rows, and each
+    row piece at the vertical lines into cells (the Amanatides-Woo
+    traversal, batched); a segment visits |rows crossed| + |columns
+    crossed| + 1 cells.  Segments go in chunks of at most ``MAX_VISITS``
+    visits (a longer segment goes alone), and the pieces are summed by
+    ``np.bincount`` in a fixed order, so the result is reproducible bit
+    for bit.
     """
-    ax = np.ascontiguousarray(start[:, 0], dtype=np.float64)
-    ay = np.ascontiguousarray(start[:, 1], dtype=np.float64)
-    ex = np.ascontiguousarray(end[:, 0], dtype=np.float64)
-    ey = np.ascontiguousarray(end[:, 1], dtype=np.float64)
-    lam = np.ascontiguousarray(lam, dtype=np.float64)
-    impl = _deposit_nb if USE_NUMBA else _deposit_np
-    impl(values, float(origin[0]), float(origin[1]), float(cell), ax, ay, ex, ey, lam)
+    ny, nx = values.shape
+    ox, oy = float(origin[0]), float(origin[1])
+    start = np.asarray(start, dtype=np.float64).reshape(-1, 2)
+    end = np.asarray(end, dtype=np.float64).reshape(-1, 2)
+    d = end - start
+    keep = np.flatnonzero((d[:, 0] != 0.0) | (d[:, 1] != 0.0))
+    x0, y0 = start[keep, 0], start[keep, 1]
+    dx, dy = d[keep, 0], d[keep, 1]
+    w = np.asarray(weight, dtype=np.float64)[keep] / (cell * cell)
+    r0 = _cell_index(y0, oy, cell, ny)
+    r1 = _cell_index(y0 + dy, oy, cell, ny)
+    # column ends from x(t) = x0 + t dx, the formula the row pieces use
+    c0 = _cell_index(x0, ox, cell, nx)
+    c1 = _cell_index(x0 + dx, ox, cell, nx)
+    cum = np.cumsum(np.abs(r1 - r0) + np.abs(c1 - c0) + 1)
+    lo = 0
+    while lo < len(keep):
+        base = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + MAX_VISITS, side="right")))
+        part = slice(lo, hi)
+        n = hi - lo
+        seg, row, t0, t1 = _split(
+            np.zeros(n), np.ones(n), r0[part], r1[part], y0[part], dy[part], oy, cell
+        )
+        xs, xd = x0[part][seg], dx[part][seg]
+        piece, col, t_in, t_out = _split(
+            t0, t1,
+            _cell_index(xs + t0 * xd, ox, cell, nx),
+            _cell_index(xs + t1 * xd, ox, cell, nx),
+            xs, xd, ox, cell,
+        )
+        # sum over the rows this chunk spans only, not the whole grid
+        r_lo, r_hi = row.min(), row.max() + 1
+        values[r_lo:r_hi] += np.bincount(
+            (row[piece] - r_lo) * nx + col,
+            weights=(t_out - t_in) * w[part][seg[piece]],
+            minlength=(r_hi - r_lo) * nx,
+        ).reshape(-1, nx)
+        lo = hi
     return values
 
 

@@ -24,13 +24,22 @@ MERGE_TOL = 1e-12
 BALANCE_TOL = 1e-10
 
 
+def _wrap(s, perimeter):
+    """Arclength positions reduced to [0, perimeter)."""
+    s = np.mod(s, perimeter)
+    # mod rounds tiny negative positions up to the perimeter itself,
+    # which is the boundary point at 0
+    s[s == perimeter] = 0.0
+    return s
+
+
 @dataclass
 class BoundaryMeasure:
     """Atomic measure on a boundary of given perimeter.
 
     Positions are reduced to [0, perimeter) and sorted; positions within
-    ``1e-12 * perimeter`` of each other are merged (masses and sublengths
-    add); zero-mass atoms are dropped.
+    ``1e-12 * perimeter`` of each other, also across the seam at 0, are
+    merged (masses and sublengths add); zero-mass atoms are dropped.
     """
 
     s: np.ndarray
@@ -39,10 +48,7 @@ class BoundaryMeasure:
     sublength: np.ndarray = None
 
     def __post_init__(self):
-        s = np.mod(np.asarray(self.s, dtype=float).ravel(), self.perimeter)
-        # mod rounds tiny negative positions up to the perimeter itself,
-        # which is the boundary point at 0
-        s[s == self.perimeter] = 0.0
+        s = _wrap(np.asarray(self.s, dtype=float).ravel(), self.perimeter)
         mass = np.asarray(self.mass, dtype=float).ravel()
         if s.shape != mass.shape:
             raise ValueError(f"positions and masses differ in length: {s.shape} vs {mass.shape}")
@@ -61,19 +67,28 @@ class BoundaryMeasure:
         if len(s) > 1:
             tol = MERGE_TOL * self.perimeter
             group = np.concatenate([[0], np.cumsum(np.diff(s) > tol)])
-            n = group[-1] + 1 if len(group) else 0
-            mass_merged = np.bincount(group, weights=mass, minlength=n)
-            # every kept atom has mass > 0, so each group total is > 0
             first = np.concatenate([[0], np.flatnonzero(np.diff(group)) + 1])
             s0 = s[first]
+            n = group[-1] + 1
+            if n > 1 and s[0] + self.perimeter - s[-1] <= tol:
+                # the last group runs into the seam: it joins the first,
+                # one perimeter down
+                seam = group == n - 1
+                s = np.where(seam, s - self.perimeter, s)
+                group[seam] = 0
+                n -= 1
+            mass_merged = np.bincount(group, weights=mass, minlength=n)
+            # every kept atom has mass > 0, so each group total is > 0;
             # weighted mean as offset from the group's first position:
             # exact for singletons, and for real groups the offsets are
             # bounded by tol, so subnormal-mass underflow cannot move an
             # atom by more than the merge tolerance
             off = np.bincount(group, weights=(s - s0[group]) * mass, minlength=n)
-            s = s0 + off / mass_merged
+            s = _wrap(s0[:n] + off / mass_merged, self.perimeter)
             sub = np.bincount(group, weights=sub, minlength=n)
             mass = mass_merged
+            order = np.argsort(s, kind="stable")
+            s, mass, sub = s[order], mass[order], sub[order]
         self.s = s
         self.mass = mass
         self.sublength = sub
@@ -110,16 +125,17 @@ class BoundaryDatum:
         samples = np.asarray(self.samples, dtype=float).reshape(-1, 2)
         if len(samples) < 1:
             raise ValueError("datum needs at least one sample")
-        samples[:, 0] = np.mod(samples[:, 0], self.perimeter)
+        samples[:, 0] = _wrap(samples[:, 0], self.perimeter)
         samples = samples[np.argsort(samples[:, 0], kind="stable")]
-        gaps = np.diff(samples[:, 0])
+        # the last gap runs across the seam back to the first sample
+        gaps = np.diff(samples[:, 0], append=samples[0, 0] + self.perimeter)
         if np.any(gaps <= MERGE_TOL * self.perimeter):
             raise ValueError("duplicate sample positions in boundary datum")
         if self.jumps is None:
             jumps = np.zeros((0, 2))
         else:
             jumps = np.asarray(self.jumps, dtype=float).reshape(-1, 2)
-            jumps[:, 0] = np.mod(jumps[:, 0], self.perimeter)
+            jumps[:, 0] = _wrap(jumps[:, 0], self.perimeter)
             jumps = jumps[np.argsort(jumps[:, 0], kind="stable")]
         self.samples = samples
         self.jumps = jumps

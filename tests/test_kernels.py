@@ -1,7 +1,8 @@
-"""Kernel tests.  Where a jit kernel has a numpy fallback the two must
-agree (bit-identical for the simplex, tight float agreement for the
-deposit).  The crossing field and the chord-crossing check are compared
-with the geometric kernels they replaced, kept here as references."""
+"""Kernel tests.  The simplex's jit core and its numpy twin must agree
+bit for bit.  The deposit, the crossing field and the chord-crossing
+check are single numpy passes; each is compared with the per-item
+kernel it replaced, kept here as a reference, and pinned on hand-made
+cases."""
 
 import math
 
@@ -24,45 +25,153 @@ def random_segments(rng, n, lo=-1.0, hi=1.0):
     return a[keep], b[keep]
 
 
+def reference_deposit(values, origin, cell, start, end, weight):
+    """The per-segment numpy deposit that the batched pass replaced.
+
+    Each segment is cut at every grid line it crosses, and each piece is
+    added to the cell holding its midpoint (clamped to the grid).
+    """
+    ny, nx = values.shape
+    ox, oy = origin
+    for (x0, y0), (x1, y1), wk in zip(start, end, weight):
+        dx, dy = x1 - x0, y1 - y0
+        if dx == 0.0 and dy == 0.0:
+            continue
+        cuts = [np.array([0.0, 1.0])]
+        if dx != 0.0:
+            g0 = math.floor((min(x0, x1) - ox) / cell) + 1
+            g1 = math.ceil((max(x0, x1) - ox) / cell)
+            cuts.append((ox + np.arange(g0, g1) * cell - x0) / dx)
+        if dy != 0.0:
+            g0 = math.floor((min(y0, y1) - oy) / cell) + 1
+            g1 = math.ceil((max(y0, y1) - oy) / cell)
+            cuts.append((oy + np.arange(g0, g1) * cell - y0) / dy)
+        t = np.unique(np.clip(np.concatenate(cuts), 0.0, 1.0))
+        mids = 0.5 * (t[:-1] + t[1:])
+        ix = np.clip(np.floor((x0 + mids * dx - ox) / cell).astype(np.int64), 0, nx - 1)
+        iy = np.clip(np.floor((y0 + mids * dy - oy) / cell).astype(np.int64), 0, ny - 1)
+        np.add.at(values, (iy, ix), wk * np.diff(t) / cell**2)
+    return values
+
+
+def lattice_segments(rng, n, step=1.0 / 32):
+    """Segments with both ends on a lattice of grid lines and corners,
+    a third of them axis-parallel."""
+    a = rng.integers(-32, 33, (n, 2)) * step
+    b = rng.integers(-32, 33, (n, 2)) * step
+    b[: n // 6, 0] = a[: n // 6, 0]
+    b[n // 6 : n // 3, 1] = a[n // 6 : n // 3, 1]
+    keep = np.any(a != b, axis=1)
+    return a[keep], b[keep]
+
+
 class TestDeposit:
+    origin = (-1.0, -1.0)
+    cell = 2.0 / 64
+
+    def _agree(self, a, b, weight):
+        got = kernels.deposit_segments(np.zeros((64, 64)), self.origin, self.cell, a, b, weight)
+        want = reference_deposit(np.zeros((64, 64)), self.origin, self.cell, a, b, weight)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        assert got.min() >= 0.0
+        assert got.sum() * self.cell**2 == pytest.approx(weight.sum(), rel=1e-12)
+
     def test_hand_computed_cells(self):
         values = np.zeros((4, 4))
         a = np.array([[0.25, 0.5]])
         e = np.array([[2.75, 0.5]])
-        lam = np.array([2.0])
-        kernels.deposit_segments(values, (0.0, 0.0), 1.0, a, e, lam)
+        kernels.deposit_segments(values, (0.0, 0.0), 1.0, a, e, np.array([5.0]))
         assert values[0, 0] == pytest.approx(1.5)
         assert values[0, 1] == pytest.approx(2.0)
         assert values[0, 2] == pytest.approx(1.5)
         assert values.sum() == pytest.approx(5.0)
 
-    def test_backends_agree(self):
+    def test_matches_reference_random(self):
         rng = np.random.default_rng(0)
         a, b = random_segments(rng, 60)
-        lam = rng.uniform(0.1, 3.0, len(a))
-        args = (-1.0, -1.0, 2.0 / 64)
-        v_nb = np.zeros((64, 64))
-        v_np = np.zeros((64, 64))
-        kernels._deposit_nb(v_nb, *args, a[:, 0], a[:, 1], b[:, 0], b[:, 1], lam)
-        kernels._deposit_np(v_np, *args, a[:, 0], a[:, 1], b[:, 0], b[:, 1], lam)
-        scale = v_nb.max()
-        assert np.allclose(v_nb, v_np, atol=1e-12 * scale, rtol=1e-12)
+        self._agree(a, b, rng.uniform(0.1, 3.0, len(a)))
+
+    def test_matches_reference_axis_parallel(self):
+        rng = np.random.default_rng(2)
+        a = rng.uniform(-1.0, 1.0, (40, 2))
+        b = a.copy()
+        b[:20, 0] = rng.uniform(-1.0, 1.0, 20)
+        b[20:, 1] = rng.uniform(-1.0, 1.0, 20)
+        self._agree(a, b, rng.uniform(0.1, 3.0, 40))
+
+    def test_matches_reference_on_lattice(self):
+        # ends on grid lines and corners, diagonals through corners
+        rng = np.random.default_rng(3)
+        a, b = lattice_segments(rng, 120)
+        diag = np.array([[-1.0, -1.0], [1.0, 1.0], [-0.5, 0.25], [0.25, -0.5]])
+        a = np.concatenate([a, diag[[0, 1, 2]]])
+        b = np.concatenate([b, diag[[1, 0, 3]]])
+        self._agree(a, b, rng.uniform(0.1, 3.0, len(a)))
+
+    def test_matches_reference_outside_grid(self):
+        rng = np.random.default_rng(4)
+        a, b = random_segments(rng, 80, -1.6, 1.6)
+        out = np.array([[1.1, 0.3], [-1.5, -1.2], [-1.3, 1.4], [0.2, 1.5]])
+        a = np.concatenate([a, out])
+        b = np.concatenate([b, out[[1, 0, 3, 2]] * [1.0, 1.1]])
+        self._agree(a, b, rng.uniform(0.1, 3.0, len(a)))
+
+    def test_matches_reference_across_chunks(self):
+        rng = np.random.default_rng(5)
+        a, b = random_segments(rng, 1500)
+        i0 = np.floor((a - self.origin) / self.cell)
+        i1 = np.floor((b - self.origin) / self.cell)
+        assert len(a) + np.abs(i1 - i0).sum() > 3 * kernels.MAX_VISITS
+        self._agree(a, b, rng.uniform(0.1, 3.0, len(a)))
+
+    def test_segment_leaving_grid_keeps_its_length(self):
+        # starts outside and moves further out: its whole length lands
+        # in the border column, nothing more and nothing negative
+        a = np.array([[1.1, 0.3]])
+        b = np.array([[1.3, 0.1]])
+        length = np.hypot(*(b - a).T)
+        values = kernels.deposit_segments(
+            np.zeros((64, 64)), self.origin, self.cell, a, b, length
+        )
+        assert values.sum() * self.cell**2 == 0.28284271247461895
+        assert values.min() >= 0.0
+        assert np.all(values[:, :63] == 0.0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((-0.8270974475167722, -1.1604788921991187), (-0.8464070689131628, -0.9019216534762187)),
+            ((0.0033798430097383703, -1.1620832352711554), (0.6160236286124677, -0.5291265984569196)),
+            ((-0.18890375290521183, -0.09490356278078999), (0.4753805727386049, 0.5688513095623059)),
+        ],
+    )
+    def test_corner_crossing_stays_nonnegative(self, a, b):
+        # each passes through a grid corner where x(t) at a row line
+        # rounds into the next column; unclipped line crossings would
+        # give that column a piece of negative length
+        a, b = np.array([a]), np.array([b])
+        values = kernels.deposit_segments(
+            np.zeros((64, 64)), self.origin, self.cell, a, b, np.ones(1)
+        )
+        assert values.min() >= 0.0
+        self._agree(a, b, np.ones(1))
 
     def test_mass_conserved(self):
         rng = np.random.default_rng(1)
         a, b = random_segments(rng, 40, -0.9, 0.9)
-        lam = rng.uniform(0.1, 3.0, len(a))
+        weight = rng.uniform(0.1, 3.0, len(a))
         values = np.zeros((97, 97))
         cell = 2.0 / 97
-        kernels.deposit_segments(values, (-1.0, -1.0), cell, a, b, lam)
-        expect = np.sum(lam * np.hypot(*(b - a).T))
-        assert values.sum() * cell * cell == pytest.approx(expect, rel=1e-12)
+        kernels.deposit_segments(values, (-1.0, -1.0), cell, a, b, weight)
+        assert values.sum() * cell * cell == pytest.approx(weight.sum(), rel=1e-12)
 
     def test_degenerate_segment_ignored(self):
         values = np.zeros((8, 8))
-        a = np.array([[0.5, 0.5]])
-        kernels.deposit_segments(values, (0.0, 0.0), 1.0, a, a.copy(), np.array([5.0]))
-        assert values.sum() == 0.0
+        a = np.array([[0.5, 0.5], [0.5, 0.5]])
+        e = np.array([[0.5, 0.5], [2.5, 0.5]])
+        kernels.deposit_segments(values, (0.0, 0.0), 1.0, a, e, np.array([5.0, 2.0]))
+        assert values.sum() == pytest.approx(2.0)
+        assert values[0, 0] == pytest.approx(0.5)
 
 
 def _reference_legs(p0, pts, a, b, mass):

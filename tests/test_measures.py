@@ -36,6 +36,26 @@ class TestBoundaryMeasure:
         assert m.s.tolist() == [0.0, 1.0]
         assert m.mass.tolist() == [3.0, 1.0]
 
+    def test_merge_across_the_seam(self):
+        # 0 and 2 pi - 1e-14 are one boundary point, 1e-14 apart
+        m = BoundaryMeasure([0.0, TWO_PI - 1e-14], [1.0, 1.0], TWO_PI)
+        assert len(m) == 1
+        assert m.mass.tolist() == [2.0]
+        assert 0.0 <= m.s[0] < TWO_PI
+        assert m.s[0] == pytest.approx(TWO_PI - 0.5e-14, abs=1e-15)
+        m = BoundaryMeasure(
+            [1e-14, 3.0, TWO_PI - 3e-14, 1.0],
+            [1.0, 1.0, 3.0, 1.0],
+            TWO_PI,
+            sublength=[0.1, 0.2, 0.3, 0.4],
+        )
+        assert m.mass.tolist() == [1.0, 1.0, 4.0]
+        assert m.sublength.tolist() == pytest.approx([0.4, 0.2, 0.4])
+        assert m.s[:2].tolist() == [1.0, 3.0]
+        # mass-weighted mean, one perimeter down, back in [0, 2 pi)
+        assert m.s[2] == pytest.approx(TWO_PI - 2.0e-14, abs=1e-15)
+        assert m.s[2] < TWO_PI
+
     def test_merge_of_near_duplicates(self):
         eps = 1e-14
         m = BoundaryMeasure([1.0, 1.0 + eps, 2.0], [1.0, 3.0, 1.0], TWO_PI)
@@ -99,6 +119,31 @@ class TestBoundaryDatum:
         with pytest.raises(ValueError, match="duplicate"):
             BoundaryDatum(
                 samples=np.array([[1.0, 0.0], [1.0, 2.0]]),
+                jumps=None,
+                perimeter=TWO_PI,
+            )
+
+
+    def test_position_rounding_to_perimeter_folds_to_zero(self):
+        # mod(-1e-300, 2 pi) rounds to 2 pi, the same boundary point as 0
+        g = BoundaryDatum(
+            samples=np.array([[-1e-300, 1.0], [3.0, 2.0]]),
+            jumps=np.array([[-1e-300, 1.0], [2.0, -1.0]]),
+            perimeter=TWO_PI,
+        )
+        assert g.samples[:, 0].tolist() == [0.0, 3.0]
+        assert g.jumps[:, 0].tolist() == [0.0, 2.0]
+        with pytest.raises(ValueError, match="duplicate"):
+            BoundaryDatum(
+                samples=np.array([[-1e-300, 1.0], [0.0, 1.0], [3.0, 2.0]]),
+                jumps=None,
+                perimeter=TWO_PI,
+            )
+
+    def test_duplicate_across_the_seam_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            BoundaryDatum(
+                samples=np.array([[0.0, 1.0], [3.0, 2.0], [TWO_PI - 1e-14, 1.0]]),
                 jumps=None,
                 perimeter=TWO_PI,
             )
