@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import density as _density
 from . import kernels
@@ -146,6 +145,8 @@ def exact_pair_lp(arcs: ArcSystem, n: int, p: float) -> float:
     def integrand(s):
         ap = s / math.sqrt(R * R - s * s)
         return 2.0 * s * (1.0 + ap * ap) ** (p / 2.0) * ap ** (1.0 - p)
+
+    from scipy import integrate  # only the exact mode needs scipy
 
     val, err = integrate.quad(
         integrand, 0.0, s_max, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200

@@ -6,8 +6,8 @@ two-factor estimate), lsg (least-gradient reconstruction), cex (the
 alternating-arc family).  Reports are JSON on stdout with sorted keys
 and no timestamps, so identical inputs give byte-identical output.
 
-Exit codes: 0 ok, 2 malformed problem file, 3 infeasible data,
-4 flagged divergence in the requested quantity, 5 internal error.
+Exit codes: 0 ok, 2 malformed problem file or flag value, 3 infeasible
+data, 4 flagged divergence in the requested quantity, 5 internal error.
 """
 
 from __future__ import annotations
@@ -83,25 +83,40 @@ def load_problem(path: str) -> dict:
     return cfg
 
 
-def _build(cfg: dict):
-    """Domain, norm, and balanced measures from a validated problem."""
+def _load(args):
+    """The --problem file, its domain, norm, balanced measures and datum.
+
+    Malformed values raise SchemaError; boundary data that do not close
+    up or balance raise InfeasibleError.
+    """
+    cfg = load_problem(args.problem)
     try:
         domain = domain_from_config(cfg["domain"])
         norm = norm_from_config(cfg.get("norm", {"kind": "euclidean"}))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad domain or norm: {e}")
-    n_quad = cfg.get("quadrature", 1)
-    if "g" in cfg:
-        datum = datum_from_config(cfg["g"], domain.perimeter)
-        f_plus, f_minus = tangential_derivative(datum, n_quad=n_quad)
-        f_plus, f_minus = remove_common_mass(f_plus, f_minus)
-    elif "f_plus" in cfg:
-        f_plus = measure_from_config(cfg["f_plus"], domain.perimeter)
-        f_minus = measure_from_config(cfg["f_minus"], domain.perimeter)
-        datum = None
-    else:
+    if "g" not in cfg and "f_plus" not in cfg:
         raise SchemaError("problem file needs g or f_plus/f_minus")
-    return domain, norm, f_plus, f_minus, datum
+    try:
+        if "g" in cfg:
+            datum = datum_from_config(cfg["g"], domain.perimeter)
+        else:
+            datum = None
+            f_plus = measure_from_config(cfg["f_plus"], domain.perimeter)
+            f_minus = measure_from_config(cfg["f_minus"], domain.perimeter)
+    except InfeasibleError:  # a ValueError too, but not a schema fault
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError(f"bad boundary data: {e}")
+    if datum is not None:
+        f_plus, f_minus = tangential_derivative(datum, n_quad=cfg.get("quadrature", 1))
+        f_plus, f_minus = remove_common_mass(f_plus, f_minus)
+    return cfg, domain, norm, f_plus, f_minus, datum
+
+
+def _grid_n(cfg: dict, args) -> int:
+    """Cells per side: --grid, else the problem's grid.n, else 512."""
+    return args.grid or cfg.get("grid", {}).get("n", 512)
 
 
 def _resolved_config(cfg: dict, domain, norm, grid_n: int = None) -> dict:
@@ -194,100 +209,64 @@ def _write_rays_svg(path, domain, seg_a, seg_b, mass):
         fh.write("".join(parts))
 
 
-def cmd_solve(args) -> int:
-    cfg = load_problem(args.problem)
-    domain, norm, f_plus, f_minus, _ = _build(cfg)
+def cmd_plan(args) -> int:
+    """solve, density, lp-norm and bound: one plan, then each command's fields.
+
+    The three commands that take --tau also deposit the partial density.
+    """
+    command = args.command
+    cfg, domain, norm, f_plus, f_minus, _ = _load(args)
     plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, norm))
-    report = _base_report("solve", cfg.get("seed"))
-    report["config"] = _resolved_config(cfg, domain, norm)
-    report.update(plan.config())
+    report = _base_report(command, cfg.get("seed"))
+    code = EXIT_OK
+    if command == "solve":
+        report["config"] = _resolved_config(cfg, domain, norm)
+        report.update(plan.config())
+    else:
+        n = _grid_n(cfg, args)
+        grid = density_mod.grid_for_domain(domain, n)
+        field = density_mod.deposit_partial_density(plan, args.tau, grid)
+        report["config"] = _resolved_config(cfg, domain, norm, grid_n=n)
+        report["tau"] = args.tau
+    if command == "density":
+        report.update(cost=plan.cost, integral=field.integral())
+        files = {}
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            files["csv"] = os.path.join(args.out, "density.csv")
+            density_mod.write_csv(field, files["csv"])
+            if args.svg:
+                files["pgm"] = os.path.join(args.out, "density.pgm")
+                density_mod.write_pgm(field, files["pgm"])
+        report["files"] = files
+    elif command == "lp-norm":
+        report.update(p=args.p, lp_norm=density_mod.lp_norm(field, args.p))
+    elif command == "bound":
+        lp_power = density_mod.lp_norm(field, args.p) ** args.p
+        ti, da = density_mod.lp_bound_factors(plan, args.p, args.tau)
+        product = ti * da if math.isfinite(ti) and math.isfinite(da) else math.inf
+        ratio = lp_power / product if math.isfinite(product) and product > 0 else math.inf
+        report.update(
+            p=args.p, time_integral=ti, data_integral=da, product=product,
+            lp_norm_power=lp_power, ratio=ratio,
+        )
+        if not math.isfinite(product):
+            code = EXIT_DIVERGED
     _emit(report, args.out)
-    if args.svg:
+    if command == "solve" and args.svg:
         os.makedirs(args.out or ".", exist_ok=True)
         a, b = plan.entry_segments()
         _write_rays_svg(
             os.path.join(args.out or ".", "rays.svg"), domain, a, b, plan.mass
         )
-    return EXIT_OK
-
-
-def _grid_from_args(cfg, args, domain):
-    n = args.grid or cfg.get("grid", {}).get("n", 512)
-    return n, density_mod.grid_for_domain(domain, n)
-
-
-def cmd_density(args) -> int:
-    cfg = load_problem(args.problem)
-    domain, norm, f_plus, f_minus, _ = _build(cfg)
-    plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, norm))
-    n, grid = _grid_from_args(cfg, args, domain)
-    field = density_mod.deposit_partial_density(plan, args.tau, grid)
-    report = _base_report("density", cfg.get("seed"))
-    report["config"] = _resolved_config(cfg, domain, norm, grid_n=n)
-    report["tau"] = args.tau
-    report["cost"] = plan.cost
-    report["integral"] = field.integral()
-    files = {}
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        csv_path = os.path.join(args.out, "density.csv")
-        density_mod.write_csv(field, csv_path)
-        files["csv"] = csv_path
-        if args.svg:
-            pgm_path = os.path.join(args.out, "density.pgm")
-            density_mod.write_pgm(field, pgm_path)
-            files["pgm"] = pgm_path
-    report["files"] = files
-    _emit(report, args.out)
-    return EXIT_OK
-
-
-def cmd_lp_norm(args) -> int:
-    cfg = load_problem(args.problem)
-    domain, norm, f_plus, f_minus, _ = _build(cfg)
-    plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, norm))
-    n, grid = _grid_from_args(cfg, args, domain)
-    field = density_mod.deposit_partial_density(plan, args.tau, grid)
-    value = density_mod.lp_norm(field, args.p)
-    report = _base_report("lp-norm", cfg.get("seed"))
-    report["config"] = _resolved_config(cfg, domain, norm, grid_n=n)
-    report["p"] = args.p
-    report["tau"] = args.tau
-    report["lp_norm"] = value
-    _emit(report, args.out)
-    return EXIT_OK
-
-
-def cmd_bound(args) -> int:
-    cfg = load_problem(args.problem)
-    domain, norm, f_plus, f_minus, _ = _build(cfg)
-    plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, norm))
-    n, grid = _grid_from_args(cfg, args, domain)
-    field = density_mod.deposit_partial_density(plan, args.tau, grid)
-    lp_power = density_mod.lp_norm(field, args.p) ** args.p
-    ti, da = density_mod.lp_bound_factors(plan, args.p, args.tau)
-    product = ti * da if math.isfinite(ti) and math.isfinite(da) else math.inf
-    report = _base_report("bound", cfg.get("seed"))
-    report["config"] = _resolved_config(cfg, domain, norm, grid_n=n)
-    report["p"] = args.p
-    report["tau"] = args.tau
-    report["time_integral"] = ti
-    report["data_integral"] = da
-    report["product"] = product
-    report["lp_norm_power"] = lp_power
-    report["ratio"] = lp_power / product if math.isfinite(product) and product > 0 else math.inf
-    _emit(report, args.out)
-    if not math.isfinite(product):
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return code
 
 
 def cmd_lsg(args) -> int:
-    cfg = load_problem(args.problem)
-    domain, norm, f_plus, f_minus, datum = _build(cfg)
+    cfg, domain, norm, _, _, datum = _load(args)
     if datum is None:
         raise SchemaError("lsg needs a problem file with a boundary datum g")
-    n = args.grid or cfg.get("grid", {}).get("n", 512)
+    n = _grid_n(cfg, args)
     res = leastgrad.solve_least_gradient(
         datum,
         domain,
@@ -298,12 +277,10 @@ def cmd_lsg(args) -> int:
     gfield = leastgrad.gradient_norm_field(res.u, norm, domain)
     report = _base_report("lsg", cfg.get("seed"))
     report["config"] = _resolved_config(cfg, domain, norm, grid_n=n)
-    report["cost"] = res.cost
-    report["tv"] = res.tv
-    report["trace_error"] = res.trace_err
-    report["lp_norms"] = {
-        str(p): density_mod.lp_norm(gfield, p) for p in (1.5, 2.0)
-    }
+    report.update(
+        cost=res.cost, tv=res.tv, trace_error=res.trace_err,
+        lp_norms={str(p): density_mod.lp_norm(gfield, p) for p in (1.5, 2.0)},
+    )
     files = {}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -367,6 +344,28 @@ def cmd_cex(args) -> int:
     return EXIT_OK
 
 
+def _flag(convert, ok, rule: str):
+    """argparse type that keeps a value only if ok(value); NaN never is."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+
+    return parse
+
+
+_count = _flag(int, lambda v: v >= 1, "an integer >= 1")
+_tau = _flag(float, lambda v: 0.0 < v <= 1.0, "a trip fraction in (0, 1]")
+_p_lp = _flag(float, lambda v: v >= 1.0, "an exponent >= 1 (or inf)")
+_p_bound = _flag(float, lambda v: 1.0 < v < math.inf, "a finite exponent > 1")
+_p_cex = _flag(float, lambda v: 1.0 <= v < math.inf, "a finite exponent >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="transportlab",
@@ -374,50 +373,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, problem=True, grid=True, tau=False, pexp=False):
+    def common(p, func, problem=True, grid=True, tau=False, p_type=None):
         if problem:
             p.add_argument("--problem", required=True, help="problem file (JSON)")
         if grid:
-            p.add_argument("--grid", type=int, default=None, help="cells per side")
+            p.add_argument("--grid", type=_count, default=None, help="cells per side")
         if tau:
-            p.add_argument("--tau", type=float, default=1.0, help="trip fraction")
-        if pexp:
-            p.add_argument("--p", type=float, required=True, help="L^p exponent")
+            p.add_argument("--tau", type=_tau, default=1.0, help="trip fraction")
+        if p_type:
+            p.add_argument("--p", type=p_type, required=True, help="L^p exponent")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--svg", action="store_true", help="also write plots")
         p.add_argument("--seed", type=int, default=None, help="recorded seed")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("solve", help="optimal plan, cost, duality gap")
-    common(p, grid=False)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("density", help="deposit the (partial) transport density")
-    common(p, tau=True)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("lp-norm", help="L^p norm of the deposited density")
-    common(p, tau=True, pexp=True)
-    p.set_defaults(func=cmd_lp_norm)
-
-    p = sub.add_parser("bound", help="two-factor L^p estimate and empirical ratio")
-    common(p, tau=True, pexp=True)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("lsg", help="least-gradient reconstruction from g")
-    common(p)
-    p.set_defaults(func=cmd_lsg)
+    for name, help_text, flags in (
+        ("solve", "optimal plan, cost, duality gap", {"grid": False}),
+        ("density", "deposit the (partial) transport density", {"tau": True}),
+        ("lp-norm", "L^p norm of the deposited density", {"tau": True, "p_type": _p_lp}),
+        ("bound", "two-factor L^p estimate and empirical ratio", {"tau": True, "p_type": _p_bound}),
+    ):
+        common(sub.add_parser(name, help=help_text), cmd_plan, **flags)
+    common(sub.add_parser("lsg", help="least-gradient reconstruction from g"), cmd_lsg)
 
     p = sub.add_parser("cex", help="alternating-arc counter-example report")
-    common(p, problem=False, grid=True)
-    p.add_argument("--pairs", type=int, required=True, help="number of arc pairs")
-    p.add_argument("--p", type=float, required=True, help="L^p exponent")
+    common(p, cmd_cex, problem=False, p_type=_p_cex)
+    p.add_argument("--pairs", type=_count, required=True, help="number of arc pairs")
     p.add_argument(
         "--mode", choices=("exact", "grid"), default="exact", help="evaluation mode"
     )
     p.add_argument(
-        "--atoms-per-arc", type=int, default=64, help="quadrature atoms per arc"
+        "--atoms-per-arc", type=_count, default=64, help="quadrature atoms per arc"
     )
-    p.set_defaults(func=cmd_cex)
     return ap
 
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,7 +28,8 @@ class _ArclengthTable:
     """Cumulative arclength over a periodic parameter, with inversion.
 
     Panels use Gauss-Legendre quadrature of the supplied speed function;
-    inversion combines a monotone cubic initial guess with Newton steps.
+    inversion takes a piecewise-linear initial guess between the knots
+    and refines it with Newton steps.
     Round trips s -> t -> s are accurate to well below 1e-10 * perimeter.
     """
 
@@ -43,7 +43,6 @@ class _ArclengthTable:
         panel = 0.5 * h * (speed(t_nodes) * _GL_WEIGHTS[None, :]).sum(axis=1)
         self.cumulative = np.concatenate([[0.0], np.cumsum(panel)])
         self.total = float(self.cumulative[-1])
-        self._inverse_guess = PchipInterpolator(self.cumulative, self.knots)
 
     def _length_from_knot(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Arclength from knot index k to parameter t (t within panel reach)."""
@@ -55,7 +54,7 @@ class _ArclengthTable:
     def param_of_arclength(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         s = np.mod(s, self.total)
-        t = np.clip(self._inverse_guess(s), 0.0, self.period)
+        t = np.interp(s, self.cumulative, self.knots)
         for _ in range(4):
             k = np.clip(
                 np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.knots) - 2
@@ -211,6 +210,9 @@ class RadialDomain(Domain):
     kind = "radial"
 
     def __post_init__(self):
+        # radial domains are code-only, so the CLI never pays for scipy
+        from scipy.interpolate import CubicSpline
+
         theta = np.linspace(0.0, TWO_PI, self.n_check + 1)
         vals = np.asarray([float(self.rho(t)) for t in theta])
         vals[-1] = vals[0]
@@ -279,7 +281,7 @@ class RadialDomain(Domain):
         return self._bbox
 
     def config(self):
-        return {"kind": "radial"}
+        raise ValueError("radial domains are code-only and have no config")
 
 
 def disk(radius: float) -> Disk:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +103,105 @@ class TestSchemaErrors:
         code, _, err = run(capsys, "solve", "--problem", "/nonexistent/x.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"g": {"samples": [[0.0, 1.0], [0.0, 2.0], [3.0, 0.0]]}},
+            {"g": {"samples": "x"}},
+            {"f_plus": [[0.0, -1.0]], "f_minus": [[math.pi, -1.0]]},
+            {"f_plus": [[0.0]], "f_minus": [[math.pi, 1.0]]},
+        ],
+        ids=["duplicate-sample", "samples-not-numbers", "negative-mass", "atom-without-mass"],
+    )
+    def test_bad_boundary_data(self, tmp_path, capsys, data):
+        cfg = {"domain": {"kind": "disk", "radius": 1.0}, **data}
+        prob = write_problem(tmp_path, cfg)
+        code, _, err = run(capsys, "solve", "--problem", prob)
+        assert code == 2
+        assert "bad boundary data" in err
+
+
+BAD_FLAGS = [
+    (["density", "--grid", "0"], "--grid"),
+    (["lsg", "--grid", "-5"], "--grid"),
+    (["density", "--tau", "0"], "--tau"),
+    (["density", "--tau", "1.5"], "--tau"),
+    (["density", "--tau", "nan"], "--tau"),
+    (["lp-norm", "--p", "0.5"], "--p"),
+    (["lp-norm", "--p", "nan"], "--p"),
+    (["bound", "--p", "1"], "--p"),
+    (["bound", "--p", "inf"], "--p"),
+    (["bound", "--p", "nan"], "--p"),
+    (["cex", "--pairs", "0", "--p", "2"], "--pairs"),
+    (["cex", "--pairs", "2", "--p", "nan"], "--p"),
+    (["cex", "--pairs", "2", "--p", "0.5"], "--p"),
+    (["cex", "--pairs", "2", "--p", "2", "--atoms-per-arc", "0"], "--atoms-per-arc"),
+    (["cex", "--pairs", "2", "--p", "2", "--grid", "0"], "--grid"),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv, flag", BAD_FLAGS, ids=[" ".join(argv) for argv, _ in BAD_FLAGS]
+    )
+    def test_rejected_at_parse_time(self, tmp_path, capsys, argv, flag):
+        if argv[0] != "cex":
+            argv = argv + ["--problem", write_problem(tmp_path, pair_cfg())]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_lp_norm_takes_inf(self, tmp_path, capsys):
+        prob = write_problem(tmp_path, pair_cfg())
+        code, out, _ = run(capsys, "lp-norm", "--problem", prob, "--p", "inf", "--grid", "32")
+        assert code == 0
+        assert json.loads(out)["p"] == "inf"
+
+
+REPORT_KEYS = {"backend", "command", "config", "seed", "version"}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["solve"], {"cost", "entries", "gap"}),
+        (["density", "--tau", "0.5"], {"cost", "files", "integral", "tau"}),
+        (["lp-norm", "--p", "2", "--tau", "0.5"], {"lp_norm", "p", "tau"}),
+        (
+            ["bound", "--p", "2", "--tau", "0.5"],
+            {"data_integral", "lp_norm_power", "p", "product", "ratio", "tau", "time_integral"},
+        ),
+        (["lsg"], {"cost", "files", "lp_norms", "trace_error", "tv"}),
+    ],
+    ids=["solve", "density", "lp-norm", "bound", "lsg"],
+)
+def test_report_keys(tmp_path, capsys, argv, keys):
+    cfg = cos_cfg(100)
+    cfg["grid"] = {"n": 32}
+    prob = write_problem(tmp_path, cfg)
+    code, out, _ = run(capsys, *argv, "--problem", prob)
+    assert code == 0
+    rep = json.loads(out)
+    assert sorted(rep) == sorted(REPORT_KEYS | keys)
+    config_keys = {"domain", "g", "norm", "quadrature", "seed"}
+    if argv[0] != "solve":
+        config_keys.add("grid")
+    assert sorted(rep["config"]) == sorted(config_keys)
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys; import transportlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
 
 class TestInfeasible:
     def test_unbalanced_measures(self, tmp_path, capsys):
@@ -109,6 +211,15 @@ class TestInfeasible:
         code, _, err = run(capsys, "solve", "--problem", prob)
         assert code == 3
         assert "unbalanced" in err
+
+    def test_datum_that_does_not_close_up(self, tmp_path, capsys):
+        cfg = pair_cfg()
+        del cfg["f_plus"], cfg["f_minus"]
+        cfg["g"] = {"samples": [[0.0, 1.0], [3.0, 0.0]], "jumps": [[1.0, 0.5]]}
+        prob = write_problem(tmp_path, cfg)
+        code, _, err = run(capsys, "solve", "--problem", prob)
+        assert code == 3
+        assert "close up" in err
 
 
 class TestDensityAndNorms:

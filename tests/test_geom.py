@@ -77,11 +77,15 @@ class TestEllipse:
         assert e.curvature_min == pytest.approx(0.25)
 
     def test_arclength_roundtrip(self):
-        e = ellipse(2.0, 1.0)
-        s = np.linspace(0.0, e.perimeter, 257, endpoint=False)
-        t = e._table.param_of_arclength(s)
-        back = e._table.arclength_of_param(t)
-        assert np.max(np.abs(back - s)) < 1e-10 * e.perimeter
+        for dom in (
+            ellipse(2.0, 1.0),
+            ellipse(5.0, 1.0),
+            radial(lambda t: 1.0 + 0.05 * math.cos(3 * t)),
+        ):
+            s = np.linspace(0.0, dom.perimeter, 257, endpoint=False)
+            t = dom._table.param_of_arclength(s)
+            back = dom._table.arclength_of_param(t)
+            assert np.max(np.abs(back - s)) < 1e-10 * dom.perimeter
 
     def test_normal_points_inward(self):
         e = ellipse(2.0, 1.0)
@@ -216,6 +220,10 @@ class TestConfig:
     def test_radial_not_serializable(self):
         with pytest.raises(ValueError):
             domain_from_config({"kind": "radial"})
+
+    def test_radial_config_refused(self):
+        with pytest.raises(ValueError, match="code-only"):
+            radial(lambda t: 1.0).config()
 
     def test_norm_roundtrip(self):
         for norm in (EuclideanNorm(), LqNorm(3.0), QuadraticNorm([[2.0, 0.3], [0.3, 1.0]])):
