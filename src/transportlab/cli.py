@@ -86,10 +86,13 @@ def load_problem(path: str) -> dict:
 def _load(args):
     """The --problem file, its domain, norm, balanced measures and datum.
 
-    Malformed values raise SchemaError; boundary data that do not close
-    up or balance raise InfeasibleError.
+    A --seed flag replaces the file's seed.  Malformed values raise
+    SchemaError; boundary data that do not close up or balance raise
+    InfeasibleError.
     """
     cfg = load_problem(args.problem)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     try:
         domain = domain_from_config(cfg["domain"])
         norm = norm_from_config(cfg.get("norm", {"kind": "euclidean"}))
@@ -235,9 +238,9 @@ def cmd_plan(args) -> int:
             os.makedirs(args.out, exist_ok=True)
             files["csv"] = os.path.join(args.out, "density.csv")
             density_mod.write_csv(field, files["csv"])
-            if args.svg:
-                files["pgm"] = os.path.join(args.out, "density.pgm")
-                density_mod.write_pgm(field, files["pgm"])
+        if args.svg:
+            files["pgm"] = os.path.join(args.out or ".", "density.pgm")
+            density_mod.write_pgm(field, files["pgm"])
         report["files"] = files
     elif command == "lp-norm":
         report.update(p=args.p, lp_norm=density_mod.lp_norm(field, args.p))
@@ -284,13 +287,11 @@ def cmd_lsg(args) -> int:
     files = {}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        u_path = os.path.join(args.out, "u.csv")
-        density_mod.write_csv(res.u, u_path)
-        files["u_csv"] = u_path
-        if args.svg and res.flow is not None and len(res.flow):
-            svg_path = os.path.join(args.out, "rays.svg")
-            _write_rays_svg(svg_path, domain, res.flow.a, res.flow.b, res.flow.mass)
-            files["svg"] = svg_path
+        files["u_csv"] = os.path.join(args.out, "u.csv")
+        density_mod.write_csv(res.u, files["u_csv"])
+    if args.svg and res.flow is not None and len(res.flow):
+        files["svg"] = os.path.join(args.out or ".", "rays.svg")
+        _write_rays_svg(files["svg"], domain, res.flow.a, res.flow.b, res.flow.mass)
     report["files"] = files
     _emit(report, args.out)
     return EXIT_OK
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, func, problem=True, grid=True, tau=False, p_type=None):
+    def common(p, func, problem=True, grid=True, tau=False, p_type=None, svg=True):
         if problem:
             p.add_argument("--problem", required=True, help="problem file (JSON)")
         if grid:
@@ -383,15 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
         if p_type:
             p.add_argument("--p", type=p_type, required=True, help="L^p exponent")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--svg", action="store_true", help="also write plots")
+        if svg:
+            p.add_argument("--svg", action="store_true", help="also write plots")
         p.add_argument("--seed", type=int, default=None, help="recorded seed")
         p.set_defaults(func=func)
 
     for name, help_text, flags in (
         ("solve", "optimal plan, cost, duality gap", {"grid": False}),
         ("density", "deposit the (partial) transport density", {"tau": True}),
-        ("lp-norm", "L^p norm of the deposited density", {"tau": True, "p_type": _p_lp}),
-        ("bound", "two-factor L^p estimate and empirical ratio", {"tau": True, "p_type": _p_bound}),
+        ("lp-norm", "L^p norm of the deposited density",
+         {"tau": True, "p_type": _p_lp, "svg": False}),
+        ("bound", "two-factor L^p estimate and empirical ratio",
+         {"tau": True, "p_type": _p_bound, "svg": False}),
     ):
         common(sub.add_parser(name, help=help_text), cmd_plan, **flags)
     common(sub.add_parser("lsg", help="least-gradient reconstruction from g"), cmd_lsg)

@@ -2,7 +2,7 @@
 
 Plans are basic feasible solutions of the balanced transportation
 problem with cost ||x(s_i) - y(s_j)|| for a strictly convex norm.  The
-solver certifies itself: dual potentials read off the final basis tree
+solver certifies itself: the dual potentials of its final basis tree
 give a duality gap at floating-point level, and supports of optimal
 plans never contain chords crossing in the interior of the domain.
 """
@@ -31,7 +31,8 @@ class TransportPlan:
 
     ``i``, ``j``, ``mass`` list the strictly positive entries; ``basis``
     optionally keeps the solver's full spanning-tree basis (including
-    degenerate zero cells) so exact dual potentials can be recovered.
+    degenerate zero cells) and ``potentials`` its final dual potentials
+    ``(u, v)``, with u_i + v_j = c_ij on every basic cell.
     """
 
     source: BoundaryMeasure
@@ -45,6 +46,7 @@ class TransportPlan:
     entry_costs: np.ndarray
     gap: float = math.nan
     basis: tuple = None
+    potentials: tuple = None
 
     @property
     def n_entries(self) -> int:
@@ -191,6 +193,7 @@ def solve_kantorovich(
         entry_costs=entry_costs,
         gap=total_cost - dual_obj,
         basis=(bi, bj, f),
+        potentials=(u, v),
     )
     plan.validate()
     return plan
@@ -237,19 +240,18 @@ def brute_force_plan(
 def dual_potentials(plan: TransportPlan, cost: ChordCost) -> DualPotentials:
     """Potentials satisfying phi_source - phi_target = cost on the support.
 
-    Uses the solver's basis tree when available (then the potentials are
-    globally feasible at optimality).  Otherwise each connected component
-    of the support graph is anchored by zeroing the potential of its
-    smallest target atom.
+    A solver plan returns the simplex's own potentials, phi_source = u and
+    phi_target = -v, which are globally feasible at optimality.  Otherwise
+    each connected component of the support graph is anchored by zeroing
+    the potential of its smallest target atom.  ``cost`` is not read: the
+    support's costs are the plan's ``entry_costs``.
     """
+    if plan.potentials is not None:
+        u, v = plan.potentials
+        return DualPotentials(phi_source=u.copy(), phi_target=-v)
     n, m = len(plan.source), len(plan.target)
-    if plan.basis is not None:
-        ei, ej = plan.basis[0], plan.basis[1]
-        ec = cost(plan.source.s[ei], plan.target.s[ej])
-    else:
-        ei, ej, ec = plan.i, plan.j, plan.entry_costs
     adj = [[] for _ in range(n + m)]
-    for i, j, c in zip(ei, ej, np.atleast_1d(ec)):
+    for i, j, c in zip(plan.i, plan.j, plan.entry_costs):
         adj[int(i)].append((n + int(j), float(c)))
         adj[n + int(j)].append((int(i), float(c)))
     phi = np.full(n + m, np.nan)

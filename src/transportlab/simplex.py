@@ -1,262 +1,104 @@
 """Transportation simplex on dense cost matrices.
 
 The solver keeps a spanning-tree basis of n + m - 1 cells, prices with
-dual potentials recomputed from the tree each iteration (u_i + v_j =
-c_ij on basic cells), enters the most negative reduced cost with
-lexicographic tie-breaking, and falls back to Bland's rule after a run
-of degenerate pivots so it can never cycle.  Bland mode ends at the
-next strictly improving pivot; a pure-Bland tail is kept only while
-the degeneracy persists, which is all that termination needs.
+dual potentials (u_i + v_j = c_ij on basic cells), enters the most
+negative reduced cost with lexicographic tie-breaking, and falls back
+to Bland's rule after a run of degenerate pivots so it can never cycle.
+Bland mode ends at the next strictly improving pivot; a pure-Bland tail
+is kept only while the degeneracy persists, which is all that
+termination needs.
 
-Two interchangeable cores: a numba-compiled one and a python/numpy one
-(vectorized pricing, python tree bookkeeping).  Both follow identical
-pivot rules, so they visit the same bases.
+One core: numpy pricing and python tree bookkeeping.  The basis tree
+hangs from node 0 and persists across pivots.  A pivot re-hangs only
+the subtree that the leaving cell cuts off, from the entering cell's
+end outside it, and recomputes that subtree's parents, depths and
+potentials top down.  A tree rooted at 0 gives every node one path to
+the root, so the potentials are the same floats a full rebuild gives.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from .backend import USE_NUMBA, njit
 from .errors import SolverError
 
 STALL_LIMIT = 64
 
 
-@njit(cache=True)
-def _solve_core_nb(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
+def _solve_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
     n, m = C.shape
     nn = n + m
-    nb = nn - 1
-    head = np.zeros(nn + 1, np.int64)
-    cursor = np.zeros(nn + 1, np.int64)
-    adj_edge = np.zeros(2 * nb, np.int64)
-    order = np.zeros(nn, np.int64)
-    parent_node = np.zeros(nn, np.int64)
-    parent_edge = np.zeros(nn, np.int64)
-    depth = np.zeros(nn, np.int64)
-    visited = np.zeros(nn, np.uint8)
-    path1 = np.zeros(nn, np.int64)
-    path2 = np.zeros(nn, np.int64)
+    # scalar reads and writes on lists are cheaper than on arrays; the
+    # basis goes back into bi, bj, f on return
+    ei, ej, fl = bi.tolist(), bj.tolist(), f.tolist()
+    adj = [set() for _ in range(nn)]
+    for e in range(nn - 1):
+        adj[ei[e]].add(e)
+        adj[n + ej[e]].add(e)
+    parent_node = [-1] * nn
+    parent_edge = [-1] * nn
+    depth = [0] * nn
+    reduced = np.empty_like(C)
+    flat_reduced = reduced.ravel()
+    u[0] = 0.0
+    root = 0  # the whole tree hangs from node 0 at the start
     bland = False
     degen = 0
     it = 0
     while True:
         it += 1
         if it > max_iter:
-            return 1, it
-        # adjacency of the basis tree in CSR form
-        for x in range(nn + 1):
-            head[x] = 0
-        for e in range(nb):
-            head[bi[e] + 1] += 1
-            head[n + bj[e] + 1] += 1
-        for x in range(nn):
-            head[x + 1] += head[x]
-            cursor[x] = head[x]
-        for e in range(nb):
-            x = bi[e]
-            adj_edge[cursor[x]] = e
-            cursor[x] += 1
-            y = n + bj[e]
-            adj_edge[cursor[y]] = e
-            cursor[y] += 1
-        # BFS from node 0, duals in traversal order
-        for x in range(nn):
-            visited[x] = 0
-        order[0] = 0
-        visited[0] = 1
-        parent_node[0] = -1
-        parent_edge[0] = -1
-        depth[0] = 0
-        qlen = 1
-        qpos = 0
-        while qpos < qlen:
-            x = order[qpos]
-            qpos += 1
-            for idx in range(head[x], head[x + 1]):
-                e = adj_edge[idx]
-                y = bj[e] + n if x < n else bi[e]
-                if visited[y] == 0:
-                    visited[y] = 1
-                    parent_node[y] = x
-                    parent_edge[y] = e
-                    depth[y] = depth[x] + 1
-                    order[qlen] = y
-                    qlen += 1
-        if qlen != nn:
-            return 2, it  # basis lost connectivity; cannot happen
-        u[0] = 0.0
-        for q in range(1, qlen):
-            x = order[q]
-            e = parent_edge[x]
+            status = 1
+            break
+        # walk the subtree under root top down: parents, depths and the
+        # potentials u_i + v_j = c_ij along its tree edges
+        walked = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            walked += 1
+            if walked > nn:
+                break  # a cycle in the start basis
+            pe = parent_edge[x]
+            d = depth[x] + 1
             if x < n:
-                u[x] = C[bi[e], bj[e]] - v[bj[e]]
+                ux = u[x]
+                for e in adj[x]:
+                    if e != pe:
+                        j = ej[e]
+                        parent_node[n + j] = x
+                        parent_edge[n + j] = e
+                        depth[n + j] = d
+                        v[j] = C[x, j] - ux
+                        stack.append(n + j)
             else:
-                v[x - n] = C[bi[e], bj[e]] - u[bi[e]]
-        # pricing
-        be_i = -1
-        be_j = -1
+                vx = v[x - n]
+                for e in adj[x]:
+                    if e != pe:
+                        i = ei[e]
+                        parent_node[i] = x
+                        parent_edge[i] = e
+                        depth[i] = d
+                        u[i] = C[i, x - n] - vx
+                        stack.append(i)
+        if it == 1 and walked != nn:
+            status = 2  # the start basis is not a spanning tree
+            break
+        np.subtract(C, u[:, None], out=reduced)
+        reduced -= v
         if bland:
-            done = False
-            for i in range(n):
-                ui = u[i]
-                for j in range(m):
-                    if C[i, j] - ui - v[j] < -tol:
-                        be_i = i
-                        be_j = j
-                        done = True
-                        break
-                if done:
-                    break
-        else:
-            best = -tol
-            for i in range(n):
-                ui = u[i]
-                for j in range(m):
-                    r = C[i, j] - ui - v[j]
-                    if r < best:
-                        best = r
-                        be_i = i
-                        be_j = j
-        if be_i < 0:
-            return 0, it
-        # cycle: tree path between source be_i and target node n + be_j
-        x = be_i
-        y = n + be_j
-        n1 = 0
-        n2 = 0
-        while depth[x] > depth[y]:
-            path1[n1] = parent_edge[x]
-            n1 += 1
-            x = parent_node[x]
-        while depth[y] > depth[x]:
-            path2[n2] = parent_edge[y]
-            n2 += 1
-            y = parent_node[y]
-        while x != y:
-            path1[n1] = parent_edge[x]
-            n1 += 1
-            x = parent_node[x]
-            path2[n2] = parent_edge[y]
-            n2 += 1
-            y = parent_node[y]
-        # cycle order: entering edge, then path2 edges (from the target
-        # up), then path1 edges reversed; signs alternate starting +
-        theta = np.inf
-        leave = -1
-        lbi = -1
-        lbj = -1
-        for k in range(n2):
-            if k % 2 == 0:  # positions 1, 3, ... are minus edges
-                e = path2[k]
-                fe = f[e]
-                if fe < theta or (
-                    fe == theta
-                    and (bi[e] < lbi or (bi[e] == lbi and bj[e] < lbj))
-                ):
-                    theta = fe
-                    leave = e
-                    lbi = bi[e]
-                    lbj = bj[e]
-        for k in range(n1):
-            pos = 1 + n2 + (n1 - 1 - k)
-            if pos % 2 == 1:
-                e = path1[k]
-                fe = f[e]
-                if fe < theta or (
-                    fe == theta
-                    and (bi[e] < lbi or (bi[e] == lbi and bj[e] < lbj))
-                ):
-                    theta = fe
-                    leave = e
-                    lbi = bi[e]
-                    lbj = bj[e]
-        if leave < 0:
-            return 3, it  # unbounded; cannot happen on balanced instances
-        for k in range(n2):
-            e = path2[k]
-            if k % 2 == 0:
-                f[e] -= theta
-            else:
-                f[e] += theta
-        for k in range(n1):
-            pos = 1 + n2 + (n1 - 1 - k)
-            e = path1[k]
-            if pos % 2 == 1:
-                f[e] -= theta
-            else:
-                f[e] += theta
-        bi[leave] = be_i
-        bj[leave] = be_j
-        f[leave] = theta
-        if theta <= theta_tol:
-            degen += 1
-            if degen > STALL_LIMIT:
-                bland = True
-        else:
-            # leave Bland mode on strict improvement; any infinite run
-            # of pivots must end in an all-degenerate tail where Bland
-            # stays on, so termination is preserved
-            degen = 0
-            bland = False
-
-
-def _solve_core_np(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
-    n, m = C.shape
-    nn = n + m
-    nb = nn - 1
-    bland = False
-    degen = 0
-    it = 0
-    while True:
-        it += 1
-        if it > max_iter:
-            return 1, it
-        adj = [[] for _ in range(nn)]
-        for e in range(nb):
-            adj[bi[e]].append(e)
-            adj[n + bj[e]].append(e)
-        parent_node = np.full(nn, -1)
-        parent_edge = np.full(nn, -1)
-        depth = np.zeros(nn, dtype=np.int64)
-        seen = np.zeros(nn, dtype=bool)
-        seen[0] = True
-        order = [0]
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for e in adj[x]:
-                y = bj[e] + n if x < n else bi[e]
-                if not seen[y]:
-                    seen[y] = True
-                    parent_node[y] = x
-                    parent_edge[y] = e
-                    depth[y] = depth[x] + 1
-                    order.append(y)
-                    queue.append(y)
-        if len(order) != nn:
-            return 2, it
-        u[0] = 0.0
-        for x in order[1:]:
-            e = parent_edge[x]
-            if x < n:
-                u[x] = C[bi[e], bj[e]] - v[bj[e]]
-            else:
-                v[x - n] = C[bi[e], bj[e]] - u[bi[e]]
-        reduced = C - u[:, None] - v[None, :]
-        if bland:
-            mask = reduced.ravel() < -tol
+            mask = flat_reduced < -tol
             if not mask.any():
-                return 0, it
+                status = 0
+                break
             flat = int(np.argmax(mask))
         else:
-            flat = int(np.argmin(reduced.ravel()))
-            if reduced.ravel()[flat] >= -tol:
-                return 0, it
+            flat = int(np.argmin(flat_reduced))
+            if flat_reduced[flat] >= -tol:
+                status = 0
+                break
         be_i, be_j = divmod(flat, m)
+        # cycle: tree path between source be_i and target node n + be_j
         x, y = be_i, n + be_j
         path1, path2 = [], []
         while depth[x] > depth[y]:
@@ -270,35 +112,53 @@ def _solve_core_np(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
             x = parent_node[x]
             path2.append(parent_edge[y])
             y = parent_node[y]
-        n1, n2 = len(path1), len(path2)
-        theta = np.inf
-        leave = -1
-        lkey = (np.inf, np.inf)
-        minus = [(k % 2 == 0, e) for k, e in enumerate(path2)]
-        minus += [
-            ((1 + n2 + (n1 - 1 - k)) % 2 == 1, e) for k, e in enumerate(path1)
-        ]
-        for is_minus, e in minus:
-            if is_minus:
-                key = (bi[e], bj[e])
-                if f[e] < theta or (f[e] == theta and key < lkey):
-                    theta = f[e]
-                    leave = e
-                    lkey = key
-        if leave < 0:
-            return 3, it
-        for is_minus, e in minus:
-            f[e] += -theta if is_minus else theta
-        bi[leave] = be_i
-        bj[leave] = be_j
-        f[leave] = theta
+        # cycle order: entering edge, then path2 (from the target up),
+        # then path1 reversed; signs alternate starting +
+        odd = (len(path1) + len(path2) - 1) % 2
+        minus = path2[0::2] + path1[odd::2]
+        plus = path2[1::2] + path1[1 - odd :: 2]
+        if not minus:
+            status = 3  # unbounded; cannot happen on balanced instances
+            break
+        # cells of a tree are distinct, so (flow, cell) has one minimum
+        leave = min(minus, key=lambda e: (fl[e], ei[e], ej[e]))
+        theta = fl[leave]
+        for e in minus:
+            fl[e] -= theta
+        for e in plus:
+            fl[e] += theta
+        # re-hang the subtree cut off by the leaving edge from the end
+        # of the entering edge outside it; the next walk starts there
+        adj[ei[leave]].remove(leave)
+        adj[n + ej[leave]].remove(leave)
+        ei[leave] = be_i
+        ej[leave] = be_j
+        fl[leave] = theta
+        adj[be_i].add(leave)
+        adj[n + be_j].add(leave)
+        if leave in path1:
+            root, top = be_i, n + be_j
+            u[be_i] = C[be_i, be_j] - v[be_j]
+        else:
+            root, top = n + be_j, be_i
+            v[be_j] = C[be_i, be_j] - u[be_i]
+        parent_node[root] = top
+        parent_edge[root] = leave
+        depth[root] = depth[top] + 1
         if theta <= theta_tol:
             degen += 1
             if degen > STALL_LIMIT:
                 bland = True
         else:
+            # leave Bland mode on strict improvement; any infinite run
+            # of pivots must end in an all-degenerate tail where Bland
+            # stays on, so termination is preserved
             degen = 0
             bland = False
+    bi[:] = ei
+    bj[:] = ej
+    f[:] = fl
+    return status, it
 
 
 def northwest_basis(a, b):
@@ -409,8 +269,7 @@ def solve_transport(C, a, b, init="boundary", s_a=None, s_b=None):
     tol = 1e-12 * (1.0 + float(np.abs(C).max(initial=0.0)))
     theta_tol = 1e-14 * (1.0 + float(max(np.max(a), np.max(b))))
     max_iter = 400 * (n + m) + 200000
-    core = _solve_core_nb if USE_NUMBA else _solve_core_np
-    status, iters = core(C, bi, bj, f, u, v, tol, theta_tol, max_iter)
+    status, iters = _solve_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter)
     if status == 1:
         raise SolverError(f"simplex hit the iteration cap after {iters} pivots")
     if status != 0:

@@ -190,6 +190,56 @@ def test_report_keys(tmp_path, capsys, argv, keys):
     assert sorted(rep["config"]) == sorted(config_keys)
 
 
+SEED_COMMANDS = [
+    ["solve"],
+    ["density"],
+    ["lp-norm", "--p", "2"],
+    ["bound", "--p", "2", "--tau", "0.5"],
+    ["lsg"],
+]
+
+
+@pytest.mark.parametrize("argv", SEED_COMMANDS, ids=[a[0] for a in SEED_COMMANDS])
+def test_seed_flag_recorded(tmp_path, capsys, argv):
+    cfg = cos_cfg(100)
+    cfg["grid"] = {"n": 32}
+    plain = write_problem(tmp_path, cfg)
+    cfg["seed"] = 3
+    seeded = write_problem(tmp_path, cfg, "seeded.json")
+    for prob, flag, want in [
+        (plain, [], None),
+        (plain, ["--seed", "7"], 7),
+        (seeded, [], 3),
+        (seeded, ["--seed", "7"], 7),
+    ]:
+        code, out, _ = run(capsys, *argv, "--problem", prob, *flag)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["seed"] == want and rep["config"]["seed"] == want
+
+
+@pytest.mark.parametrize(
+    "command, key, name", [("lsg", "svg", "rays.svg"), ("density", "pgm", "density.pgm")]
+)
+def test_plot_without_out_goes_to_cwd(tmp_path, capsys, monkeypatch, command, key, name):
+    prob = write_problem(tmp_path, cos_cfg(100))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, command, "--problem", prob, "--grid", "32", "--svg")
+    assert code == 0
+    assert json.loads(out)["files"] == {key: os.path.join(".", name)}
+    assert (tmp_path / name).stat().st_size > 0
+    assert sorted(os.listdir(tmp_path)) == sorted([name, "problem.json"])
+
+
+@pytest.mark.parametrize("command", ["lp-norm", "bound"])
+def test_svg_refused_without_a_plot(tmp_path, capsys, command):
+    prob = write_problem(tmp_path, pair_cfg())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", prob, "--p", "2", "--svg"])
+    assert exc.value.code == 2
+    assert "--svg" in capsys.readouterr().err
+
+
 def test_import_leaves_scipy_out():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (

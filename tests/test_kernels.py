@@ -1,21 +1,29 @@
-"""Kernel tests.  The simplex's jit core and its numpy twin must agree
-bit for bit.  The deposit, the crossing field and the chord-crossing
-check are single numpy passes; each is compared with the per-item
-kernel it replaced, kept here as a reference, and pinned on hand-made
-cases."""
+"""Kernel tests.  The simplex core, the deposit, the crossing field and
+the chord-crossing check each replaced an older kernel; each is compared
+with the kernel it replaced, kept here as a reference, and pinned on
+hand-made cases.  The simplex core must match its reference bit for
+bit."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from transportlab import kernels, simplex
+from transportlab.cex import build_arcs
 from transportlab.density import grid_for_domain
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse, radial
 from transportlab.instances import smooth_arc_instance
 from transportlab.leastgrad import _generic_anchor, interior_mask, solve_least_gradient
-from transportlab.measures import BoundaryDatum, BoundaryMeasure
+from transportlab.measures import (
+    BoundaryDatum,
+    BoundaryMeasure,
+    remove_common_mass,
+    tangential_derivative,
+)
 from transportlab.ot import solve_kantorovich
+from transportlab.simplex import STALL_LIMIT
 
 
 def random_segments(rng, n, lo=-1.0, hi=1.0):
@@ -500,6 +508,146 @@ class TestCrossingPairs:
             assert pair_list(*kernels.crossing_pairs(s_a, s_b)) == want
 
 
+def reference_simplex_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
+    """The core that rebuilt the basis tree by BFS on every pivot."""
+    n, m = C.shape
+    nn = n + m
+    nb = nn - 1
+    bland = False
+    degen = 0
+    it = 0
+    while True:
+        it += 1
+        if it > max_iter:
+            return 1, it
+        adj = [[] for _ in range(nn)]
+        for e in range(nb):
+            adj[bi[e]].append(e)
+            adj[n + bj[e]].append(e)
+        parent_node = np.full(nn, -1)
+        parent_edge = np.full(nn, -1)
+        depth = np.zeros(nn, dtype=np.int64)
+        seen = np.zeros(nn, dtype=bool)
+        seen[0] = True
+        order = [0]
+        queue = deque([0])
+        while queue:
+            x = queue.popleft()
+            for e in adj[x]:
+                y = bj[e] + n if x < n else bi[e]
+                if not seen[y]:
+                    seen[y] = True
+                    parent_node[y] = x
+                    parent_edge[y] = e
+                    depth[y] = depth[x] + 1
+                    order.append(y)
+                    queue.append(y)
+        if len(order) != nn:
+            return 2, it
+        u[0] = 0.0
+        for x in order[1:]:
+            e = parent_edge[x]
+            if x < n:
+                u[x] = C[bi[e], bj[e]] - v[bj[e]]
+            else:
+                v[x - n] = C[bi[e], bj[e]] - u[bi[e]]
+        reduced = C - u[:, None] - v[None, :]
+        if bland:
+            mask = reduced.ravel() < -tol
+            if not mask.any():
+                return 0, it
+            flat = int(np.argmax(mask))
+        else:
+            flat = int(np.argmin(reduced.ravel()))
+            if reduced.ravel()[flat] >= -tol:
+                return 0, it
+        be_i, be_j = divmod(flat, m)
+        x, y = be_i, n + be_j
+        path1, path2 = [], []
+        while depth[x] > depth[y]:
+            path1.append(parent_edge[x])
+            x = parent_node[x]
+        while depth[y] > depth[x]:
+            path2.append(parent_edge[y])
+            y = parent_node[y]
+        while x != y:
+            path1.append(parent_edge[x])
+            x = parent_node[x]
+            path2.append(parent_edge[y])
+            y = parent_node[y]
+        n1, n2 = len(path1), len(path2)
+        theta = np.inf
+        leave = -1
+        lkey = (np.inf, np.inf)
+        minus = [(k % 2 == 0, e) for k, e in enumerate(path2)]
+        minus += [
+            ((1 + n2 + (n1 - 1 - k)) % 2 == 1, e) for k, e in enumerate(path1)
+        ]
+        for is_minus, e in minus:
+            if is_minus:
+                key = (bi[e], bj[e])
+                if f[e] < theta or (f[e] == theta and key < lkey):
+                    theta = f[e]
+                    leave = e
+                    lkey = key
+        if leave < 0:
+            return 3, it
+        for is_minus, e in minus:
+            f[e] += -theta if is_minus else theta
+        bi[leave] = be_i
+        bj[leave] = be_j
+        f[leave] = theta
+        if theta <= theta_tol:
+            degen += 1
+            if degen > STALL_LIMIT:
+                bland = True
+        else:
+            degen = 0
+            bland = False
+
+
+def core_inputs(f_plus, f_minus, cost):
+    """Cost matrix, balanced masses and arclengths as solve_kantorovich
+    hands them to the simplex."""
+    a = f_plus.mass.astype(float)
+    b = f_minus.mass * (a.sum() / f_minus.mass.sum())
+    return np.ascontiguousarray(cost.matrix(f_plus.s, f_minus.s)), a, b, f_plus.s, f_minus.s
+
+
+def harmonic_datum(rng, domain, n_samples=300):
+    """Three seeded Fourier modes sampled along the boundary."""
+    P = domain.perimeter
+    s = (np.arange(n_samples) + rng.uniform()) * (P / n_samples)
+    theta = 2.0 * np.pi * s / P
+    g = sum(
+        (rng.normal(size=2) / k) @ [np.cos(k * theta), np.sin(k * theta)]
+        for k in (1, 2, 3)
+    )
+    return BoundaryDatum(samples=np.stack([s, g], axis=1), jumps=None, perimeter=P)
+
+
+def cex_inputs(atoms_per_arc):
+    arcs = build_arcs(2, eps=[0.1, 0.08])
+    f_plus, f_minus = arcs.pair_measures(0, atoms_per_arc)
+    return core_inputs(f_plus, f_minus, ChordCost(arcs.domain, EuclideanNorm()))
+
+
+def run_core(core, C, a, b, s_a=None, s_b=None):
+    """One core from the northwest start (s_a None) or the boundary start,
+    with solve_transport's tolerances and cap."""
+    n, m = C.shape
+    if s_a is None:
+        bi, bj, f = simplex.northwest_basis(a, b)
+    else:
+        bi, bj, f = simplex.boundary_stack_basis(a, b, s_a, s_b)
+    u, v = np.zeros(n), np.zeros(m)
+    tol = 1e-12 * (1.0 + float(np.abs(C).max()))
+    theta_tol = 1e-14 * (1.0 + float(max(a.max(), b.max())))
+    cap = 400 * (n + m) + 200000
+    status, iters = core(C, bi, bj, f, u, v, tol, theta_tol, cap)
+    return status, iters, bi, bj, f, u, v
+
+
 class TestSimplexCores:
     def _instance(self, rng, n, m):
         C = rng.uniform(0.0, 3.0, (n, m))
@@ -508,28 +656,63 @@ class TestSimplexCores:
         b *= a.sum() / b.sum()
         return np.ascontiguousarray(C), a, b
 
+    def _identical(self, C, a, b, s_a=None, s_b=None):
+        want = run_core(reference_simplex_core, C, a, b, s_a, s_b)
+        got = run_core(simplex._solve_core, C, a, b, s_a, s_b)
+        assert got[:2] == want[:2]
+        assert want[0] == 0
+        for x, y in zip(got[2:], want[2:]):
+            assert np.array_equal(x, y)
+        return got[1]
+
     def test_cores_bit_identical(self):
         rng = np.random.default_rng(4)
         for trial in range(25):
             n = int(rng.integers(2, 30))
             m = int(rng.integers(2, 30))
             C, a, b = self._instance(rng, n, m)
-            bi0, bj0, f0 = simplex.northwest_basis(a, b)
-            tol = 1e-12 * (1.0 + float(np.abs(C).max()))
-            theta_tol = 1e-14 * (1.0 + float(max(a.max(), b.max())))
-            cap = 400 * (n + m) + 200000
-            state = []
-            for core in (simplex._solve_core_nb, simplex._solve_core_np):
-                bi, bj, f = bi0.copy(), bj0.copy(), f0.copy()
-                u, v = np.zeros(n), np.zeros(m)
-                status, iters = core(C, bi, bj, f, u, v, tol, theta_tol, cap)
-                assert status == 0
-                state.append((iters, bi, bj, f, u, v))
-            it_nb, *nb = state[0]
-            it_np, *npy = state[1]
-            assert it_nb == it_np, f"trial {trial}"
-            for x, y in zip(nb, npy):
-                assert np.array_equal(x, y), f"trial {trial}"
+            s_a = rng.uniform(0.0, 2 * math.pi, n)
+            s_b = rng.uniform(0.0, 2 * math.pi, m)
+            self._identical(C, a, b)
+            self._identical(C, a, b, s_a, s_b)
+
+    @pytest.mark.parametrize("atoms_per_arc", [24, 100])
+    def test_cores_bit_identical_on_cex_pairs(self, atoms_per_arc):
+        C, a, b, s_a, s_b = cex_inputs(atoms_per_arc)
+        self._identical(C, a, b)
+        self._identical(C, a, b, s_a, s_b)
+
+    @pytest.mark.parametrize("domain", [disk(1.0), ellipse(1.5, 1.0)], ids=["disk", "ellipse"])
+    def test_cores_bit_identical_on_lsg_inputs(self, domain):
+        rng = np.random.default_rng(101)
+        cost = ChordCost(domain, LqNorm(3.0).rotated())
+        for _ in range(3):
+            f_plus, f_minus = tangential_derivative(harmonic_datum(rng, domain), n_quad=1)
+            f_plus, f_minus = remove_common_mass(f_plus, f_minus)
+            self._identical(*core_inputs(f_plus, f_minus, cost))
+
+    def test_cores_bit_identical_through_bland_mode(self, monkeypatch):
+        C, a, b, s_a, s_b = cex_inputs(50)
+        iters = self._identical(C, a, b, s_a, s_b)
+        # Bland mode changes the pivots only once it is entered, so a run
+        # whose stall limit is never reached differs only if it was
+        monkeypatch.setattr(simplex, "STALL_LIMIT", 10**9)
+        assert run_core(simplex._solve_core, C, a, b, s_a, s_b)[1] != iters
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0, 0), (1, 0), (1, 1), (0, 1)],  # a cycle through node 0
+            [(0, 0), (1, 1), (1, 2), (1, 1)],  # node 0's part is a tree
+        ],
+        ids=["cycle-through-root", "disconnected"],
+    )
+    def test_non_tree_basis_reported(self, cells):
+        C = np.ones((2, 3))
+        for core in (reference_simplex_core, simplex._solve_core):
+            bi, bj = np.array(cells).T
+            status, _ = core(C, bi, bj, np.ones(4), np.zeros(2), np.zeros(3), 1e-12, 1e-14, 10)
+            assert status == 2
 
     def test_wrapper_matches_cores(self):
         rng = np.random.default_rng(5)
