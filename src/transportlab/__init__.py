@@ -8,7 +8,6 @@ of least anisotropic gradient from boundary data, and builds a family
 of alternating boundary measures whose densities leave L^p.
 """
 
-from .backend import backend_name
 from .errors import InfeasibleError, SchemaError, SolverError
 from .geom import (
     ChordCost,
@@ -36,7 +35,6 @@ from .measures import (
 from .ot import (
     DualPotentials,
     TransportPlan,
-    brute_force_plan,
     check_noncrossing,
     displacement_lengths,
     dual_potentials,
@@ -44,6 +42,15 @@ from .ot import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """The backend every result is computed on, as the reports state it.
+
+    Every kernel is plain numpy, with python bookkeeping in the simplex.
+    """
+    return "numpy"
+
 
 __all__ = [
     "BoundaryDatum",
@@ -63,7 +70,6 @@ __all__ = [
     "SolverError",
     "TransportPlan",
     "backend_name",
-    "brute_force_plan",
     "check_noncrossing",
     "disk",
     "displacement_lengths",

@@ -20,8 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, cex as cex_mod, density as density_mod, leastgrad
-from .backend import backend_name
+from . import __version__, backend_name, cex as cex_mod, density as density_mod, leastgrad
 from .errors import InfeasibleError, SchemaError
 from .geom import ChordCost, domain_from_config, norm_from_config
 from .measures import (

@@ -90,31 +90,6 @@ def grid_for_domain(domain: Domain, n: int = 512) -> GridField:
     )
 
 
-@dataclass
-class InterpolatedMeasure:
-    """Snapshot of the moving mass at one instant of the transport."""
-
-    points: np.ndarray
-    mass: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.mass.sum())
-
-
-def interpolate_plan(plan: TransportPlan, t: float) -> InterpolatedMeasure:
-    """Plan entries pushed to (1-t)x + t*y, weighted by chord cost.
-
-    Each entry becomes one atom of mass entry_cost * entry_mass, so the
-    total mass equals the plan cost for every t.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    a, b = plan.entry_segments()
-    pts = (1.0 - t) * a + t * b
-    return InterpolatedMeasure(points=pts, mass=plan.entry_costs * plan.mass)
-
-
 def deposit_partial_density(
     plan: TransportPlan, tau: float, grid: GridField
 ) -> GridField:
@@ -156,11 +131,6 @@ def lp_norm(field: GridField, p) -> float:
         raise ValueError(f"p must be >= 1, got {p!r}")
     v = field.values
     return float((np.sum(v**p) * field.cell**2) ** (1.0 / p))
-
-
-def density_mass(plan: TransportPlan) -> float:
-    """Total mass of the transport density; coincides with plan.cost."""
-    return float(np.dot(plan.mass, plan.entry_costs))
 
 
 def time_factor(p: float, tau: float) -> float:

@@ -76,6 +76,42 @@ def _as_points(x, y) -> np.ndarray:
     return np.stack([x, y], axis=-1)
 
 
+class _PeriodicCubic:
+    """Periodic cubic spline through samples y[k] at k * period / n.
+
+    With uniform knots the system for the second derivatives,
+    (h/6)(M[k-1] + 4 M[k] + M[k+1]) = (y[k+1] - 2 y[k] + y[k-1]) / h,
+    is circulant, so one FFT division solves it.  The interpolant is the
+    one a periodic ``CubicSpline`` builds on the same knots.
+    """
+
+    def __init__(self, y: np.ndarray, period: float):
+        self.y = y
+        self.n = len(y)
+        self.period = period
+        self.h = period / self.n
+        rhs = 6.0 * (np.roll(y, -1) - 2.0 * y + np.roll(y, 1)) / self.h**2
+        stencil = np.zeros(self.n)
+        stencil[[0, 1, -1]] = 4.0, 1.0, 1.0
+        self.m = np.fft.irfft(np.fft.rfft(rhs) / np.fft.rfft(stencil), self.n)
+
+    def __call__(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value, first and second derivative at t (wrapped into one period)."""
+        x = np.mod(t, self.period) / self.h
+        k = np.minimum(np.floor(x).astype(np.intp), self.n - 1)
+        b = x - k
+        a = 1.0 - b
+        k1 = (k + 1) % self.n
+        y0, y1, m0, m1 = self.y[k], self.y[k1], self.m[k], self.m[k1]
+        h = self.h
+        r = a * y0 + b * y1 + ((a**3 - a) * m0 + (b**3 - b) * m1) * (h * h / 6.0)
+        r1 = (y1 - y0) / h + (
+            (1.0 - 3.0 * a * a) * m0 + (3.0 * b * b - 1.0) * m1
+        ) * (h / 6.0)
+        r2 = a * m0 + b * m1
+        return r, r1, r2
+
+
 class Domain:
     """Base class for uniformly convex planar domains."""
 
@@ -210,18 +246,11 @@ class RadialDomain(Domain):
     kind = "radial"
 
     def __post_init__(self):
-        # radial domains are code-only, so the CLI never pays for scipy
-        from scipy.interpolate import CubicSpline
-
-        theta = np.linspace(0.0, TWO_PI, self.n_check + 1)
-        vals = np.asarray([float(self.rho(t)) for t in theta])
-        vals[-1] = vals[0]
+        check = np.linspace(0.0, TWO_PI, self.n_check, endpoint=False)
+        vals = np.asarray([float(self.rho(t)) for t in check])
         if np.any(vals <= 0):
             raise ValueError("radial profile must be strictly positive")
-        self._spline = CubicSpline(theta, vals, bc_type="periodic")
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
-        check = theta[:-1]
+        self._spline = _PeriodicCubic(vals, TWO_PI)
         kappa = self._curvature_of_theta(check)
         if np.any(kappa <= 0):
             worst = check[int(np.argmin(kappa))]
@@ -243,26 +272,24 @@ class RadialDomain(Domain):
         )
 
     def _curvature_of_theta(self, th):
-        r = self._spline(th)
-        r1 = self._d1(th)
-        r2 = self._d2(th)
+        r, r1, r2 = self._spline(th)
         return (r**2 + 2 * r1**2 - r * r2) / (r**2 + r1**2) ** 1.5
 
     def _speed(self, th):
-        return np.sqrt(self._spline(th) ** 2 + self._d1(th) ** 2)
+        r, r1, _ = self._spline(th)
+        return np.sqrt(r**2 + r1**2)
 
     def _param_of_s(self, s):
         return self._table.param_of_arclength(s)
 
     def boundary_point(self, s):
         th = self._param_of_s(s)
-        r = self._spline(th)
+        r = self._spline(th)[0]
         return _as_points(r * np.cos(th), r * np.sin(th))
 
     def inward_normal(self, s):
         th = self._param_of_s(s)
-        r = self._spline(th)
-        r1 = self._d1(th)
+        r, r1, _ = self._spline(th)
         # derivative of (r cos, r sin) with respect to theta, normalized
         tx = r1 * np.cos(th) - r * np.sin(th)
         ty = r1 * np.sin(th) + r * np.cos(th)
@@ -275,7 +302,7 @@ class RadialDomain(Domain):
     def contains(self, points):
         p = np.asarray(points, dtype=float)
         th = np.mod(np.arctan2(p[..., 1], p[..., 0]), TWO_PI)
-        return np.hypot(p[..., 0], p[..., 1]) <= self._spline(th) * (1 + 1e-12)
+        return np.hypot(p[..., 0], p[..., 1]) <= self._spline(th)[0] * (1 + 1e-12)
 
     def bbox(self):
         return self._bbox

@@ -14,7 +14,7 @@ measure with equal total mass (the datum closes up around the boundary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,12 +175,14 @@ class BoundaryDatum:
 
 
 def tangential_derivative(
-    datum: BoundaryDatum, n_quad: int = 64
+    datum: BoundaryDatum, n_quad: int = 1
 ) -> tuple[BoundaryMeasure, BoundaryMeasure]:
     """Split the derivative of a boundary datum into positive/negative parts.
 
     Linear pieces contribute ``n_quad`` midpoint atoms each with mass
-    slope * sublength; jumps contribute single atoms of mass |height|.
+    slope * sublength (one per piece by default, as the CLI's
+    ``quadrature`` and ``solve_least_gradient`` use; finely sampled data
+    need no more); jumps contribute single atoms of mass |height|.
     The two returned measures balance to within 1e-10 of the datum's
     total variation.
     """

@@ -9,9 +9,8 @@ plans never contain chords crossing in the interior of the domain.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,6 +80,8 @@ class TransportPlan:
             entry_costs=self.entry_costs.copy(),
             gap=self.gap,
             basis=None,
+            # u_i + v_j = c_ij reads v_j + u_i = c'_ji for the reversed plan
+            potentials=None if self.potentials is None else self.potentials[::-1],
         )
 
     def validate(self) -> None:
@@ -199,82 +200,19 @@ def solve_kantorovich(
     return plan
 
 
-def brute_force_plan(
-    f_plus: BoundaryMeasure,
-    f_minus: BoundaryMeasure,
-    cost: ChordCost,
-) -> TransportPlan:
-    """Reference solver: enumerate all assignments of equal-mass atoms.
-
-    Only for oracle testing; requires n == m <= 8 and equal masses.
-    """
-    n, m = len(f_plus), len(f_minus)
-    if n != m or n > 8:
-        raise ValueError(f"brute force needs n == m <= 8 atoms, got {n}, {m}")
-    masses = np.concatenate([f_plus.mass, f_minus.mass])
-    if np.max(masses) - np.min(masses) > 1e-12 * np.max(masses):
-        raise ValueError("brute force needs equal atom masses")
-    unit = float(f_plus.mass[0])
-    C = cost.matrix(f_plus.s, f_minus.s)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    costs = C[np.arange(n)[None, :], perms].sum(axis=1)
-    best = perms[int(np.argmin(costs))]
-    i = np.arange(n, dtype=np.int64)
-    j = best.astype(np.int64)
-    entry_costs = C[i, j]
-    plan = TransportPlan(
-        source=f_plus,
-        target=f_minus,
-        i=i,
-        j=j,
-        mass=np.full(n, unit),
-        cost=float(unit * entry_costs.sum()),
-        source_points=cost.points(f_plus.s),
-        target_points=cost.points(f_minus.s),
-        entry_costs=entry_costs,
-        basis=None,
-    )
-    return plan
-
-
 def dual_potentials(plan: TransportPlan, cost: ChordCost) -> DualPotentials:
     """Potentials satisfying phi_source - phi_target = cost on the support.
 
-    A solver plan returns the simplex's own potentials, phi_source = u and
-    phi_target = -v, which are globally feasible at optimality.  Otherwise
-    each connected component of the support graph is anchored by zeroing
-    the potential of its smallest target atom.  ``cost`` is not read: the
-    support's costs are the plan's ``entry_costs``.
+    These are the simplex's own potentials, phi_source = u and
+    phi_target = -v, which are globally feasible at optimality.  A plan
+    without potentials (one built by hand) raises ``ValueError``.
+    ``cost`` is not read: the support's costs are the plan's
+    ``entry_costs``.
     """
-    if plan.potentials is not None:
-        u, v = plan.potentials
-        return DualPotentials(phi_source=u.copy(), phi_target=-v)
-    n, m = len(plan.source), len(plan.target)
-    adj = [[] for _ in range(n + m)]
-    for i, j, c in zip(plan.i, plan.j, plan.entry_costs):
-        adj[int(i)].append((n + int(j), float(c)))
-        adj[n + int(j)].append((int(i), float(c)))
-    phi = np.full(n + m, np.nan)
-    for seed_target in range(m):
-        node = n + seed_target
-        if not math.isnan(phi[node]):
-            continue
-        if not adj[node]:
-            phi[node] = 0.0
-            continue
-        phi[node] = 0.0
-        stack = [node]
-        while stack:
-            x = stack.pop()
-            for y, c in adj[x]:
-                if math.isnan(phi[y]):
-                    # phi_source - phi_target = c on support edges
-                    phi[y] = phi[x] + c if y < n else phi[x] - c
-                    stack.append(y)
-    for i in range(n):
-        if math.isnan(phi[i]):  # sources always touch an entry; safety anchor
-            phi[i] = 0.0
-    return DualPotentials(phi_source=phi[:n], phi_target=phi[n:])
+    if plan.potentials is None:
+        raise ValueError("plan carries no dual potentials")
+    u, v = plan.potentials
+    return DualPotentials(phi_source=u.copy(), phi_target=-v)
 
 
 def check_noncrossing(plan: TransportPlan) -> list[tuple[int, int]]:

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from oracles import brute_force_plan
 from transportlab.cex import exact_pair_lp, build_arcs, run_counterexample
 from transportlab.cli import main as cli_main
 from transportlab.density import (
@@ -28,7 +29,6 @@ from transportlab.instances import (
 from transportlab.leastgrad import interior_mask, solve_least_gradient
 from transportlab.measures import BoundaryMeasure
 from transportlab.ot import (
-    brute_force_plan,
     check_noncrossing,
     dual_potentials,
     solve_kantorovich,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from transportlab.cex import (
     SERIES_SUM_BOUND,
@@ -105,6 +106,22 @@ class TestExactIntegrals:
         arcs = build_arcs(2, eps=[0.1, 0.08])
         plan = pair_plan(arcs, 0, atoms_per_arc=400)
         assert plan.cost == pytest.approx(exact_pair_lp(arcs, 0, 1.0), rel=1e-2)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 2.9, 2.99])
+    def test_matches_adaptive_quadrature(self, p):
+        # the chart integrand in s, integrated by QUADPACK as exact mode
+        # once did (relative tolerance 1e-9, 200 subintervals)
+        arcs = build_arcs(200)
+        R = arcs.domain.radius
+
+        def integrand(s):
+            ap = s / math.sqrt(R * R - s * s)
+            return 2.0 * s * (1.0 + ap * ap) ** (p / 2.0) * ap ** (1.0 - p)
+
+        for n in range(arcs.n_pairs):
+            s_max = R * math.sin(arcs.eps[n] / R)
+            ref, _ = quad(integrand, 0.0, s_max, epsabs=0.0, epsrel=1e-9, limit=200)
+            assert exact_pair_lp(arcs, n, p) == pytest.approx(ref, rel=1e-11, abs=0)
 
     def test_divergence_at_p_three_and_beyond(self):
         arcs = build_arcs(3)

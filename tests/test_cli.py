@@ -241,9 +241,14 @@ def test_svg_refused_without_a_plot(tmp_path, capsys, command):
 
 
 def test_import_leaves_scipy_out():
+    # the CLI, a radial domain and exact cex all run on numpy alone
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
-        "import sys; import transportlab.cli; "
+        "import math, sys; import transportlab.cli; "
+        "from transportlab import radial; "
+        "from transportlab.cex import run_counterexample; "
+        "radial(lambda t: 1 + 0.05 * math.cos(3 * t)); "
+        "run_counterexample(6, 2.5, mode='exact'); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

@@ -5,11 +5,9 @@ import pytest
 
 from transportlab.density import (
     GridField,
-    density_mass,
     deposit_density,
     deposit_partial_density,
     grid_for_domain,
-    interpolate_plan,
     lp_norm,
     lp_bound_factors,
     read_csv,
@@ -65,30 +63,6 @@ class TestGrid:
     def test_bad_values_shape_rejected(self):
         with pytest.raises(ValueError):
             GridField(origin=(0.0, 0.0), cell=1.0, nx=3, ny=2, values=np.zeros((3, 2)))
-
-
-class TestInterpolation:
-    def test_midpoint_of_diameter(self):
-        m = interpolate_plan(diameter_plan(), 0.5)
-        assert np.allclose(m.points, [[0.0, 0.0]], atol=1e-12)
-        # carried mass is transport mass times unit cost
-        assert m.mass[0] == pytest.approx(2.0)
-
-    def test_endpoints(self):
-        plan = diameter_plan()
-        assert np.allclose(interpolate_plan(plan, 0.0).points, [[1.0, 0.0]], atol=1e-12)
-        assert np.allclose(interpolate_plan(plan, 1.0).points, [[-1.0, 0.0]], atol=1e-12)
-
-    def test_total_mass_equals_cost_for_all_t(self):
-        plan = random_plan(1, 12)
-        for t in (0.0, 0.3, 0.5, 1.0):
-            assert interpolate_plan(plan, t).total_mass == pytest.approx(
-                plan.cost, rel=1e-12
-            )
-
-    def test_bad_t_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_plan(diameter_plan(), 1.5)
 
 
 class TestDeposit:
@@ -165,10 +139,6 @@ class TestNorms:
         )
         with pytest.raises(ValueError):
             lp_norm(f, 2)
-
-    def test_density_mass_is_cost(self):
-        plan = random_plan(5, 9)
-        assert density_mass(plan) == pytest.approx(plan.cost, rel=1e-12)
 
 
 class TestTimeFactor:

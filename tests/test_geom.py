@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
+from transportlab import geom
 from transportlab.geom import (
     ChordCost,
     EuclideanNorm,
@@ -96,7 +98,45 @@ class TestEllipse:
         assert e.contains(p + 1e-4 * n).all()
 
 
+class _CubicSplineProfile:
+    """Periodic CubicSpline through the same samples, as radial domains
+    once built it: the reference for the FFT spline."""
+
+    def __init__(self, vals, period):
+        theta = np.linspace(0.0, period, len(vals) + 1)
+        self.spline = CubicSpline(theta, np.append(vals, vals[0]), bc_type="periodic")
+
+    def __call__(self, t):
+        return self.spline(t), self.spline(t, 1), self.spline(t, 2)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
 class TestRadial:
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            lambda t: 1.0 + 0.05 * math.cos(3 * t),
+            lambda t: 1.0 + 0.1 * math.sin(t) + 0.02 * math.cos(5 * t),
+            lambda t: 1.0,
+        ],
+        ids=["flower", "two-mode", "constant"],
+    )
+    def test_matches_periodic_cubicspline(self, rho, monkeypatch):
+        dom = radial(rho)
+        monkeypatch.setattr(geom, "_PeriodicCubic", _CubicSplineProfile)
+        ref = radial(rho)
+        s = np.linspace(0.0, dom.perimeter, 1001, endpoint=False)
+        assert dom.perimeter == pytest.approx(ref.perimeter, rel=1e-13, abs=0)
+        assert _rel(dom.boundary_point(s), ref.boundary_point(s)) <= 1e-13
+        assert _rel(dom.inward_normal(s), ref.inward_normal(s)) <= 1e-12
+        # second differences at h = 2 pi / 4096 carry ~1e-10 of roundoff
+        # in either spline, so curvature agrees only to that level
+        assert _rel(dom.curvature(s), ref.curvature(s)) <= 1e-9
+        assert dom.curvature_min == pytest.approx(ref.curvature_min, rel=1e-9, abs=0)
+
     def test_circle_profile(self):
         r = radial(lambda t: 1.0)
         assert r.perimeter == pytest.approx(2 * math.pi, rel=1e-8)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transportlab.errors import InfeasibleError
+from transportlab.geom import ChordCost, EuclideanNorm, disk
 from transportlab.measures import (
     BoundaryDatum,
     BoundaryMeasure,
@@ -13,6 +14,7 @@ from transportlab.measures import (
     remove_common_mass,
     tangential_derivative,
 )
+from transportlab.ot import solve_kantorovich
 
 TWO_PI = 2 * math.pi
 
@@ -176,6 +178,23 @@ class TestTangentialDerivative:
         # decreasing part of cos lives on (0, pi)
         assert np.all(f_minus.s < math.pi)
         assert np.all(f_plus.s > math.pi)
+
+    def test_default_one_atom_per_piece(self):
+        # a finely sampled datum gives one atom per linear piece, few
+        # enough for the dense solver
+        rng = np.random.default_rng(5)
+        n = 300
+        s = (np.arange(n) + rng.uniform()) * (TWO_PI / n)
+        g_vals = sum(
+            (rng.normal(size=2) / k) @ [np.cos(k * s), np.sin(k * s)] for k in (1, 2, 3)
+        )
+        g = BoundaryDatum(
+            samples=np.stack([s, g_vals], axis=1), jumps=None, perimeter=TWO_PI
+        )
+        f_plus, f_minus = tangential_derivative(g)
+        assert len(f_plus) + len(f_minus) <= 600
+        plan = solve_kantorovich(f_plus, f_minus, ChordCost(disk(1.0), EuclideanNorm()))
+        assert abs(plan.gap) <= 1e-9 * max(plan.cost, 1.0)
 
     def test_constant_datum_empty(self):
         g = BoundaryDatum(

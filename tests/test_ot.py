@@ -1,15 +1,16 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import brute_force_plan
 from transportlab.errors import InfeasibleError
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse
 from transportlab.instances import mirror_cosine_measures
 from transportlab.measures import BoundaryMeasure
 from transportlab.ot import (
-    brute_force_plan,
     check_noncrossing,
     displacement_lengths,
     dual_potentials,
@@ -104,6 +105,11 @@ class TestDuality:
             plan.cost, rel=1e-10
         )
 
+    def test_plan_without_potentials_refused(self):
+        plan = solve_kantorovich(measure([0.0]), measure([math.pi]), EUC)
+        with pytest.raises(ValueError, match="potentials"):
+            dual_potentials(dataclasses.replace(plan, potentials=None), EUC)
+
     def test_gap_reported(self):
         rng = np.random.default_rng(11)
         f_plus, f_minus = random_instance(rng, DISK, 40, 33)
@@ -178,6 +184,12 @@ class TestPlanMethods:
         assert rev.cost == plan.cost
         assert np.array_equal(rev.i, plan.j) and np.array_equal(rev.j, plan.i)
         assert np.allclose(rev.marginal_source(), plan.marginal_target())
+        # the swapped potentials certify the reversed plan as optimal
+        pot = dual_potentials(rev, EUC)
+        assert pot.slackness_violation(rev) <= 1e-10
+        C = EUC.matrix(rev.source.s, rev.target.s)
+        assert pot.feasibility_violation(C) <= 1e-9
+        assert pot.objective(rev.source, rev.target) == pytest.approx(rev.cost, rel=1e-10)
 
     def test_displacement_lengths(self):
         f_plus = measure([0.0, math.pi / 2])
