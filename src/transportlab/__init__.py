@@ -34,6 +34,7 @@ from .measures import (
 )
 from .ot import (
     DualPotentials,
+    SolverStats,
     TransportPlan,
     check_noncrossing,
     displacement_lengths,
@@ -68,6 +69,7 @@ __all__ = [
     "RadialDomain",
     "SchemaError",
     "SolverError",
+    "SolverStats",
     "TransportPlan",
     "backend_name",
     "check_noncrossing",

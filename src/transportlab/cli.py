@@ -220,6 +220,7 @@ def cmd_plan(args) -> int:
     cfg, domain, norm, f_plus, f_minus, _ = _load(args)
     plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, norm))
     report = _base_report(command, cfg.get("seed"))
+    report["solver"] = plan.stats.config()
     code = EXIT_OK
     if command == "solve":
         report["config"] = _resolved_config(cfg, domain, norm)
@@ -279,6 +280,8 @@ def cmd_lsg(args) -> int:
     gfield = leastgrad.gradient_norm_field(res.u, norm, domain)
     report = _base_report("lsg", cfg.get("seed"))
     report["config"] = _resolved_config(cfg, domain, norm, grid_n=n)
+    # a constant datum moves nothing and runs no solver
+    report["solver"] = None if res.plan is None else res.plan.stats.config()
     report.update(
         cost=res.cost, tv=res.tv, trace_error=res.trace_err,
         lp_norms={str(p): density_mod.lp_norm(gfield, p) for p in (1.5, 2.0)},

@@ -18,6 +18,7 @@ from .density import GridField, grid_for_domain
 from .geom import ChordCost, Domain, Norm
 from .measures import BoundaryDatum, remove_common_mass, tangential_derivative
 from .ot import TransportPlan, solve_kantorovich
+from .simplex import check_init
 
 
 @dataclass
@@ -171,8 +172,10 @@ def solve_least_gradient(
     equals the anisotropic TV of the minimizer.  n_quad is the number
     of derivative atoms per linear piece of g; finely sampled data
     should keep it at 1, coarse data with long linear pieces may want
-    more.
+    more.  ``init`` is the simplex start (see ``solve_kantorovich``);
+    an unknown one raises ``ValueError`` even for a constant datum.
     """
+    check_init(init)
     f_plus, f_minus = tangential_derivative(g, n_quad=n_quad)
     f_plus, f_minus = remove_common_mass(f_plus, f_minus)
     if grid is None:

@@ -10,7 +10,7 @@ plans never contain chords crossing in the interior of the domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,14 +24,39 @@ MARGINAL_RTOL = 1e-10
 COST_RTOL = 1e-12
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """Deterministic record of how the simplex reached a plan.
+
+    ``start`` is the starting basis used ("certified", "certified_seam",
+    "lifo" or "northwest", see :class:`simplex.BasisStart`), ``seam``
+    the boundary walk's starting event (-1 for northwest), ``fallback``
+    why a certified start was not used ("" when it was, or when
+    northwest was asked for), ``pivots`` the simplex pivots and
+    ``b_scale`` the factor sum(a) / sum(b) that rebalanced the target
+    masses.
+    """
+
+    start: str
+    seam: int
+    fallback: str
+    pivots: int
+    b_scale: float
+
+    def config(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
 class TransportPlan:
     """Finite transport plan between two boundary measures.
 
-    ``i``, ``j``, ``mass`` list the strictly positive entries; ``basis``
-    optionally keeps the solver's full spanning-tree basis (including
-    degenerate zero cells) and ``potentials`` its final dual potentials
-    ``(u, v)``, with u_i + v_j = c_ij on every basic cell.
+    ``i``, ``j``, ``mass`` list the strictly positive entries, which the
+    solver sorts by (i, j); ``basis`` optionally keeps the solver's full
+    spanning-tree basis (including degenerate zero cells),
+    ``potentials`` its final dual potentials ``(u, v)``, with
+    u_i + v_j = c_ij on every basic cell, and ``stats`` its
+    :class:`SolverStats`.
     """
 
     source: BoundaryMeasure
@@ -46,6 +71,7 @@ class TransportPlan:
     gap: float = math.nan
     basis: tuple = None
     potentials: tuple = None
+    stats: SolverStats = None
 
     @property
     def n_entries(self) -> int:
@@ -82,6 +108,7 @@ class TransportPlan:
             basis=None,
             # u_i + v_j = c_ij reads v_j + u_i = c'_ji for the reversed plan
             potentials=None if self.potentials is None else self.potentials[::-1],
+            stats=self.stats,
         )
 
     def validate(self) -> None:
@@ -162,20 +189,24 @@ def solve_kantorovich(
 ) -> TransportPlan:
     """Exact optimal transport via the transportation simplex.
 
-    ``init`` picks the starting basis: "boundary" (non-crossing greedy
-    matching along the boundary, usually a handful of pivots from
-    optimal) or "northwest" (classic corner rule).
+    ``init`` picks the starting basis: "boundary" (the non-crossing LIFO
+    matching along the boundary, with joins that certify it optimal
+    when it is, so it often needs no pivot at all) or "northwest"
+    (classic corner rule); any other value raises ``ValueError``.
+    The target masses are rescaled by sum(a) / sum(b), recorded in the
+    plan's ``stats``, so basic solutions satisfy both marginals.
     """
     _check_balanced(f_plus, f_minus)
     a = f_plus.mass.astype(float)
     b = f_minus.mass.astype(float)
-    # rebalance exactly so basic solutions satisfy both marginals
-    b = b * (a.sum() / b.sum())
+    b_scale = float(a.sum() / b.sum())
+    b = b * b_scale
     C = cost.matrix(f_plus.s, f_minus.s)
-    bi, bj, f, u, v, _ = simplex.solve_transport(
+    bi, bj, f, u, v, start, iters = simplex.solve_transport(
         C, a, b, init=init, s_a=f_plus.s, s_b=f_minus.s
     )
-    keep = f > 0
+    keep = np.flatnonzero(f > 0)
+    keep = keep[np.lexsort((bj[keep], bi[keep]))]
     i = bi[keep]
     j = bj[keep]
     mass = f[keep]
@@ -195,6 +226,13 @@ def solve_kantorovich(
         gap=total_cost - dual_obj,
         basis=(bi, bj, f),
         potentials=(u, v),
+        stats=SolverStats(
+            start=start.kind,
+            seam=start.seam,
+            fallback=start.reason,
+            pivots=iters - 1,
+            b_scale=b_scale,
+        ),
     )
     plan.validate()
     return plan

@@ -1,9 +1,10 @@
-"""Reference solvers that the tests compare the library against."""
+"""Reference solvers and starts that the tests compare the library against."""
 
 import itertools
 
 import numpy as np
 
+from transportlab import simplex
 from transportlab.geom import ChordCost
 from transportlab.measures import BoundaryMeasure
 from transportlab.ot import TransportPlan
@@ -45,3 +46,22 @@ def brute_force_plan(
         basis=None,
     )
     return plan
+
+
+def plain_lifo_basis(C, a, b, s_a, s_b):
+    """The LIFO forest from the seam at s = 0 with the plain joins: the
+    uncertified boundary start, from which degenerate crawls are long."""
+    kinds, idxs = simplex._events(s_a, s_b)
+    entries, k, comp, _, _ = simplex._lifo_forest(C, a, b, kinds, idxs)
+    return simplex._as_basis(*entries, simplex._plain_joins(len(a), k, comp))
+
+
+def lifo_seam_costs(C, a, b, s_a, s_b):
+    """Cost of the LIFO plan from a seam before each event, one full
+    walk per seam: the reference for ``simplex._seam_costs``."""
+    kinds, idxs = simplex._events(s_a, s_b)
+    costs = []
+    for seam in range(len(kinds)):
+        ei, ej, ef = simplex._lifo(a, b, np.roll(kinds, -seam), np.roll(idxs, -seam))
+        costs.append(float(np.dot(ef, C[ei, ej])))
+    return np.array(costs)

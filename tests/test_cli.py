@@ -165,14 +165,17 @@ REPORT_KEYS = {"backend", "command", "config", "seed", "version"}
 @pytest.mark.parametrize(
     "argv, keys",
     [
-        (["solve"], {"cost", "entries", "gap"}),
-        (["density", "--tau", "0.5"], {"cost", "files", "integral", "tau"}),
-        (["lp-norm", "--p", "2", "--tau", "0.5"], {"lp_norm", "p", "tau"}),
+        (["solve"], {"cost", "entries", "gap", "solver"}),
+        (["density", "--tau", "0.5"], {"cost", "files", "integral", "solver", "tau"}),
+        (["lp-norm", "--p", "2", "--tau", "0.5"], {"lp_norm", "p", "solver", "tau"}),
         (
             ["bound", "--p", "2", "--tau", "0.5"],
-            {"data_integral", "lp_norm_power", "p", "product", "ratio", "tau", "time_integral"},
+            {
+                "data_integral", "lp_norm_power", "p", "product", "ratio", "solver",
+                "tau", "time_integral",
+            },
         ),
-        (["lsg"], {"cost", "files", "lp_norms", "trace_error", "tv"}),
+        (["lsg"], {"cost", "files", "lp_norms", "solver", "trace_error", "tv"}),
     ],
     ids=["solve", "density", "lp-norm", "bound", "lsg"],
 )
@@ -188,6 +191,7 @@ def test_report_keys(tmp_path, capsys, argv, keys):
     if argv[0] != "solve":
         config_keys.add("grid")
     assert sorted(rep["config"]) == sorted(config_keys)
+    assert sorted(rep["solver"]) == ["b_scale", "fallback", "pivots", "seam", "start"]
 
 
 SEED_COMMANDS = [

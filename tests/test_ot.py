@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import brute_force_plan
+from oracles import brute_force_plan, plain_lifo_basis
+from transportlab import simplex
 from transportlab.errors import InfeasibleError
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse
 from transportlab.instances import mirror_cosine_measures
@@ -64,7 +65,7 @@ class TestSmallExact:
 
 
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("init", ["boundary", "nw"])
+    @pytest.mark.parametrize("init", ["boundary", pytest.param("northwest", id="nw")])
     def test_random_instances(self, init):
         rng = np.random.default_rng(42)
         ell = ellipse(2.0, 1.0)
@@ -240,13 +241,16 @@ class TestDeterminism:
             assert np.array_equal(r.j, runs[0].j)
 
 
+def plain_start(C, a, b, s_a, s_b):
+    """boundary_stack_basis without the certificate or the seam search."""
+    basis = plain_lifo_basis(C, a, b, s_a, s_b)
+    return (*basis, simplex.BasisStart("lifo", 0, "plain start"))
+
+
 class TestDegenerateEscape:
-    def test_long_degenerate_run_does_not_stall(self):
+    def _instance(self):
         # mixed piecewise-linear + jump datum on an ellipse under an Lq
-        # norm; quadrature atoms make the simplex heavily degenerate.
-        # A sticky Bland fallback used to crawl into the iteration cap
-        # here (cap hit at 360801 pivots); escaping Bland mode on the
-        # first strict improvement solves it in a couple of seconds.
+        # norm; quadrature atoms make the simplex heavily degenerate
         from transportlab.measures import BoundaryDatum, tangential_derivative
 
         dom = ellipse(1.3, 0.8)
@@ -256,8 +260,27 @@ class TestDegenerateEscape:
             perimeter=dom.perimeter,
         )
         f_plus, f_minus = tangential_derivative(g, n_quad=200)
-        plan = solve_kantorovich(f_plus, f_minus, ChordCost(dom, LqNorm(3.0)))
+        return f_plus, f_minus, ChordCost(dom, LqNorm(3.0))
+
+    def test_long_degenerate_run_does_not_stall(self, monkeypatch):
+        # The certified start needs no pivot here, so the crawl runs
+        # from the plain LIFO start.  A sticky Bland fallback used to
+        # crawl into the iteration cap (hit at 360801 pivots); escaping
+        # Bland mode on the first strict improvement solves it in a
+        # couple of seconds.
+        monkeypatch.setattr(simplex, "boundary_stack_basis", plain_start)
+        plan = solve_kantorovich(*self._instance())
         plan.validate()
+        assert abs(plan.gap) <= 1e-9 * (1.0 + plan.cost)
+        assert plan.cost == pytest.approx(1.99932, abs=5e-4)
+        # the crawl reaches Bland mode: without it the pivots differ
+        monkeypatch.setattr(simplex, "STALL_LIMIT", 10**9)
+        assert solve_kantorovich(*self._instance()).stats.pivots != plan.stats.pivots
+
+    def test_certified_start_skips_the_crawl(self):
+        plan = solve_kantorovich(*self._instance())
+        assert plan.stats.start == "certified_seam"
+        assert plan.stats.pivots == 0
         assert abs(plan.gap) <= 1e-9 * (1.0 + plan.cost)
         assert plan.cost == pytest.approx(1.99932, abs=5e-4)
 

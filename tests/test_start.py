@@ -1,0 +1,320 @@
+"""The certified boundary start.
+
+Whenever the start says it is certified, the simplex makes no pivot and
+ends at the northwest start's plan.  The seam sweep agrees with one LIFO
+walk per seam, degenerate forests are handled, unknown starts are
+refused, and the pivot ladder is pinned against the counts of the plain
+LIFO start the solver used before.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from oracles import brute_force_plan, lifo_seam_costs
+from test_kernels import cex_inputs, core_inputs, harmonic_datum
+from transportlab import simplex
+from transportlab.cex import build_arcs
+from transportlab.errors import SolverError
+from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse
+from transportlab.instances import cosine_datum, mirror_cosine_measures, random_atoms_instance
+from transportlab.leastgrad import solve_least_gradient
+from transportlab.measures import BoundaryMeasure, remove_common_mass, tangential_derivative
+from transportlab.ot import SolverStats, solve_kantorovich
+
+DISK = disk(1.0)
+EUC = ChordCost(DISK, EuclideanNorm())
+TWO_PI = 2 * math.pi
+
+
+def lsg_pool(count, seed=101):
+    """The first inputs of the benchmark's lsg pool for a seed: derivative
+    measures of three-mode data, alternating disk and ellipse."""
+    rng = np.random.default_rng([seed, 1])
+    domains = [disk(1.0), ellipse(1.5, 1.0)]
+    out = []
+    for k in range(count):
+        domain = domains[k % 2]
+        f_plus, f_minus = tangential_derivative(harmonic_datum(rng, domain), n_quad=1)
+        f_plus, f_minus = remove_common_mass(f_plus, f_minus)
+        out.append((f_plus, f_minus, ChordCost(domain, LqNorm(3.0).rotated())))
+    return out
+
+
+def assert_same_plan(plan, ref):
+    """Same entries as a set, cost to 1e-15 relative, gap to 1e-14 cost."""
+    assert set(zip(plan.i.tolist(), plan.j.tolist())) == set(zip(ref.i.tolist(), ref.j.tolist()))
+    assert abs(plan.cost - ref.cost) <= 1e-15 * ref.cost
+    assert abs(plan.gap) <= 1e-14 * plan.cost
+
+
+def check_against_northwest(f_plus, f_minus, cost):
+    plan = solve_kantorovich(f_plus, f_minus, cost)
+    if plan.stats.start.startswith("certified"):
+        assert plan.stats.pivots == 0
+    assert_same_plan(plan, solve_kantorovich(f_plus, f_minus, cost, init="northwest"))
+    return plan.stats
+
+
+def solve_both(C, a, b, s_a, s_b):
+    """solve_transport from the boundary and the northwest start, as
+    (start, pivots, positive cells, cost, gap) each."""
+    out = []
+    for init in ("boundary", "northwest"):
+        bi, bj, f, u, v, start, iters = simplex.solve_transport(
+            C, a, b, init=init, s_a=s_a, s_b=s_b
+        )
+        keep = f > 0
+        cost = float(np.dot(f[keep], C[bi[keep], bj[keep]]))
+        gap = cost - float(np.dot(u, a) + np.dot(v, b))
+        cells = set(zip(bi[keep].tolist(), bj[keep].tolist()))
+        out.append((start, iters - 1, cells, cost, gap))
+    return out
+
+
+class TestSoundness:
+    def test_random_trials(self):
+        # the 25 trials of the core tests: uniform costs, random positions
+        rng = np.random.default_rng(4)
+        for trial in range(25):
+            n = int(rng.integers(2, 30))
+            m = int(rng.integers(2, 30))
+            C = rng.uniform(0.0, 3.0, (n, m))
+            a = rng.uniform(0.1, 2.0, n)
+            b = rng.uniform(0.1, 2.0, m)
+            b *= a.sum() / b.sum()
+            s_a = rng.uniform(0.0, 2 * math.pi, n)
+            s_b = rng.uniform(0.0, 2 * math.pi, m)
+            (start, pivots, cells, cost, gap), (_, _, nw_cells, nw_cost, _) = solve_both(
+                C, a, b, s_a, s_b
+            )
+            # uniform costs have no boundary structure: these seldom
+            # certify, and check the fallbacks as much as the certificate
+            if start.kind.startswith("certified"):
+                assert pivots == 0, f"trial {trial}"
+            assert cells == nw_cells, f"trial {trial}"
+            assert abs(cost - nw_cost) <= 1e-15 * nw_cost, f"trial {trial}"
+            assert abs(gap) <= 1e-14 * cost, f"trial {trial}"
+
+    @pytest.mark.parametrize("atoms_per_arc", [24, 100, 400])
+    def test_cex_pairs(self, atoms_per_arc):
+        C, a, b, s_a, s_b = cex_inputs(atoms_per_arc)
+        (start, pivots, cells, cost, gap), (_, _, nw_cells, nw_cost, _) = solve_both(
+            C, a, b, s_a, s_b
+        )
+        assert start == simplex.BasisStart("certified", 0, "")
+        assert pivots == 0
+        assert cells == nw_cells
+        assert abs(cost - nw_cost) <= 1e-15 * nw_cost
+        assert abs(gap) <= 1e-14 * cost
+
+    def test_lsg_inputs(self):
+        kinds = [check_against_northwest(*inputs).start for inputs in lsg_pool(12)]
+        assert "certified_seam" in kinds
+
+
+def check_sweep(C, a, b, s_a, s_b):
+    """The sweep's seam costs against one LIFO walk per seam."""
+    kinds, idxs = simplex._events(s_a, s_b)
+    got = simplex._seam_costs(C, a, b, kinds, idxs)
+    want = lifo_seam_costs(C, a, b, s_a, s_b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+    return want
+
+
+class TestSeamSweep:
+    def test_lsg_inputs(self):
+        for f_plus, f_minus, cost in lsg_pool(3):
+            want = check_sweep(*core_inputs(f_plus, f_minus, cost))
+            assert want.min() < want[0]  # a cheaper seam exists
+
+    def test_random_atoms(self):
+        f_plus, f_minus = random_atoms_instance(np.random.default_rng(8), DISK, 40)
+        check_sweep(*core_inputs(f_plus, f_minus, EUC))
+
+
+def top_level_dust():
+    """Every target before every source: F falls to its minimum and
+    climbs back to a final value of positive float dust, above every
+    other level, so the top band is crossed once."""
+    f_plus = BoundaryMeasure([3.0, 3.5, 4.0], [0.1, 0.2, 0.6], TWO_PI)
+    f_minus = BoundaryMeasure([0.5, 1.0, 1.5], np.array([0.1, 0.3, 0.6]) * 0.9, TWO_PI)
+    C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
+    F = np.cumsum(np.concatenate([-b, a]))
+    assert 0 < F[-1] < 1e-15 and F[:-1].max() < F[-1]
+    return f_plus, f_minus
+
+
+class TestDegenerateInputs:
+    def test_coincident_positions(self):
+        # every source shares its position with a target of equal mass
+        f_plus = BoundaryMeasure([0.5, 2.0, 4.0], [1.0, 2.0, 0.5], TWO_PI)
+        f_minus = BoundaryMeasure([0.5, 2.0, 4.0], [1.0, 2.0, 0.5], TWO_PI)
+        stats = check_against_northwest(f_plus, f_minus, EUC)
+        assert stats.start == "certified"
+        assert solve_kantorovich(f_plus, f_minus, EUC).cost == 0.0
+
+    def test_coincident_across_kinds(self):
+        # a source and a target at one position, different masses
+        f_plus = BoundaryMeasure([0.5, 2.0], [1.0, 1.0], TWO_PI)
+        f_minus = BoundaryMeasure([0.5, 3.0, 5.0], [0.5, 0.7, 0.8], TWO_PI)
+        assert check_against_northwest(f_plus, f_minus, EUC).pivots == 0
+
+    def test_one_component(self):
+        # one source feeds every target: the forest is one tree, K = 1
+        f_plus = BoundaryMeasure([1.0], [3.0], TWO_PI)
+        f_minus = BoundaryMeasure([2.0, 3.0, 5.0], [1.0, 1.0, 1.0], TWO_PI)
+        C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
+        kinds, idxs = simplex._events(s_a, s_b)
+        assert simplex._lifo_forest(C, a, b, kinds, idxs)[1] == 1
+        stats = check_against_northwest(f_plus, f_minus, EUC)
+        assert (stats.start, stats.pivots) == ("certified", 0)
+
+    @pytest.mark.parametrize("lone", ["source", "target"])
+    def test_one_kind_components(self, lone):
+        # a last atom far below the balance tolerance is left on the
+        # stack: a component holding one atom of one kind
+        s_a, a = [0.5, 1.5], [1.0, 1.0]
+        s_b, b = [1.0, 2.0], [1.0, 1.0]
+        if lone == "source":
+            s_a, a = s_a + [4.0], a + [1e-300]
+        else:
+            s_b, b = s_b + [4.0], b + [1e-300]
+        f_plus = BoundaryMeasure(s_a, a, TWO_PI)
+        f_minus = BoundaryMeasure(s_b, b, TWO_PI)
+        C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
+        kinds, idxs = simplex._events(s_a, s_b)
+        k, comp = simplex._lifo_forest(C, a, b, kinds, idxs)[1:3]
+        assert k == 3
+        lone_comp = comp[2] if lone == "source" else comp[len(a) + 2]
+        assert np.count_nonzero(comp == lone_comp) == 1
+        stats = check_against_northwest(f_plus, f_minus, EUC)
+        assert (stats.start, stats.pivots) == ("certified", 0)
+
+    def test_float_dust_at_the_top_level(self):
+        f_plus, f_minus = top_level_dust()
+        C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
+        check_sweep(C, a, b, s_a, s_b)
+        check_against_northwest(f_plus, f_minus, EUC)
+
+    def test_sweep_cap(self, monkeypatch):
+        # offsets the capped Bellman-Ford cannot settle: the plain joins
+        # are kept, seam 0 is already the cheapest, and the plan is right
+        arcs = build_arcs(2, eps=[0.1, 0.08])
+        f_plus, f_minus = arcs.pair_measures(0, 24)
+        cost = ChordCost(arcs.domain, EuclideanNorm())
+        monkeypatch.setattr(simplex, "CERTIFY_SWEEPS", 0)
+        stats = check_against_northwest(f_plus, f_minus, cost)
+        assert stats.start == "lifo"
+        assert stats.seam == 0
+        assert stats.fallback == (
+            "seam 0: no feasible offsets after 0 Bellman-Ford sweeps; no cheaper seam"
+        )
+        assert stats.pivots > 0
+
+    def test_negative_cycle_falls_back(self):
+        # unit atoms: every LIFO match is exact, so each pair is its own
+        # component, and these components admit no feasible offsets
+        f_plus, f_minus = random_atoms_instance(np.random.default_rng(0), DISK, 7)
+        plan = solve_kantorovich(f_plus, f_minus, EUC)
+        assert plan.stats.start == "lifo"
+        assert plan.stats.fallback == (
+            "seam 0: negative cycle between components; "
+            "seam 5: negative cycle between components"
+        )
+        # seam 5's forest has several components, so seam 0's is kept
+        assert plan.stats.seam == 0
+        assert plan.cost == pytest.approx(brute_force_plan(f_plus, f_minus, EUC).cost, rel=1e-12)
+        check_against_northwest(f_plus, f_minus, EUC)
+
+
+class TestInit:
+    def test_unknown_init_rejected(self):
+        f_plus, f_minus = random_atoms_instance(np.random.default_rng(1), DISK, 3)
+        with pytest.raises(ValueError, match="nortwest"):
+            solve_kantorovich(f_plus, f_minus, EUC, init="nortwest")
+        with pytest.raises(ValueError, match="unknown init"):
+            simplex.solve_transport(np.ones((2, 2)), np.ones(2), np.ones(2), init="nw")
+
+    @pytest.mark.parametrize("datum", ["cosine", "constant"])
+    def test_unknown_init_rejected_by_least_gradient(self, datum):
+        g = cosine_datum(64)
+        if datum == "constant":
+            g.samples[:, 1] = 1.0
+        with pytest.raises(ValueError, match="unknown init"):
+            solve_least_gradient(g, DISK, EuclideanNorm(), grid_n=16, init="nortwest")
+
+
+class TestSolverStats:
+    def test_certified(self):
+        f_plus, f_minus = mirror_cosine_measures(50)
+        stats = solve_kantorovich(f_plus, f_minus, EUC).stats
+        assert stats == SolverStats("certified", 0, "", 0, stats.b_scale)
+        assert stats.config() == {
+            "start": "certified", "seam": 0, "fallback": "", "pivots": 0,
+            "b_scale": stats.b_scale,
+        }
+
+    def test_seam_recorded(self):
+        stats = solve_kantorovich(*lsg_pool(1)[0]).stats
+        assert (stats.start, stats.seam, stats.pivots) == ("certified_seam", 75, 0)
+        assert stats.fallback == "seam 0: a component's plan is not optimal on its own"
+
+    def test_requested_northwest(self):
+        f_plus, f_minus = mirror_cosine_measures(20)
+        stats = solve_kantorovich(f_plus, f_minus, EUC, init="northwest").stats
+        assert (stats.start, stats.seam, stats.fallback) == ("northwest", -1, "")
+
+    def test_no_positions_fall_back_to_northwest(self):
+        start = simplex.solve_transport(np.ones((2, 2)), np.ones(2), np.ones(2))[5]
+        assert start == simplex.BasisStart("northwest", -1, "no boundary positions")
+
+    def test_solver_error_recorded(self, monkeypatch):
+        def broken(*args):
+            raise SolverError("boundary matching produced a cycle")
+
+        monkeypatch.setattr(simplex, "boundary_stack_basis", broken)
+        f_plus, f_minus = mirror_cosine_measures(20)
+        plan = solve_kantorovich(f_plus, f_minus, EUC)
+        assert plan.stats.start == "northwest"
+        assert plan.stats.fallback == "boundary matching produced a cycle"
+        plan.validate()
+
+    def test_rescale_factor_recorded(self):
+        f_plus = BoundaryMeasure([0.0], [1.0], TWO_PI)
+        f_minus = BoundaryMeasure([math.pi], [1.0 + 1e-12], TWO_PI)
+        stats = solve_kantorovich(f_plus, f_minus, EUC).stats
+        assert stats.b_scale == 1.0 / (1.0 + 1e-12)
+
+
+# pivots of the plain LIFO start on the first 40 lsg pool inputs of seed 101
+LSG_POOL_PLAIN_PIVOTS = [
+    69, 0, 41, 50, 42, 12, 82, 0, 21, 0, 0, 74, 18, 115, 29, 73, 29, 0, 23, 21,
+    35, 19, 9, 1, 11, 92, 0, 47, 22, 0, 48, 0, 9, 134, 17, 38, 39, 64, 30, 12,
+]
+
+
+class TestPivotLadder:
+    """Pivot counts are deterministic; the plain LIFO start's are pinned
+    beside each instance."""
+
+    def test_cex_pair_200(self):
+        # plain LIFO start: 16044 pivots
+        arcs = build_arcs(2, eps=[0.1, 0.08])
+        plan = solve_kantorovich(*arcs.pair_measures(0, 200), ChordCost(arcs.domain, EuclideanNorm()))
+        assert plan.stats.pivots == 0
+
+    def test_mirror_cosine(self):
+        # plain LIFO start: 0 pivots
+        assert solve_kantorovich(*mirror_cosine_measures(1000), EUC).stats.pivots == 0
+
+    def test_cosine_datum(self):
+        # plain LIFO start: 50 pivots
+        f_plus, f_minus = remove_common_mass(*tangential_derivative(cosine_datum(2000)))
+        assert solve_kantorovich(f_plus, f_minus, EUC).stats.pivots == 0
+
+    def test_lsg_pool(self):
+        pivots = [solve_kantorovich(*inputs).stats.pivots for inputs in lsg_pool(40)]
+        assert np.median(pivots) <= 2
+        assert all(p <= q for p, q in zip(pivots, LSG_POOL_PLAIN_PIVOTS))
