@@ -231,12 +231,11 @@ def run_counterexample(
     N: int,
     p: float,
     mode: str = "exact",
-    domain: Disk = None,
     eps: list = None,
     grid_n: int = 96,
     atoms_per_arc: int = 64,
 ) -> dict:
-    """Per-pair p-th power integrals and their partial sum.
+    """Per-pair p-th power integrals on the unit disk and their partial sum.
 
     exact mode evaluates the chart integral per pair by Gauss-Jacobi
     quadrature (infinite for p >= 3); grid mode solves the per-pair
@@ -246,7 +245,7 @@ def run_counterexample(
     """
     if mode not in ("exact", "grid"):
         raise ValueError(f"unknown mode {mode!r}")
-    arcs = build_arcs(N, domain=domain, eps=eps)
+    arcs = build_arcs(N, eps=eps)
     if mode == "exact":
         per_pair = [exact_pair_lp(arcs, n, p) for n in range(N)]
     else:

@@ -69,15 +69,17 @@ def load_problem(path: str) -> dict:
         _check_keys(cfg["g"], {"samples", "jumps"}, "g")
     elif ("f_plus" in cfg) != ("f_minus" in cfg):
         raise SchemaError("f_plus and f_minus must come together")
+    # type() and not isinstance(): JSON true and false are bools, and
+    # bool is a subclass of int
     if "grid" in cfg:
         _check_keys(cfg["grid"], {"n"}, "grid")
-        if not isinstance(cfg["grid"].get("n"), int) or cfg["grid"]["n"] < 1:
+        if type(cfg["grid"].get("n")) is not int or cfg["grid"]["n"] < 1:
             raise SchemaError("grid.n must be a positive integer")
     if "quadrature" in cfg and (
-        not isinstance(cfg["quadrature"], int) or cfg["quadrature"] < 1
+        type(cfg["quadrature"]) is not int or cfg["quadrature"] < 1
     ):
         raise SchemaError("quadrature must be a positive integer")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
+    if "seed" in cfg and type(cfg["seed"]) is not int:
         raise SchemaError("seed must be an integer")
     return cfg
 

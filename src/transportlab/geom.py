@@ -22,22 +22,23 @@ TWO_PI = 2.0 * math.pi
 
 # Gauss-Legendre rule used for all arclength quadrature.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# panels of an arclength table
+_N_PANELS = 4096
 
 
 class _ArclengthTable:
-    """Cumulative arclength over a periodic parameter, with inversion.
+    """Cumulative arclength over the parameter period 2 pi, with inversion.
 
-    Panels use Gauss-Legendre quadrature of the supplied speed function;
-    inversion takes a piecewise-linear initial guess between the knots
-    and refines it with Newton steps.
+    ``_N_PANELS`` panels use Gauss-Legendre quadrature of the supplied
+    speed function; inversion takes a piecewise-linear initial guess
+    between the knots and refines it with Newton steps.
     Round trips s -> t -> s are accurate to well below 1e-10 * perimeter.
     """
 
-    def __init__(self, speed, period: float = TWO_PI, n_panels: int = 4096):
+    def __init__(self, speed):
         self.speed = speed
-        self.period = period
-        self.knots = np.linspace(0.0, period, n_panels + 1)
-        h = period / n_panels
+        self.knots = np.linspace(0.0, TWO_PI, _N_PANELS + 1)
+        h = TWO_PI / _N_PANELS
         # quadrature nodes for every panel at once
         t_nodes = self.knots[:-1, None] + 0.5 * h * (_GL_NODES[None, :] + 1.0)
         panel = 0.5 * h * (speed(t_nodes) * _GL_WEIGHTS[None, :]).sum(axis=1)
@@ -65,7 +66,7 @@ class _ArclengthTable:
 
     def arclength_of_param(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        t = np.mod(t, self.period)
+        t = np.mod(t, TWO_PI)
         k = np.clip(
             np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.knots) - 2
         )
@@ -241,12 +242,11 @@ class RadialDomain(Domain):
     """
 
     rho: object = field(repr=False)
-    n_check: int = 4096
 
     kind = "radial"
 
     def __post_init__(self):
-        check = np.linspace(0.0, TWO_PI, self.n_check, endpoint=False)
+        check = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         vals = np.asarray([float(self.rho(t)) for t in check])
         if np.any(vals <= 0):
             raise ValueError("radial profile must be strictly positive")
@@ -319,8 +319,8 @@ def ellipse(a: float, b: float) -> Ellipse:
     return Ellipse(float(a), float(b))
 
 
-def radial(rho, n_check: int = 4096) -> RadialDomain:
-    return RadialDomain(rho, n_check)
+def radial(rho) -> RadialDomain:
+    return RadialDomain(rho)
 
 
 _ROT_MINUS_90 = np.array([[0.0, 1.0], [-1.0, 0.0]])

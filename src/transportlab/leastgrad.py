@@ -18,7 +18,6 @@ from .density import GridField, grid_for_domain
 from .geom import ChordCost, Domain, Norm
 from .measures import BoundaryDatum, remove_common_mass, tangential_derivative
 from .ot import TransportPlan, solve_kantorovich
-from .simplex import check_init
 
 
 @dataclass
@@ -130,14 +129,10 @@ def total_variation(u: GridField, phi: Norm, domain: Domain) -> float:
     return gradient_norm_field(u, phi, domain).integral()
 
 
-def trace_error(
-    u: GridField,
-    g: BoundaryDatum,
-    domain: Domain,
-    n_samples: int = 1024,
-) -> float:
-    """Max boundary mismatch, read 2h inside along the normal."""
-    s = np.linspace(0.0, domain.perimeter, n_samples, endpoint=False)
+def trace_error(u: GridField, g: BoundaryDatum, domain: Domain) -> float:
+    """Max boundary mismatch at 1024 boundary points, read 2h inside
+    along the normal."""
+    s = np.linspace(0.0, domain.perimeter, 1024, endpoint=False)
     p = domain.boundary_point(s) + 2.0 * u.cell * domain.inward_normal(s)
     ix = np.clip(((p[:, 0] - u.origin[0]) / u.cell).astype(int), 0, u.nx - 1)
     iy = np.clip(((p[:, 1] - u.origin[1]) / u.cell).astype(int), 0, u.ny - 1)
@@ -163,7 +158,6 @@ def solve_least_gradient(
     grid: GridField = None,
     grid_n: int = 512,
     anchor_s: float = 0.0,
-    init: str = "boundary",
     n_quad: int = 1,
 ) -> LeastGradientResult:
     """Full pipeline: datum -> derivative -> transport -> u.
@@ -172,10 +166,8 @@ def solve_least_gradient(
     equals the anisotropic TV of the minimizer.  n_quad is the number
     of derivative atoms per linear piece of g; finely sampled data
     should keep it at 1, coarse data with long linear pieces may want
-    more.  ``init`` is the simplex start (see ``solve_kantorovich``);
-    an unknown one raises ``ValueError`` even for a constant datum.
+    more.
     """
-    check_init(init)
     f_plus, f_minus = tangential_derivative(g, n_quad=n_quad)
     f_plus, f_minus = remove_common_mass(f_plus, f_minus)
     if grid is None:
@@ -193,7 +185,7 @@ def solve_least_gradient(
             trace_err=trace_error(u, g, domain),
         )
     cost = ChordCost(domain, phi.rotated())
-    plan = solve_kantorovich(f_plus, f_minus, cost, init=init)
+    plan = solve_kantorovich(f_plus, f_minus, cost)
     flow = flow_from_plan(plan)
     u = reconstruct_u(flow, g, grid, domain, anchor_s)
     return LeastGradientResult(

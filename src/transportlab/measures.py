@@ -119,10 +119,10 @@ class BoundaryDatum:
     samples: np.ndarray
     jumps: np.ndarray
     perimeter: float
-    check_closure: bool = True
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float).reshape(-1, 2)
+        # copies: the positions are wrapped in place below
+        samples = np.array(self.samples, dtype=float).reshape(-1, 2)
         if len(samples) < 1:
             raise ValueError("datum needs at least one sample")
         samples[:, 0] = _wrap(samples[:, 0], self.perimeter)
@@ -134,19 +134,18 @@ class BoundaryDatum:
         if self.jumps is None:
             jumps = np.zeros((0, 2))
         else:
-            jumps = np.asarray(self.jumps, dtype=float).reshape(-1, 2)
+            jumps = np.array(self.jumps, dtype=float).reshape(-1, 2)
             jumps[:, 0] = _wrap(jumps[:, 0], self.perimeter)
             jumps = jumps[np.argsort(jumps[:, 0], kind="stable")]
         self.samples = samples
         self.jumps = jumps
-        if self.check_closure:
-            imbalance = float(np.sum(jumps[:, 1]))
-            scale = max(1.0, self.total_variation())
-            if abs(imbalance) > MERGE_TOL * scale:
-                raise InfeasibleError(
-                    f"boundary datum does not close up: jump heights sum to "
-                    f"{imbalance:.3e} (must vanish)"
-                )
+        imbalance = float(np.sum(jumps[:, 1]))
+        scale = max(1.0, self.total_variation())
+        if abs(imbalance) > MERGE_TOL * scale:
+            raise InfeasibleError(
+                f"boundary datum does not close up: jump heights sum to "
+                f"{imbalance:.3e} (must vanish)"
+            )
 
     def total_variation(self) -> float:
         v = self.samples[:, 1]
@@ -189,49 +188,27 @@ def tangential_derivative(
     if n_quad < 1:
         raise ValueError(f"n_quad must be >= 1, got {n_quad}")
     per = datum.perimeter
-    xs = datum.samples[:, 0]
-    vs = datum.samples[:, 1]
-    pos_s, pos_m, pos_l = [], [], []
-    neg_s, neg_m, neg_l = [], [], []
-    n_seg = len(xs)
-    for k in range(n_seg):
-        s0, v0 = xs[k], vs[k]
-        s1 = xs[(k + 1) % n_seg] + (per if k + 1 == n_seg else 0.0)
-        v1 = vs[(k + 1) % n_seg]
-        length = s1 - s0
-        if length <= 0 or v1 == v0:
-            continue
-        slope = (v1 - v0) / length
-        sub = length / n_quad
-        mids = s0 + (np.arange(n_quad) + 0.5) * sub
-        masses = np.full(n_quad, abs(slope) * sub)
-        if slope > 0:
-            pos_s.append(mids)
-            pos_m.append(masses)
-            pos_l.append(np.full(n_quad, sub))
-        else:
-            neg_s.append(mids)
-            neg_m.append(masses)
-            neg_l.append(np.full(n_quad, sub))
-    for sj, h in datum.jumps:
-        if h > 0:
-            pos_s.append([sj])
-            pos_m.append([h])
-            pos_l.append([0.0])
-        elif h < 0:
-            neg_s.append([sj])
-            neg_m.append([-h])
-            neg_l.append([0.0])
-
-    def build(ss, mm, ll):
-        if not ss:
-            return BoundaryMeasure(np.empty(0), np.empty(0), per, np.empty(0))
-        return BoundaryMeasure(
-            np.concatenate(ss), np.concatenate(mm), per, np.concatenate(ll)
+    xs, vs = datum.samples.T
+    # piece k runs from sample k to sample k + 1, the last across the seam
+    length = np.append(xs[1:], xs[0] + per) - xs
+    rise = np.roll(vs, -1) - vs
+    keep = (length > 0) & (rise != 0)
+    length, rise = length[keep], rise[keep]
+    sub = length / n_quad
+    mids = xs[keep, None] + (np.arange(n_quad) + 0.5) * sub[:, None]
+    mass = np.abs(rise / length) * sub
+    up = rise > 0
+    h = datum.jumps[:, 1]
+    # each piece's atoms in piece order, then the jumps in jump order
+    f_plus, f_minus = (
+        BoundaryMeasure(
+            np.concatenate([mids[piece].ravel(), datum.jumps[jump, 0]]),
+            np.concatenate([np.repeat(mass[piece], n_quad), np.abs(h[jump])]),
+            per,
+            np.concatenate([np.repeat(sub[piece], n_quad), np.zeros(np.count_nonzero(jump))]),
         )
-
-    f_plus = build(pos_s, pos_m, pos_l)
-    f_minus = build(neg_s, neg_m, neg_l)
+        for piece, jump in ((up, h > 0), (~up, h < 0))
+    )
     scale = max(datum.total_variation(), 1.0)
     gap = abs(f_plus.total_mass - f_minus.total_mass)
     if gap > BALANCE_TOL * scale:
@@ -244,7 +221,8 @@ def tangential_derivative(
 def remove_common_mass(
     f_plus: BoundaryMeasure, f_minus: BoundaryMeasure
 ) -> tuple[BoundaryMeasure, BoundaryMeasure]:
-    """Cancel mass shared at coinciding atom positions.
+    """Cancel mass shared at coinciding atom positions, also across the
+    seam at 0.
 
     The difference f_plus - f_minus is preserved atom by atom; applying
     the operation twice changes nothing.
@@ -268,6 +246,17 @@ def remove_common_mass(
             i += 1
         else:
             j += 1
+    # the last atom of one measure and the first of the other may meet
+    # across the seam at 0
+    if len(mp) and len(mm):
+        for i, j, gap in (
+            (-1, 0, f_minus.s[0] + per - f_plus.s[-1]),
+            (0, -1, f_plus.s[0] + per - f_minus.s[-1]),
+        ):
+            if gap <= tol:
+                c = min(mp[i], mm[j])
+                mp[i] -= c
+                mm[j] -= c
     return (
         BoundaryMeasure(f_plus.s, mp, per, f_plus.sublength),
         BoundaryMeasure(f_minus.s, mm, per, f_minus.sublength),

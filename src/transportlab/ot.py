@@ -31,10 +31,9 @@ class SolverStats:
     ``start`` is the starting basis used ("certified", "certified_seam",
     "lifo" or "northwest", see :class:`simplex.BasisStart`), ``seam``
     the boundary walk's starting event (-1 for northwest), ``fallback``
-    why a certified start was not used ("" when it was, or when
-    northwest was asked for), ``pivots`` the simplex pivots and
-    ``b_scale`` the factor sum(a) / sum(b) that rebalanced the target
-    masses.
+    why a certified start was not used ("" when it was), ``pivots`` the
+    simplex pivots and ``b_scale`` the factor sum(a) / sum(b) that
+    rebalanced the target masses.
     """
 
     start: str
@@ -185,14 +184,12 @@ def solve_kantorovich(
     f_plus: BoundaryMeasure,
     f_minus: BoundaryMeasure,
     cost: ChordCost,
-    init: str = "boundary",
 ) -> TransportPlan:
     """Exact optimal transport via the transportation simplex.
 
-    ``init`` picks the starting basis: "boundary" (the non-crossing LIFO
-    matching along the boundary, with joins that certify it optimal
-    when it is, so it often needs no pivot at all) or "northwest"
-    (classic corner rule); any other value raises ``ValueError``.
+    The simplex starts from the non-crossing LIFO matching along the
+    boundary, with joins that certify it optimal when it is, so it
+    often needs no pivot at all (see :func:`simplex.boundary_stack_basis`).
     The target masses are rescaled by sum(a) / sum(b), recorded in the
     plan's ``stats``, so basic solutions satisfy both marginals.
     """
@@ -203,7 +200,7 @@ def solve_kantorovich(
     b = b * b_scale
     C = cost.matrix(f_plus.s, f_minus.s)
     bi, bj, f, u, v, start, iters = simplex.solve_transport(
-        C, a, b, init=init, s_a=f_plus.s, s_b=f_minus.s
+        C, a, b, s_a=f_plus.s, s_b=f_minus.s
     )
     keep = np.flatnonzero(f > 0)
     keep = keep[np.lexsort((bj[keep], bi[keep]))]

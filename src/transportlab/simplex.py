@@ -15,7 +15,8 @@ basis through cells that certify it optimal when it is: the first
 pricing then finds no entering cell and the solve makes no pivot.  If
 the walk from s = 0 does not certify, the seam with the cheapest LIFO
 plan, found in one sweep over the levels, is tried; otherwise the
-forest keeps plain joins.  The core prices every start, so optimality
+forest keeps plain joins.  Input without boundary positions starts
+from the northwest corner.  The core prices every start, so optimality
 is always checked, never trusted.
 
 One core: numpy pricing and python tree bookkeeping.  The basis tree
@@ -35,7 +36,6 @@ import numpy as np
 from .errors import SolverError
 
 STALL_LIMIT = 64
-INITS = ("boundary", "northwest")
 # Gauss-Seidel sweeps the certificate's Bellman-Ford may take, each
 # O(K^2) in the number K of forest components, before it gives up
 CERTIFY_SWEEPS = 8
@@ -211,20 +211,15 @@ class BasisStart(NamedTuple):
     ``kind`` is "certified" (the LIFO plan from the seam at s = 0,
     proven optimal), "certified_seam" (the same from the cheapest
     seam), "lifo" (a LIFO forest with plain joins, not certified) or
-    "northwest".  ``seam`` is the event index the boundary walk starts
-    at (-1 for northwest) and ``reason`` says why a certified start was
-    not used, or is "" when it was (or northwest was asked for).
+    "northwest" (input without boundary positions).  ``seam`` is the
+    event index the boundary walk starts at (-1 for northwest) and
+    ``reason`` says why a certified start was not used, or is "" when
+    it was.
     """
 
     kind: str
     seam: int
     reason: str
-
-
-def check_init(init: str) -> None:
-    """Reject a starting-basis name other than those in ``INITS``."""
-    if init not in INITS:
-        raise ValueError(f"unknown init {init!r}; expected one of {INITS}")
 
 
 def _price_tol(C) -> float:
@@ -303,6 +298,8 @@ def _forest(C, ei, ej):
                     pot[y] = c - pot[x]
                     stack.append(y)
         k += 1
+    # a LIFO walk cannot trip this: each atom on its stack is alone in
+    # its component, so every match joins two components
     if len(ei) != n + m - k:
         raise SolverError("boundary matching produced a cycle")
     pot = np.array(pot)
@@ -564,29 +561,20 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     return (*_as_basis(*entries, joins), BasisStart("lifo", seam, reason))
 
 
-def solve_transport(C, a, b, init="boundary", s_a=None, s_b=None):
+def solve_transport(C, a, b, s_a=None, s_b=None):
     """Run the simplex; returns (bi, bj, f, u, v, start, iterations).
 
-    ``init`` is "boundary" (:func:`boundary_stack_basis`, which needs
-    the positions ``s_a`` and ``s_b``) or "northwest".  ``start`` is the
-    :class:`BasisStart` actually used: without positions, or when the
-    boundary basis fails, the northwest start runs and says why.
+    With the boundary positions ``s_a`` and ``s_b`` the start is
+    :func:`boundary_stack_basis`; without them it is
+    :func:`northwest_basis`.  ``start`` is the :class:`BasisStart` used.
     """
-    check_init(init)
     C = np.ascontiguousarray(C, dtype=np.float64)
     n, m = C.shape
-    reason = ""
-    if init == "boundary":
-        if s_a is None or s_b is None:
-            reason = "no boundary positions"
-        else:
-            try:
-                bi, bj, f, start = boundary_stack_basis(C, a, b, s_a, s_b)
-            except SolverError as err:
-                reason = str(err)
-    if init == "northwest" or reason:
+    if s_a is None or s_b is None:
         bi, bj, f = northwest_basis(a, b)
-        start = BasisStart("northwest", -1, reason)
+        start = BasisStart("northwest", -1, "no boundary positions")
+    else:
+        bi, bj, f, start = boundary_stack_basis(C, a, b, s_a, s_b)
     u = np.zeros(n)
     v = np.zeros(m)
     tol = _price_tol(C)

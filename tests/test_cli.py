@@ -104,6 +104,24 @@ class TestSchemaErrors:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"grid": {"n": True}}, "grid.n"),
+            ({"grid": {"n": 0}}, "grid.n"),
+            ({"quadrature": True}, "quadrature"),
+            ({"quadrature": 1.5}, "quadrature"),
+            ({"seed": False}, "seed"),
+            ({"seed": "7"}, "seed"),
+        ],
+        ids=["grid-true", "grid-zero", "quadrature-true", "quadrature-float", "seed-false", "seed-string"],
+    )
+    def test_bad_integer_keys(self, tmp_path, capsys, extra, key):
+        prob = write_problem(tmp_path, {**pair_cfg(), **extra})
+        code, _, err = run(capsys, "solve", "--problem", prob)
+        assert code == 2
+        assert key in err
+
+    @pytest.mark.parametrize(
         "data",
         [
             {"g": {"samples": [[0.0, 1.0], [0.0, 2.0], [3.0, 0.0]]}},

@@ -720,8 +720,8 @@ class TestSimplexCores:
     def test_wrapper_matches_cores(self):
         rng = np.random.default_rng(5)
         C, a, b = self._instance(rng, 12, 17)
-        bi, bj, f, u, v, start, iters = simplex.solve_transport(C, a, b, init="northwest")
-        assert start == simplex.BasisStart("northwest", -1, "")
+        bi, bj, f, u, v, start, iters = simplex.solve_transport(C, a, b)
+        assert start == simplex.BasisStart("northwest", -1, "no boundary positions")
         flows = np.zeros_like(C)
         flows[bi, bj] = f
         assert np.allclose(flows.sum(axis=1), a, rtol=1e-12)

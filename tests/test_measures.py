@@ -142,6 +142,15 @@ class TestBoundaryDatum:
                 perimeter=TWO_PI,
             )
 
+    def test_caller_arrays_untouched(self):
+        samples = np.array([[7.0, 1.0], [3.0, 2.0]])
+        jumps = np.array([[-1.0, 1.0], [2.0, -1.0]])
+        g = BoundaryDatum(samples, jumps, TWO_PI)
+        assert samples.tolist() == [[7.0, 1.0], [3.0, 2.0]]
+        assert jumps.tolist() == [[-1.0, 1.0], [2.0, -1.0]]
+        assert g.samples[:, 0].tolist() == [7.0 - TWO_PI, 3.0]
+        assert g.jumps[:, 0].tolist() == [2.0, TWO_PI - 1.0]
+
     def test_duplicate_across_the_seam_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             BoundaryDatum(
@@ -196,6 +205,22 @@ class TestTangentialDerivative:
         plan = solve_kantorovich(f_plus, f_minus, ChordCost(disk(1.0), EuclideanNorm()))
         assert abs(plan.gap) <= 1e-9 * max(plan.cost, 1.0)
 
+    def test_jump_at_a_piece_midpoint(self):
+        # the rise on [0, 2] has its atom at 1, where a jump of the same
+        # sign sits: they merge, and only the piece carries a sublength
+        g = BoundaryDatum(
+            samples=np.array([[0.0, 0.0], [2.0, 1.0], [4.0, 1.0]]),
+            jumps=np.array([[1.0, 0.5], [3.0, -0.5]]),
+            perimeter=TWO_PI,
+        )
+        f_plus, f_minus = tangential_derivative(g)
+        assert (f_plus.s.tolist(), f_plus.mass.tolist()) == ([1.0], [1.5])
+        assert f_plus.sublength.tolist() == [2.0]
+        # the fall runs from 4 across the seam to 2 pi
+        assert f_minus.s.tolist() == [3.0, 4.0 + 0.5 * (TWO_PI - 4.0)]
+        assert f_minus.mass.tolist() == [0.5, 1.0]
+        assert f_minus.sublength.tolist() == [0.0, TWO_PI - 4.0]
+
     def test_constant_datum_empty(self):
         g = BoundaryDatum(
             samples=np.array([[0.0, 5.0], [3.0, 5.0]]), jumps=None, perimeter=TWO_PI
@@ -249,6 +274,28 @@ class TestRemoveCommonMass:
         a2, b2 = remove_common_mass(a1, b1)
         assert a1.config() == a2.config()
         assert b1.config() == b2.config()
+
+    @pytest.mark.parametrize("plus_at_zero", [True, False])
+    def test_cancellation_across_the_seam(self, plus_at_zero):
+        # 0 and 2 pi - 1e-13 are one boundary point
+        near, far = [0.0, 2.0], [TWO_PI - 1e-13, 3.0]
+        if not plus_at_zero:
+            near, far = far, near
+        a, b = remove_common_mass(
+            BoundaryMeasure(near, [1.0, 1.0], TWO_PI), BoundaryMeasure(far, [1.5, 1.0], TWO_PI)
+        )
+        assert a.config() == [[near[1], 1.0]]
+        assert b.config() == sorted([[far[0], 0.5], [far[1], 1.0]])
+
+    def test_seam_jumps_cancel(self):
+        # jumps +h at 0 and -h just below 2 pi leave no derivative mass
+        g = BoundaryDatum(
+            samples=np.array([[1.0, 0.0], [4.0, 0.0]]),
+            jumps=np.array([[0.0, 1.0], [TWO_PI - 1e-13, -1.0]]),
+            perimeter=TWO_PI,
+        )
+        f_plus, f_minus = remove_common_mass(*tangential_derivative(g))
+        assert len(f_plus) == 0 and len(f_minus) == 0
 
     def test_difference_preserved(self):
         f_plus = BoundaryMeasure([1.0, 2.0], [2.0, 1.0], TWO_PI)

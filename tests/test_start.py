@@ -1,9 +1,10 @@
 """The certified boundary start.
 
 Whenever the start says it is certified, the simplex makes no pivot and
-ends at the northwest start's plan.  The seam sweep agrees with one LIFO
-walk per seam, degenerate forests are handled, unknown starts are
-refused, and the pivot ladder is pinned against the counts of the plain
+ends at the plan of the northwest start, which the solver uses for input
+without boundary positions.  Every seam's LIFO walk leaves a forest, the
+seam sweep agrees with one LIFO walk per seam, degenerate forests are
+handled, and the pivot ladder is pinned against the counts of the plain
 LIFO start the solver used before.
 """
 
@@ -19,7 +20,6 @@ from transportlab.cex import build_arcs
 from transportlab.errors import SolverError
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse
 from transportlab.instances import cosine_datum, mirror_cosine_measures, random_atoms_instance
-from transportlab.leastgrad import solve_least_gradient
 from transportlab.measures import BoundaryMeasure, remove_common_mass, tangential_derivative
 from transportlab.ot import SolverStats, solve_kantorovich
 
@@ -42,35 +42,33 @@ def lsg_pool(count, seed=101):
     return out
 
 
-def assert_same_plan(plan, ref):
-    """Same entries as a set, cost to 1e-15 relative, gap to 1e-14 cost."""
-    assert set(zip(plan.i.tolist(), plan.j.tolist())) == set(zip(ref.i.tolist(), ref.j.tolist()))
-    assert abs(plan.cost - ref.cost) <= 1e-15 * ref.cost
-    assert abs(plan.gap) <= 1e-14 * plan.cost
-
-
-def check_against_northwest(f_plus, f_minus, cost):
-    plan = solve_kantorovich(f_plus, f_minus, cost)
-    if plan.stats.start.startswith("certified"):
-        assert plan.stats.pivots == 0
-    assert_same_plan(plan, solve_kantorovich(f_plus, f_minus, cost, init="northwest"))
-    return plan.stats
-
-
 def solve_both(C, a, b, s_a, s_b):
-    """solve_transport from the boundary and the northwest start, as
-    (start, pivots, positive cells, cost, gap) each."""
+    """solve_transport with the boundary positions and without them (the
+    northwest start), as (start, pivots, positive cells, cost, gap) each;
+    the cost sums the cells in (i, j) order, as solve_kantorovich does."""
     out = []
-    for init in ("boundary", "northwest"):
-        bi, bj, f, u, v, start, iters = simplex.solve_transport(
-            C, a, b, init=init, s_a=s_a, s_b=s_b
-        )
-        keep = f > 0
+    for positions in ((s_a, s_b), (None, None)):
+        bi, bj, f, u, v, start, iters = simplex.solve_transport(C, a, b, *positions)
+        keep = np.flatnonzero(f > 0)
+        keep = keep[np.lexsort((bj[keep], bi[keep]))]
         cost = float(np.dot(f[keep], C[bi[keep], bj[keep]]))
         gap = cost - float(np.dot(u, a) + np.dot(v, b))
         cells = set(zip(bi[keep].tolist(), bj[keep].tolist()))
         out.append((start, iters - 1, cells, cost, gap))
     return out
+
+
+def check_against_northwest(f_plus, f_minus, cost):
+    """The plan against the northwest start's: the same entries as a set,
+    cost to 1e-15 relative and gap to 1e-14 cost."""
+    plan = solve_kantorovich(f_plus, f_minus, cost)
+    if plan.stats.start.startswith("certified"):
+        assert plan.stats.pivots == 0
+    _, _, cells, ref_cost, _ = solve_both(*core_inputs(f_plus, f_minus, cost))[1]
+    assert set(zip(plan.i.tolist(), plan.j.tolist())) == cells
+    assert abs(plan.cost - ref_cost) <= 1e-15 * ref_cost
+    assert abs(plan.gap) <= 1e-14 * plan.cost
+    return plan.stats
 
 
 class TestSoundness:
@@ -112,6 +110,49 @@ class TestSoundness:
     def test_lsg_inputs(self):
         kinds = [check_against_northwest(*inputs).start for inputs in lsg_pool(12)]
         assert "certified_seam" in kinds
+
+
+FOREST_KINDS = ["random", "integer", "coincident"]
+
+
+def forest_instance(rng, kind):
+    """Masses, positions and uniform costs for a LIFO walk: random float
+    masses, integer masses (exact ties in the walk) or random masses on
+    a few positions shared by both kinds."""
+    n, m = (int(x) for x in rng.integers(1, 13, 2))
+    if kind == "integer":
+        a = rng.integers(1, 5, n).astype(float)
+        m = min(m, int(a.sum()))
+        b = 1.0 + np.bincount(rng.integers(0, m, int(a.sum()) - m), minlength=m)
+    else:
+        a = rng.uniform(0.1, 2.0, n)
+        b = rng.uniform(0.1, 2.0, m)
+        b *= a.sum() / b.sum()
+    if kind == "coincident":
+        spots = rng.uniform(0.0, TWO_PI, 3)
+        s_a, s_b = rng.choice(spots, n), rng.choice(spots, m)
+    else:
+        s_a, s_b = rng.uniform(0.0, TWO_PI, n), rng.uniform(0.0, TWO_PI, m)
+    return rng.uniform(0.0, 3.0, (n, m)), a, b, s_a, s_b
+
+
+class TestLifoForest:
+    """Each atom on the walk's stack lies in its own forest component, so
+    a match only ever joins two components: from every seam the LIFO
+    matching is a forest, and ``_forest`` never finds a cycle."""
+
+    @pytest.mark.parametrize("kind", FOREST_KINDS)
+    def test_every_seam_gives_a_forest(self, kind):
+        rng = np.random.default_rng(FOREST_KINDS.index(kind))
+        for trial in range(200):
+            C, a, b, s_a, s_b = forest_instance(rng, kind)
+            kinds, idxs = simplex._events(s_a, s_b)
+            for seam in range(len(kinds)):
+                walk = np.roll(kinds, -seam), np.roll(idxs, -seam)
+                ei, ej, _ = simplex._lifo(a, b, *walk)
+                # _forest raises SolverError on a cycle
+                k = simplex._forest(C, ei, ej)[0]
+                assert len(ei) == len(a) + len(b) - k, f"trial {trial}, seam {seam}"
 
 
 def check_sweep(C, a, b, s_a, s_b):
@@ -229,23 +270,6 @@ class TestDegenerateInputs:
         check_against_northwest(f_plus, f_minus, EUC)
 
 
-class TestInit:
-    def test_unknown_init_rejected(self):
-        f_plus, f_minus = random_atoms_instance(np.random.default_rng(1), DISK, 3)
-        with pytest.raises(ValueError, match="nortwest"):
-            solve_kantorovich(f_plus, f_minus, EUC, init="nortwest")
-        with pytest.raises(ValueError, match="unknown init"):
-            simplex.solve_transport(np.ones((2, 2)), np.ones(2), np.ones(2), init="nw")
-
-    @pytest.mark.parametrize("datum", ["cosine", "constant"])
-    def test_unknown_init_rejected_by_least_gradient(self, datum):
-        g = cosine_datum(64)
-        if datum == "constant":
-            g.samples[:, 1] = 1.0
-        with pytest.raises(ValueError, match="unknown init"):
-            solve_least_gradient(g, DISK, EuclideanNorm(), grid_n=16, init="nortwest")
-
-
 class TestSolverStats:
     def test_certified(self):
         f_plus, f_minus = mirror_cosine_measures(50)
@@ -261,25 +285,19 @@ class TestSolverStats:
         assert (stats.start, stats.seam, stats.pivots) == ("certified_seam", 75, 0)
         assert stats.fallback == "seam 0: a component's plan is not optimal on its own"
 
-    def test_requested_northwest(self):
-        f_plus, f_minus = mirror_cosine_measures(20)
-        stats = solve_kantorovich(f_plus, f_minus, EUC, init="northwest").stats
-        assert (stats.start, stats.seam, stats.fallback) == ("northwest", -1, "")
-
     def test_no_positions_fall_back_to_northwest(self):
         start = simplex.solve_transport(np.ones((2, 2)), np.ones(2), np.ones(2))[5]
         assert start == simplex.BasisStart("northwest", -1, "no boundary positions")
 
-    def test_solver_error_recorded(self, monkeypatch):
+    def test_solver_error_propagates(self, monkeypatch):
+        # a failed boundary start is an error, not a silent northwest start
         def broken(*args):
             raise SolverError("boundary matching produced a cycle")
 
         monkeypatch.setattr(simplex, "boundary_stack_basis", broken)
         f_plus, f_minus = mirror_cosine_measures(20)
-        plan = solve_kantorovich(f_plus, f_minus, EUC)
-        assert plan.stats.start == "northwest"
-        assert plan.stats.fallback == "boundary matching produced a cycle"
-        plan.validate()
+        with pytest.raises(SolverError, match="cycle"):
+            solve_kantorovich(f_plus, f_minus, EUC)
 
     def test_rescale_factor_recorded(self):
         f_plus = BoundaryMeasure([0.0], [1.0], TWO_PI)
