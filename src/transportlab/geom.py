@@ -6,9 +6,9 @@ at the intersection with the positive x-axis.  Three kinds are supported:
 disks, axis-aligned ellipses, and star-shaped domains given by a smooth
 positive radial profile ``rho(theta)``.
 
-Norms are strictly convex norms on R^2 with an evaluable dual norm:
-the euclidean norm, the l^q norms for 1 < q < inf, and quadratic norms
-sqrt(v' A v) for symmetric positive definite A.
+Norms are strictly convex norms on R^2, evaluated on the components
+(dx, dy) of vectors: the euclidean norm, the l^q norms for 1 < q < inf,
+and quadratic norms sqrt(v' A v) for symmetric positive definite A.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ class _ArclengthTable:
             t = t - resid / self.speed(t)
         return t
 
-    def arclength_of_param(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        t = np.mod(t, TWO_PI)
-        k = np.clip(
-            np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.knots) - 2
-        )
-        return self.cumulative[k] + self._length_from_knot(k, t)
-
 
 def _as_points(x, y) -> np.ndarray:
     return np.stack([x, y], axis=-1)
@@ -114,7 +106,12 @@ class _PeriodicCubic:
 
 
 class Domain:
-    """Base class for uniformly convex planar domains."""
+    """Base class for uniformly convex planar domains.
+
+    Arclength is inverted to the domain's own curve parameter in one
+    place, ``_at``; each domain gives its point, its inward normal and
+    its curvature as functions of that parameter.
+    """
 
     kind: str = ""
     perimeter: float
@@ -122,17 +119,24 @@ class Domain:
     curvature_min: float
 
     def _param_of_s(self, s) -> np.ndarray:
-        raise NotImplementedError
+        return self._table.param_of_arclength(s)
+
+    def _at(self, s, of_param):
+        return of_param(self._param_of_s(s))
 
     def boundary_point(self, s) -> np.ndarray:
-        """Boundary point at arclength s (wraps modulo the perimeter)."""
-        raise NotImplementedError
+        """Boundary points at arclengths s (wrapped modulo the perimeter),
+        shape (k, 2)."""
+        return _as_points(*self._at(s, self._point))
 
-    def inward_normal(self, s) -> np.ndarray:
-        raise NotImplementedError
+    def frame(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary points and inward unit normals at arclengths s, each of
+        shape (k, 2), from one inversion."""
+        x, y, nx, ny = self._at(s, self._frame)
+        return _as_points(x, y), _as_points(nx, ny)
 
     def curvature(self, s) -> np.ndarray:
-        raise NotImplementedError
+        return self._at(s, self._curvature)
 
     def contains(self, points) -> np.ndarray:
         """True for points inside or on the boundary."""
@@ -162,16 +166,14 @@ class Disk(Domain):
     def _param_of_s(self, s):
         return np.atleast_1d(np.asarray(s, dtype=float)) / self.radius
 
-    def boundary_point(self, s):
-        th = self._param_of_s(s)
-        return _as_points(self.radius * np.cos(th), self.radius * np.sin(th))
+    def _point(self, th):
+        return self.radius * np.cos(th), self.radius * np.sin(th)
 
-    def inward_normal(self, s):
-        th = self._param_of_s(s)
-        return _as_points(-np.cos(th), -np.sin(th))
+    def _frame(self, th):
+        c, s = np.cos(th), np.sin(th)
+        return self.radius * c, self.radius * s, -c, -s
 
-    def curvature(self, s):
-        th = self._param_of_s(s)
+    def _curvature(self, th):
         return np.full_like(th, 1.0 / self.radius)
 
     def contains(self, points):
@@ -204,21 +206,16 @@ class Ellipse(Domain):
     def _speed(self, t):
         return np.sqrt((self.a * np.sin(t)) ** 2 + (self.b * np.cos(t)) ** 2)
 
-    def _param_of_s(self, s):
-        return self._table.param_of_arclength(s)
+    def _point(self, t):
+        return self.a * np.cos(t), self.b * np.sin(t)
 
-    def boundary_point(self, s):
-        t = self._param_of_s(s)
-        return _as_points(self.a * np.cos(t), self.b * np.sin(t))
-
-    def inward_normal(self, s):
-        t = self._param_of_s(s)
+    def _frame(self, t):
+        c, s = np.cos(t), np.sin(t)
         speed = self._speed(t)
         # tangent (-a sin, b cos)/speed rotated by +pi/2
-        return _as_points(-self.b * np.cos(t) / speed, -self.a * np.sin(t) / speed)
+        return self.a * c, self.b * s, -self.b * c / speed, -self.a * s / speed
 
-    def curvature(self, s):
-        t = self._param_of_s(s)
+    def _curvature(self, t):
         return self.a * self.b / self._speed(t) ** 3
 
     def contains(self, points):
@@ -251,7 +248,7 @@ class RadialDomain(Domain):
         if np.any(vals <= 0):
             raise ValueError("radial profile must be strictly positive")
         self._spline = _PeriodicCubic(vals, TWO_PI)
-        kappa = self._curvature_of_theta(check)
+        kappa = self._curvature(check)
         if np.any(kappa <= 0):
             worst = check[int(np.argmin(kappa))]
             raise ValueError(
@@ -271,7 +268,7 @@ class RadialDomain(Domain):
             float(pts[:, 1].max()) + pad,
         )
 
-    def _curvature_of_theta(self, th):
+    def _curvature(self, th):
         r, r1, r2 = self._spline(th)
         return (r**2 + 2 * r1**2 - r * r2) / (r**2 + r1**2) ** 1.5
 
@@ -279,25 +276,18 @@ class RadialDomain(Domain):
         r, r1, _ = self._spline(th)
         return np.sqrt(r**2 + r1**2)
 
-    def _param_of_s(self, s):
-        return self._table.param_of_arclength(s)
-
-    def boundary_point(self, s):
-        th = self._param_of_s(s)
+    def _point(self, th):
         r = self._spline(th)[0]
-        return _as_points(r * np.cos(th), r * np.sin(th))
+        return r * np.cos(th), r * np.sin(th)
 
-    def inward_normal(self, s):
-        th = self._param_of_s(s)
+    def _frame(self, th):
         r, r1, _ = self._spline(th)
+        c, s = np.cos(th), np.sin(th)
         # derivative of (r cos, r sin) with respect to theta, normalized
-        tx = r1 * np.cos(th) - r * np.sin(th)
-        ty = r1 * np.sin(th) + r * np.cos(th)
+        tx = r1 * c - r * s
+        ty = r1 * s + r * c
         speed = np.hypot(tx, ty)
-        return _as_points(-ty / speed, tx / speed)
-
-    def curvature(self, s):
-        return self._curvature_of_theta(self._param_of_s(s))
+        return r * c, r * s, -ty / speed, tx / speed
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
@@ -331,15 +321,14 @@ class Norm:
 
     kind: str = ""
 
-    def __call__(self, v) -> np.ndarray:
-        raise NotImplementedError
+    def __call__(self, dx, dy) -> np.ndarray:
+        """Norm of the vectors (dx, dy), elementwise."""
+        return self._in_place(np.array(dx, dtype=float), np.array(dy, dtype=float))
 
-    def dual_norm(self) -> "Norm":
-        """The norm ||v||_* = sup { v . xi : ||xi|| <= 1 }."""
+    def _in_place(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """The norm of (dx, dy) for float arrays the caller gives up: the
+        result may be written into either of them."""
         raise NotImplementedError
-
-    def dual(self, v) -> np.ndarray:
-        return self.dual_norm()(v)
 
     def rotated(self) -> "Norm":
         """The norm v -> ||R_{-pi/2} v||.
@@ -357,12 +346,8 @@ class Norm:
 class EuclideanNorm(Norm):
     kind = "euclidean"
 
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.hypot(v[..., 0], v[..., 1])
-
-    def dual_norm(self):
-        return self
+    def _in_place(self, dx, dy):
+        return np.hypot(dx, dy, out=dx)
 
     def rotated(self):
         return self
@@ -381,14 +366,15 @@ class LqNorm(Norm):
         if not 1.0 < self.q < math.inf:
             raise ValueError(f"lq norm requires 1 < q < inf, got q={self.q}")
 
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        return (np.abs(v[..., 0]) ** self.q + np.abs(v[..., 1]) ** self.q) ** (
-            1.0 / self.q
-        )
-
-    def dual_norm(self):
-        return LqNorm(self.q / (self.q - 1.0))
+    def _in_place(self, dx, dy):
+        # ``**=`` takes the same scalar-power path as ``**``
+        np.abs(dx, out=dx)
+        dx **= self.q
+        np.abs(dy, out=dy)
+        dy **= self.q
+        dx += dy
+        dx **= 1.0 / self.q
+        return dx
 
     def rotated(self):
         # l^q balls are invariant under quarter turns
@@ -414,27 +400,17 @@ class QuadraticNorm(Norm):
         if eigs.min() <= 0:
             raise ValueError(f"quadratic norm matrix must be positive definite, eigenvalues {eigs}")
         self.a = a
-        self._inv = np.linalg.inv(a)
 
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.sqrt(np.einsum("...i,ij,...j->...", v, self.a, v))
-
-    def dual_norm(self):
-        return QuadraticNorm(self._inv)
+    def _in_place(self, dx, dy):
+        (a00, a01), (a10, a11) = self.a
+        # v' A v summed in the order einsum("...i,ij,...j", v, A, v) takes
+        return np.sqrt(a00 * dx * dx + a01 * dx * dy + a10 * dy * dx + a11 * dy * dy)
 
     def rotated(self):
         return QuadraticNorm(_ROT_MINUS_90.T @ self.a @ _ROT_MINUS_90)
 
     def config(self):
         return {"kind": "quadratic", "a": self.a.tolist()}
-
-
-def chord_cost(norm: Norm, domain: Domain, s1, s2) -> np.ndarray:
-    """Cost ||x(s2) - x(s1)|| between two boundary points."""
-    p1 = domain.boundary_point(s1)
-    p2 = domain.boundary_point(s2)
-    return norm(p2 - p1)
 
 
 @dataclass
@@ -444,17 +420,17 @@ class ChordCost:
     domain: Domain
     norm: Norm
 
-    def __call__(self, s1, s2):
-        return chord_cost(self.norm, self.domain, s1, s2)
-
     def points(self, s) -> np.ndarray:
         return self.domain.boundary_point(s)
 
     def matrix(self, s_sources, s_targets) -> np.ndarray:
-        """Full cost matrix between two arclength families."""
+        """Cost matrix ||x(s_i) - x(t_j)|| between two arclength families,
+        built from one (n, m) difference array per axis."""
         p = self.domain.boundary_point(np.asarray(s_sources, dtype=float))
         q = self.domain.boundary_point(np.asarray(s_targets, dtype=float))
-        return self.norm(p[:, None, :] - q[None, :, :])
+        dx = p[:, 0, None] - q[None, :, 0]
+        dy = p[:, 1, None] - q[None, :, 1]
+        return self.norm._in_place(dx, dy)
 
 
 def domain_from_config(cfg: dict) -> Domain:

@@ -47,8 +47,8 @@ def _generic_anchor(
     step = 1e-7 * domain.perimeter
     for k in range(256):
         s = anchor_s + k * step
-        p = np.asarray(domain.boundary_point(s), dtype=float).reshape(2)
-        if np.min(np.hypot(*(ends - p).T)) >= clear:
+        (px, py), = domain.boundary_point(s)
+        if np.min(np.hypot(ends[:, 0] - px, ends[:, 1] - py)) >= clear:
             return s
     raise RuntimeError("could not find a generic anchor position")
 
@@ -81,8 +81,7 @@ def reconstruct_u(
         return out
     diam = domain.diameter
     anchor_s = _generic_anchor(float(anchor_s), flow, domain, clear=1e-8 * diam)
-    anchor = np.asarray(domain.boundary_point(anchor_s), dtype=float).reshape(2)
-    normal = np.asarray(domain.inward_normal(anchor_s), dtype=float).reshape(2)
+    (anchor,), (normal,) = domain.frame(anchor_s)
     u0 = float(g.eval(anchor_s)[0])
     acc = kernels.crossing_field(
         grid.centers(),
@@ -116,8 +115,7 @@ def gradient_norm_field(u: GridField, phi: Norm, domain: Domain) -> GridField:
     gy = np.zeros_like(u.values)
     gx[:, :-1] = (u.values[:, 1:] - u.values[:, :-1]) / h
     gy[:-1, :] = (u.values[1:, :] - u.values[:-1, :]) / h
-    grad = np.stack([gx, gy], axis=-1)
-    vals = phi(grad)
+    vals = phi(gx, gy)
     vals[~interior_mask(u, domain)] = 0.0
     out = u.copy_empty(kind="density")
     out.values[:] = vals
@@ -133,7 +131,8 @@ def trace_error(u: GridField, g: BoundaryDatum, domain: Domain) -> float:
     """Max boundary mismatch at 1024 boundary points, read 2h inside
     along the normal."""
     s = np.linspace(0.0, domain.perimeter, 1024, endpoint=False)
-    p = domain.boundary_point(s) + 2.0 * u.cell * domain.inward_normal(s)
+    p, normal = domain.frame(s)
+    p = p + 2.0 * u.cell * normal
     ix = np.clip(((p[:, 0] - u.origin[0]) / u.cell).astype(int), 0, u.nx - 1)
     iy = np.clip(((p[:, 1] - u.origin[1]) / u.cell).astype(int), 0, u.ny - 1)
     return float(np.max(np.abs(u.values[iy, ix] - g.eval(s))))
