@@ -48,11 +48,47 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _reject_constant(name: str):
+    raise SchemaError(f"problem file holds {name}, which is not a finite number")
+
+
+def _finite(convert):
+    """json.load hook: a number literal, if a finite float can hold it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if math.isfinite(value):
+                return value
+        except (OverflowError, ValueError):  # an integer beyond float range
+            pass
+        raise SchemaError(f"problem file holds {text[:32]}, which is not a finite float")
+
+    return parse
+
+
+def _reject_booleans(obj, where: str) -> None:
+    """JSON true and false anywhere under obj: float() would read them as 1 and 0."""
+    if isinstance(obj, bool):
+        raise SchemaError(f"{where} must be a number, not {json.dumps(obj)}")
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _reject_booleans(value, f"{where}.{key}")
+    elif isinstance(obj, list):
+        for k, value in enumerate(obj):
+            _reject_booleans(value, f"{where}[{k}]")
+
+
 def load_problem(path: str) -> dict:
     """Parse and validate a problem file; unknown keys are rejected."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(
+                fh,
+                parse_constant=_reject_constant,
+                parse_float=_finite(float),
+                parse_int=_finite(int),
+            )
     except OSError as e:
         raise SchemaError(f"cannot read problem file: {e}")
     except json.JSONDecodeError as e:
@@ -81,6 +117,9 @@ def load_problem(path: str) -> dict:
         raise SchemaError("quadrature must be a positive integer")
     if "seed" in cfg and type(cfg["seed"]) is not int:
         raise SchemaError("seed must be an integer")
+    for key in ("domain", "norm", "g", "f_plus", "f_minus"):
+        if key in cfg:
+            _reject_booleans(cfg[key], key)
     return cfg
 
 

@@ -48,18 +48,21 @@ class BoundaryMeasure:
     sublength: np.ndarray = None
 
     def __post_init__(self):
-        s = _wrap(np.asarray(self.s, dtype=float).ravel(), self.perimeter)
+        s = np.asarray(self.s, dtype=float).ravel()
         mass = np.asarray(self.mass, dtype=float).ravel()
         if s.shape != mass.shape:
             raise ValueError(f"positions and masses differ in length: {s.shape} vs {mass.shape}")
-        if np.any(mass < 0):
-            raise ValueError("atom masses must be nonnegative")
         if self.sublength is None:
             sub = np.zeros_like(mass)
         else:
             sub = np.asarray(self.sublength, dtype=float).ravel()
             if sub.shape != mass.shape:
                 raise ValueError("sublengths must match masses in length")
+        if not (np.isfinite(s).all() and np.isfinite(mass).all() and np.isfinite(sub).all()):
+            raise ValueError("atom positions, masses and sublengths must be finite")
+        if np.any(mass < 0):
+            raise ValueError("atom masses must be nonnegative")
+        s = _wrap(s, self.perimeter)
         keep = mass > 0
         s, mass, sub = s[keep], mass[keep], sub[keep]
         order = np.argsort(s, kind="stable")
@@ -125,6 +128,8 @@ class BoundaryDatum:
         samples = np.array(self.samples, dtype=float).reshape(-1, 2)
         if len(samples) < 1:
             raise ValueError("datum needs at least one sample")
+        if not np.isfinite(samples).all():
+            raise ValueError("datum samples must be finite")
         samples[:, 0] = _wrap(samples[:, 0], self.perimeter)
         samples = samples[np.argsort(samples[:, 0], kind="stable")]
         # the last gap runs across the seam back to the first sample
@@ -135,6 +140,8 @@ class BoundaryDatum:
             jumps = np.zeros((0, 2))
         else:
             jumps = np.array(self.jumps, dtype=float).reshape(-1, 2)
+            if not np.isfinite(jumps).all():
+                raise ValueError("datum jumps must be finite")
             jumps[:, 0] = _wrap(jumps[:, 0], self.perimeter)
             jumps = jumps[np.argsort(jumps[:, 0], kind="stable")]
         self.samples = samples

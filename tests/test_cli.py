@@ -122,6 +122,55 @@ class TestSchemaErrors:
         assert key in err
 
     @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda c: c["domain"].update(radius=True), "domain.radius"),
+            (lambda c: c.update(f_plus=[[0.0, True]]), "f_plus[0][1]"),
+            (lambda c: c.update(norm={"kind": "quadratic", "a": [[True, 0], [0, True]]}),
+             "norm.a[0][0]"),
+            (lambda c: c.update(f_plus=None, f_minus=None,
+                                g={"samples": [[0.0, True], [3.0, 0.0]]}), "g.samples[0][1]"),
+        ],
+        ids=["radius", "mass", "quadratic", "sample"],
+    )
+    def test_booleans_rejected(self, tmp_path, capsys, edit, key):
+        cfg = pair_cfg()
+        edit(cfg)
+        prob = write_problem(tmp_path, {k: v for k, v in cfg.items() if v is not None})
+        code, out, err = run(capsys, "solve", "--problem", prob)
+        assert code == 2
+        assert key in err and out == ""
+
+    @pytest.mark.parametrize(
+        "text, literal",
+        [
+            ('"f_plus": [[NaN, 1.0]]', "NaN"),
+            ('"f_plus": [[0.0, Infinity]]', "Infinity"),
+            ('"f_plus": [[0.0, -Infinity]]', "-Infinity"),
+            ('"f_plus": [[0.0, 1e400]]', "1e400"),
+            ('"f_plus": [[0.0, 1%s]]' % ("0" * 400), "1000"),
+        ],
+        ids=["nan", "infinity", "minus-infinity", "overflow", "huge-integer"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, text, literal):
+        path = tmp_path / "problem.json"
+        path.write_text(
+            '{"domain": {"kind": "disk", "radius": 1.0}, '
+            + text + ', "f_minus": [[3.0, 1.0]]}'
+        )
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert code == 2
+        assert literal in err and out == ""
+
+    @pytest.mark.parametrize("radius", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_radius_rejected(self, tmp_path, capsys, radius):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(pair_cfg()).replace('"radius": 1.0', f'"radius": {radius}'))
+        code, _, err = run(capsys, "solve", "--problem", str(path))
+        assert code == 2
+        assert radius in err
+
+    @pytest.mark.parametrize(
         "data",
         [
             {"g": {"samples": [[0.0, 1.0], [0.0, 2.0], [3.0, 0.0]]}},

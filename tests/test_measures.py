@@ -70,6 +70,21 @@ class TestBoundaryMeasure:
         with pytest.raises(ValueError):
             BoundaryMeasure([1.0], [-1.0], TWO_PI)
 
+    @pytest.mark.parametrize(
+        "s, mass, sub",
+        [
+            ([0.1, 0.5, 1.0], [1.0, math.nan, 2.0], None),
+            ([0.1, math.nan, 1.0], [1.0, 1.0, 2.0], None),
+            ([0.1, 0.5], [1.0, math.inf], None),
+            ([0.1, -math.inf], [1.0, 1.0], None),
+            ([0.1, 0.5], [1.0, 1.0], [0.2, math.nan]),
+        ],
+        ids=["nan-mass", "nan-position", "inf-mass", "inf-position", "nan-sublength"],
+    )
+    def test_non_finite_rejected(self, s, mass, sub):
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryMeasure(s, mass, TWO_PI, sub)
+
     @given(
         st.lists(
             st.tuples(st.floats(0, TWO_PI - 1e-9), st.floats(0, 10)),
@@ -116,6 +131,20 @@ class TestBoundaryDatum:
                 jumps=np.array([[0.0, 1.0]]),
                 perimeter=TWO_PI,
             )
+
+    @pytest.mark.parametrize(
+        "samples, jumps, what",
+        [
+            ([[0.0, 1.0], [1.0, math.nan]], None, "samples"),
+            ([[0.0, 1.0], [math.inf, 0.0]], None, "samples"),
+            ([[0.0, 1.0], [1.0, 0.0]], [[0.5, math.inf], [2.0, -math.inf]], "jumps"),
+            ([[0.0, 1.0], [1.0, 0.0]], [[math.nan, 1.0], [2.0, -1.0]], "jumps"),
+        ],
+        ids=["nan-value", "inf-position", "inf-height", "nan-jump-position"],
+    )
+    def test_non_finite_rejected(self, samples, jumps, what):
+        with pytest.raises(ValueError, match=f"{what} must be finite"):
+            BoundaryDatum(samples=samples, jumps=jumps, perimeter=TWO_PI)
 
     def test_duplicate_samples_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
