@@ -48,10 +48,6 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _reject_constant(name: str):
-    raise SchemaError(f"problem file holds {name}, which is not a finite number")
-
-
 def _finite(convert):
     """json.load hook: a number literal, if a finite float can hold it."""
 
@@ -85,7 +81,7 @@ def load_problem(path: str) -> dict:
         with open(path) as fh:
             cfg = json.load(
                 fh,
-                parse_constant=_reject_constant,
+                parse_constant=_finite(float),
                 parse_float=_finite(float),
                 parse_int=_finite(int),
             )

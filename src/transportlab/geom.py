@@ -65,10 +65,6 @@ class _ArclengthTable:
         return t
 
 
-def _as_points(x, y) -> np.ndarray:
-    return np.stack([x, y], axis=-1)
-
-
 class _PeriodicCubic:
     """Periodic cubic spline through samples y[k] at k * period / n.
 
@@ -109,11 +105,10 @@ class Domain:
     """Base class for uniformly convex planar domains.
 
     Arclength is inverted to the domain's own curve parameter in one
-    place, ``_at``; each domain gives its point, its inward normal and
-    its curvature as functions of that parameter.
+    place, ``_at``; each domain gives its point, its point with the
+    inward normal, and its curvature as functions of that parameter.
     """
 
-    kind: str = ""
     perimeter: float
     diameter: float
     curvature_min: float
@@ -127,13 +122,13 @@ class Domain:
     def boundary_point(self, s) -> np.ndarray:
         """Boundary points at arclengths s (wrapped modulo the perimeter),
         shape (k, 2)."""
-        return _as_points(*self._at(s, self._point))
+        return np.stack(self._at(s, self._point), axis=-1)
 
     def frame(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Boundary points and inward unit normals at arclengths s, each of
         shape (k, 2), from one inversion."""
         x, y, nx, ny = self._at(s, self._frame)
-        return _as_points(x, y), _as_points(nx, ny)
+        return np.stack([x, y], axis=-1), np.stack([nx, ny], axis=-1)
 
     def curvature(self, s) -> np.ndarray:
         return self._at(s, self._curvature)
@@ -153,8 +148,6 @@ class Domain:
 @dataclass
 class Disk(Domain):
     radius: float
-
-    kind = "disk"
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -192,8 +185,6 @@ class Disk(Domain):
 class Ellipse(Domain):
     a: float
     b: float
-
-    kind = "ellipse"
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
@@ -239,8 +230,6 @@ class RadialDomain(Domain):
     """
 
     rho: object = field(repr=False)
-
-    kind = "radial"
 
     def __post_init__(self):
         check = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
@@ -319,8 +308,6 @@ _ROT_MINUS_90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 class Norm:
     """Base class for strictly convex norms on the plane."""
 
-    kind: str = ""
-
     def __call__(self, dx, dy) -> np.ndarray:
         """Norm of the vectors (dx, dy), elementwise."""
         return self._in_place(np.array(dx, dtype=float), np.array(dy, dtype=float))
@@ -344,8 +331,6 @@ class Norm:
 
 @dataclass
 class EuclideanNorm(Norm):
-    kind = "euclidean"
-
     def _in_place(self, dx, dy):
         return np.hypot(dx, dy, out=dx)
 
@@ -359,8 +344,6 @@ class EuclideanNorm(Norm):
 @dataclass
 class LqNorm(Norm):
     q: float
-
-    kind = "lq"
 
     def __post_init__(self):
         if not 1.0 < self.q < math.inf:
@@ -387,8 +370,6 @@ class LqNorm(Norm):
 @dataclass
 class QuadraticNorm(Norm):
     a: np.ndarray
-
-    kind = "quadratic"
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)

@@ -173,25 +173,18 @@ def solve_least_gradient(
         grid = grid_for_domain(domain, grid_n)
     if len(f_plus) == 0:
         # constant datum: nothing moves
+        plan, cost = None, 0.0
         flow = SegmentFlow(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
-        u = reconstruct_u(flow, g, grid, domain, anchor_s)
-        return LeastGradientResult(
-            u=u,
-            plan=None,
-            flow=flow,
-            cost=0.0,
-            tv=total_variation(u, phi, domain),
-            trace_err=trace_error(u, g, domain),
-        )
-    cost = ChordCost(domain, phi.rotated())
-    plan = solve_kantorovich(f_plus, f_minus, cost)
-    flow = flow_from_plan(plan)
+    else:
+        plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, phi.rotated()))
+        cost = plan.cost
+        flow = flow_from_plan(plan)
     u = reconstruct_u(flow, g, grid, domain, anchor_s)
     return LeastGradientResult(
         u=u,
         plan=plan,
         flow=flow,
-        cost=plan.cost,
+        cost=cost,
         tv=total_variation(u, phi, domain),
         trace_err=trace_error(u, g, domain),
     )

@@ -126,24 +126,19 @@ class BoundaryDatum:
     def __post_init__(self):
         # copies: the positions are wrapped in place below
         samples = np.array(self.samples, dtype=float).reshape(-1, 2)
+        jumps = np.array([] if self.jumps is None else self.jumps, dtype=float).reshape(-1, 2)
         if len(samples) < 1:
             raise ValueError("datum needs at least one sample")
-        if not np.isfinite(samples).all():
-            raise ValueError("datum samples must be finite")
+        if not (np.isfinite(samples).all() and np.isfinite(jumps).all()):
+            raise ValueError("datum samples and jumps must be finite")
         samples[:, 0] = _wrap(samples[:, 0], self.perimeter)
         samples = samples[np.argsort(samples[:, 0], kind="stable")]
         # the last gap runs across the seam back to the first sample
         gaps = np.diff(samples[:, 0], append=samples[0, 0] + self.perimeter)
         if np.any(gaps <= MERGE_TOL * self.perimeter):
             raise ValueError("duplicate sample positions in boundary datum")
-        if self.jumps is None:
-            jumps = np.zeros((0, 2))
-        else:
-            jumps = np.array(self.jumps, dtype=float).reshape(-1, 2)
-            if not np.isfinite(jumps).all():
-                raise ValueError("datum jumps must be finite")
-            jumps[:, 0] = _wrap(jumps[:, 0], self.perimeter)
-            jumps = jumps[np.argsort(jumps[:, 0], kind="stable")]
+        jumps[:, 0] = _wrap(jumps[:, 0], self.perimeter)
+        jumps = jumps[np.argsort(jumps[:, 0], kind="stable")]
         self.samples = samples
         self.jumps = jumps
         imbalance = float(np.sum(jumps[:, 1]))

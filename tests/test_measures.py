@@ -133,17 +133,17 @@ class TestBoundaryDatum:
             )
 
     @pytest.mark.parametrize(
-        "samples, jumps, what",
+        "samples, jumps",
         [
-            ([[0.0, 1.0], [1.0, math.nan]], None, "samples"),
-            ([[0.0, 1.0], [math.inf, 0.0]], None, "samples"),
-            ([[0.0, 1.0], [1.0, 0.0]], [[0.5, math.inf], [2.0, -math.inf]], "jumps"),
-            ([[0.0, 1.0], [1.0, 0.0]], [[math.nan, 1.0], [2.0, -1.0]], "jumps"),
+            ([[0.0, 1.0], [1.0, math.nan]], None),
+            ([[0.0, 1.0], [math.inf, 0.0]], None),
+            ([[0.0, 1.0], [1.0, 0.0]], [[0.5, math.inf], [2.0, -math.inf]]),
+            ([[0.0, 1.0], [1.0, 0.0]], [[math.nan, 1.0], [2.0, -1.0]]),
         ],
         ids=["nan-value", "inf-position", "inf-height", "nan-jump-position"],
     )
-    def test_non_finite_rejected(self, samples, jumps, what):
-        with pytest.raises(ValueError, match=f"{what} must be finite"):
+    def test_non_finite_rejected(self, samples, jumps):
+        with pytest.raises(ValueError, match="samples and jumps must be finite"):
             BoundaryDatum(samples=samples, jumps=jumps, perimeter=TWO_PI)
 
     def test_duplicate_samples_rejected(self):
