@@ -56,7 +56,7 @@ def _finite(convert):
             value = convert(text)
             if math.isfinite(value):
                 return value
-        except (OverflowError, ValueError):  # an integer beyond float range
+        except (OverflowError, ValueError):  # an integer too big for a float
             pass
         raise SchemaError(f"problem file holds {text[:32]}, which is not a finite float")
 

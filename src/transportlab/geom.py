@@ -163,8 +163,8 @@ class Disk(Domain):
         return self.radius * np.cos(th), self.radius * np.sin(th)
 
     def _frame(self, th):
-        c, s = np.cos(th), np.sin(th)
-        return self.radius * c, self.radius * s, -c, -s
+        cos, sin = np.cos(th), np.sin(th)
+        return self.radius * cos, self.radius * sin, -cos, -sin
 
     def _curvature(self, th):
         return np.full_like(th, 1.0 / self.radius)
@@ -201,10 +201,10 @@ class Ellipse(Domain):
         return self.a * np.cos(t), self.b * np.sin(t)
 
     def _frame(self, t):
-        c, s = np.cos(t), np.sin(t)
+        cos, sin = np.cos(t), np.sin(t)
         speed = self._speed(t)
         # tangent (-a sin, b cos)/speed rotated by +pi/2
-        return self.a * c, self.b * s, -self.b * c / speed, -self.a * s / speed
+        return self.a * cos, self.b * sin, -self.b * cos / speed, -self.a * sin / speed
 
     def _curvature(self, t):
         return self.a * self.b / self._speed(t) ** 3
@@ -271,12 +271,12 @@ class RadialDomain(Domain):
 
     def _frame(self, th):
         r, r1, _ = self._spline(th)
-        c, s = np.cos(th), np.sin(th)
+        cos, sin = np.cos(th), np.sin(th)
         # derivative of (r cos, r sin) with respect to theta, normalized
-        tx = r1 * c - r * s
-        ty = r1 * s + r * c
+        tx = r1 * cos - r * sin
+        ty = r1 * sin + r * cos
         speed = np.hypot(tx, ty)
-        return r * c, r * s, -ty / speed, tx / speed
+        return r * cos, r * sin, -ty / speed, tx / speed
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
@@ -384,7 +384,7 @@ class QuadraticNorm(Norm):
 
     def _in_place(self, dx, dy):
         (a00, a01), (a10, a11) = self.a
-        # v' A v summed in the order einsum("...i,ij,...j", v, A, v) takes
+        # v' A v term by term in einsum's order: the two agree bit for bit
         return np.sqrt(a00 * dx * dx + a01 * dx * dy + a10 * dy * dx + a11 * dy * dy)
 
     def rotated(self):
@@ -405,7 +405,7 @@ class ChordCost:
         return self.domain.boundary_point(s)
 
     def matrix(self, s_sources, s_targets) -> np.ndarray:
-        """Cost matrix ||x(s_i) - x(t_j)|| between two arclength families,
+        """Cost matrix ||x(s_i) - x(t_j)|| for sources s_i and targets t_j,
         built from one (n, m) difference array per axis."""
         p = self.domain.boundary_point(np.asarray(s_sources, dtype=float))
         q = self.domain.boundary_point(np.asarray(s_targets, dtype=float))

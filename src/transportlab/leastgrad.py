@@ -47,7 +47,7 @@ def _generic_anchor(
     step = 1e-7 * domain.perimeter
     for k in range(256):
         s = anchor_s + k * step
-        (px, py), = domain.boundary_point(s)
+        [(px, py)] = domain.boundary_point(s)
         if np.min(np.hypot(ends[:, 0] - px, ends[:, 1] - py)) >= clear:
             return s
     raise RuntimeError("could not find a generic anchor position")
@@ -81,7 +81,7 @@ def reconstruct_u(
         return out
     diam = domain.diameter
     anchor_s = _generic_anchor(float(anchor_s), flow, domain, clear=1e-8 * diam)
-    (anchor,), (normal,) = domain.frame(anchor_s)
+    [anchor], [normal] = domain.frame(anchor_s)
     u0 = float(g.eval(anchor_s)[0])
     acc = kernels.crossing_field(
         grid.centers(),

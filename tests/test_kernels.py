@@ -269,7 +269,7 @@ class TestCrossingField:
 
     def _compare_on_grid(self, domain, a, b, mass, anchor_s, n):
         grid = grid_for_domain(domain, n)
-        (anchor,), (normal,) = domain.frame(anchor_s)
+        [anchor], [normal] = domain.frame(anchor_s)
         inside = interior_mask(grid, domain)
         assert inside.any() and not inside.all()
         return self._compare(grid.centers(), inside, anchor, normal, a, b, mass)
