@@ -12,6 +12,8 @@ down to its last bit, fails ``test_corpus.py``.
 - CLI commands, run in-process through ``cli.main``, store digests of
   stdout and of every file written under ``--out``, and the report's
   top-level numbers.
+- Grid-mode alternating-arc reports store a digest of ``per_pair`` and
+  the plain ``partial_sum`` and ``ratio``.
 
 The file also records the environment it was made on.  There the test
 compares digests exactly; elsewhere it compares the plain numbers to
@@ -23,8 +25,9 @@ compares digests exactly; elsewhere it compares the plain numbers to
 A change that moves results on purpose regenerates the file in the same
 commit and says which entries moved (the first command's output).
 
-The ``harmonic_datum`` recipe is the benchmark's, copied here so that a
-change to the benchmark cannot move the corpus.
+The ``harmonic_datum`` recipe and the ``cex_grid`` input pool are the
+benchmark's, copied here so that a change to the benchmark cannot move
+the corpus.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import tempfile
 import numpy as np
 
 from transportlab import cli, density, geom, leastgrad, simplex
-from transportlab.cex import build_arcs
+from transportlab.cex import build_arcs, run_counterexample
 from transportlab.instances import cosine_datum, mirror_cosine_measures, smooth_arc_instance
 from transportlab.measures import BoundaryDatum, remove_common_mass, tangential_derivative
 from transportlab.ot import solve_kantorovich
@@ -304,7 +307,28 @@ def cli_runs() -> dict:
     return out
 
 
-GROUPS = {"plan": plans, "core": core_trials, "lsg": least_gradient, "cli": cli_runs}
+def cex_grid() -> dict:
+    """The first 8 inputs of the benchmark's cex_grid pool for seed 101."""
+    out = {}
+    rng = np.random.default_rng([101, 3])
+    base = build_arcs(8).eps
+    for k in range(8):
+        eps, p = base * rng.uniform(0.8, 1.2, 8), rng.uniform(2.0, 3.0)
+        rep = run_counterexample(8, p, mode="grid", eps=list(eps), grid_n=16, atoms_per_arc=24)
+        out[f"cex/seed101/{k:02d}"] = {
+            "digest": _digest(rep["per_pair"]),
+            "numbers": {"partial_sum": rep["partial_sum"], "ratio": rep["ratio"]},
+        }
+    return out
+
+
+GROUPS = {
+    "plan": plans,
+    "core": core_trials,
+    "lsg": least_gradient,
+    "cli": cli_runs,
+    "cex": cex_grid,
+}
 
 
 def build() -> dict:
