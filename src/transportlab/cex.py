@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import density as _density
 from . import kernels
 from . import ot as _ot
 from .errors import InfeasibleError
@@ -85,8 +84,9 @@ class ArcSystem:
         return f_plus, f_minus
 
 
-def build_arcs(N: int, domain: Disk = None, eps: list = None) -> ArcSystem:
-    """Arc system with the default decaying lengths or a custom list.
+def build_arcs(N: int, eps: list = None) -> ArcSystem:
+    """Arc system on the unit disk with the default decaying lengths or a
+    custom list.
 
     The default sequence is scaled once, independently of N, so that
     even the infinite family occupies at most half the perimeter;
@@ -94,10 +94,7 @@ def build_arcs(N: int, domain: Disk = None, eps: list = None) -> ArcSystem:
     """
     if N < 1:
         raise ValueError(f"need at least one arc pair, got {N}")
-    if domain is None:
-        domain = disk(1.0)
-    if not isinstance(domain, Disk):
-        raise ValueError("arc systems are built on disks")
+    domain = disk(1.0)
     per = domain.perimeter
     if eps is None:
         scale = per / (4.0 * SERIES_SUM_BOUND)
@@ -214,17 +211,11 @@ def _pair_grid_lp(
     pad = 2 * cell
     nx = int(math.ceil((2 * s_max + 2 * pad) / cell))
     ny = int(math.ceil((sag + 2 * pad) / cell))
-    grid = _density.GridField(
-        origin=(-s_max - pad, -pad),
-        cell=cell,
-        nx=nx,
-        ny=ny,
-        values=np.zeros((ny, nx)),
-    )
+    values = np.zeros((ny, nx))
     kernels.deposit_segments(
-        grid.values, grid.origin, grid.cell, a_loc, b_loc, plan.mass * plan.entry_costs
+        values, (-s_max - pad, -pad), cell, a_loc, b_loc, plan.mass * plan.entry_costs
     )
-    return float(np.sum(grid.values**p) * cell**2)
+    return float(np.sum(values**p) * cell**2)
 
 
 def run_counterexample(

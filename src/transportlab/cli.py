@@ -37,6 +37,9 @@ EXIT_INFEASIBLE = 3
 EXIT_DIVERGED = 4
 EXIT_INTERNAL = 5
 
+# cells per side of a grid: a float64 field of 4096**2 cells is 128 MB
+MAX_GRID = 4096
+
 _PROBLEM_KEYS = {"domain", "norm", "g", "f_plus", "f_minus", "grid", "quadrature", "seed"}
 
 
@@ -75,6 +78,20 @@ def _reject_booleans(obj, where: str) -> None:
             _reject_booleans(value, f"{where}[{k}]")
 
 
+def _check_pairs(items, where: str) -> None:
+    """A list of [number, number] pairs: reshape(-1, 2) would read a flat
+    list of even length as pairs too."""
+    if not isinstance(items, list):
+        raise SchemaError(f"bad boundary data: {where} is not a list of [number, number] pairs")
+    for k, item in enumerate(items):
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and all(isinstance(x, (int, float)) for x in item)
+        ):
+            raise SchemaError(f"bad boundary data: {where}[{k}] is not a [number, number] pair")
+
+
 def load_problem(path: str) -> dict:
     """Parse and validate a problem file; unknown keys are rejected."""
     try:
@@ -105,8 +122,9 @@ def load_problem(path: str) -> dict:
     # bool is a subclass of int
     if "grid" in cfg:
         _check_keys(cfg["grid"], {"n"}, "grid")
-        if type(cfg["grid"].get("n")) is not int or cfg["grid"]["n"] < 1:
-            raise SchemaError("grid.n must be a positive integer")
+        n = cfg["grid"].get("n")
+        if type(n) is not int or not 1 <= n <= MAX_GRID:
+            raise SchemaError(f"grid.n must be an integer from 1 to {MAX_GRID}")
     if "quadrature" in cfg and (
         type(cfg["quadrature"]) is not int or cfg["quadrature"] < 1
     ):
@@ -116,11 +134,16 @@ def load_problem(path: str) -> dict:
     for key in ("domain", "norm", "g", "f_plus", "f_minus"):
         if key in cfg:
             _reject_booleans(cfg[key], key)
+    pairs = {key: cfg[key] for key in ("f_plus", "f_minus") if key in cfg}
+    pairs.update({f"g.{key}": items for key, items in cfg.get("g", {}).items()})
+    for where, items in pairs.items():
+        _check_pairs(items, where)
     return cfg
 
 
 def _load(args):
-    """The --problem file, its domain, norm, balanced measures and datum.
+    """The --problem file, its domain, norm and boundary data: the datum
+    g, or the pair (f_plus, f_minus).
 
     A --seed flag replaces the file's seed.  Malformed values raise
     SchemaError; boundary data that do not close up or balance raise
@@ -138,19 +161,17 @@ def _load(args):
         raise SchemaError("problem file needs g or f_plus/f_minus")
     try:
         if "g" in cfg:
-            datum = datum_from_config(cfg["g"], domain.perimeter)
+            data = datum_from_config(cfg["g"], domain.perimeter)
         else:
-            datum = None
-            f_plus = measure_from_config(cfg["f_plus"], domain.perimeter)
-            f_minus = measure_from_config(cfg["f_minus"], domain.perimeter)
+            data = tuple(
+                measure_from_config(cfg[key], domain.perimeter)
+                for key in ("f_plus", "f_minus")
+            )
     except InfeasibleError:  # a ValueError too, but not a schema fault
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad boundary data: {e}")
-    if datum is not None:
-        f_plus, f_minus = tangential_derivative(datum, n_quad=cfg.get("quadrature", 1))
-        f_plus, f_minus = remove_common_mass(f_plus, f_minus)
-    return cfg, domain, norm, f_plus, f_minus, datum
+    return cfg, domain, norm, data
 
 
 def _grid_n(cfg: dict, args) -> int:
@@ -213,36 +234,35 @@ def _base_report(command: str, seed) -> dict:
     }
 
 
-def _svg_header(lo, hi, size=640):
-    w = hi[0] - lo[0]
-    h = hi[1] - lo[1]
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{int(size * h / w)}" viewBox="{lo[0]} {-hi[1]} {w} {h}">\n'
-    )
-
-
 def _svg_path(points, stroke, width, fill="none"):
     d = "M " + " L ".join(f"{x:.6g} {-y:.6g}" for x, y in points)
     return f'<path d="{d}" stroke="{stroke}" stroke-width="{width}" fill="{fill}"/>\n'
 
 
-def _write_rays_svg(path, domain, seg_a, seg_b, mass):
-    """Boundary outline plus transport rays, line width by mass share."""
+def _svg_view(domain, n_ring, stroke, rel_width, size=640):
+    """The opening tag of a padded view of the domain and its boundary
+    outline through n_ring points; returns those parts and the view width."""
     x0, y0, x1, y1 = domain.bbox()
     pad = 0.05 * max(x1 - x0, y1 - y0)
     lo = (x0 - pad, y0 - pad)
     hi = (x1 + pad, y1 + pad)
-    s = np.linspace(0.0, domain.perimeter, 512)
-    ring = domain.boundary_point(s)
-    wmax = float(np.max(mass)) if len(mass) else 1.0
-    parts = [_svg_header(lo, hi)]
-    parts.append(_svg_path(ring, "black", 0.004 * (hi[0] - lo[0])))
-    scale = 0.01 * (hi[0] - lo[0])
-    for a, b, m in zip(seg_a, seg_b, mass):
-        parts.append(
-            _svg_path([a, b], "steelblue", scale * max(0.1, m / wmax))
-        )
+    w = hi[0] - lo[0]
+    h = hi[1] - lo[1]
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{int(size * h / w)}" viewBox="{lo[0]} {-hi[1]} {w} {h}">\n'
+    )
+    ring = domain.boundary_point(np.linspace(0.0, domain.perimeter, n_ring))
+    return [head, _svg_path(ring, stroke, rel_width * w)], w
+
+
+def _write_rays_svg(path, domain, plan):
+    """Boundary outline plus the plan's rays, line width by mass share."""
+    parts, w = _svg_view(domain, 512, "black", 0.004)
+    wmax = float(np.max(plan.mass))
+    scale = 0.01 * w
+    for a, b, m in zip(*plan.entry_segments(), plan.mass):
+        parts.append(_svg_path([a, b], "steelblue", scale * max(0.1, m / wmax)))
     parts.append("</svg>\n")
     with open(path, "w") as fh:
         fh.write("".join(parts))
@@ -254,8 +274,12 @@ def cmd_plan(args) -> int:
     The three commands that take --tau also deposit the partial density.
     """
     command = args.command
-    cfg, domain, norm, f_plus, f_minus, _ = _load(args)
-    plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, norm))
+    cfg, domain, norm, data = _load(args)
+    if "g" in cfg:
+        data = remove_common_mass(
+            *tangential_derivative(data, n_quad=cfg.get("quadrature", 1))
+        )
+    plan = solve_kantorovich(*data, ChordCost(domain, norm))
     report = _base_report(command, cfg.get("seed"))
     report["solver"] = plan.stats.config()
     code = EXIT_OK
@@ -295,16 +319,13 @@ def cmd_plan(args) -> int:
     _emit(report, args.out)
     if command == "solve" and args.svg:
         os.makedirs(args.out or ".", exist_ok=True)
-        a, b = plan.entry_segments()
-        _write_rays_svg(
-            os.path.join(args.out or ".", "rays.svg"), domain, a, b, plan.mass
-        )
+        _write_rays_svg(os.path.join(args.out or ".", "rays.svg"), domain, plan)
     return code
 
 
 def cmd_lsg(args) -> int:
-    cfg, domain, norm, _, _, datum = _load(args)
-    if datum is None:
+    cfg, domain, norm, datum = _load(args)
+    if "g" not in cfg:
         raise SchemaError("lsg needs a problem file with a boundary datum g")
     n = _grid_n(cfg, args)
     res = leastgrad.solve_least_gradient(
@@ -328,9 +349,10 @@ def cmd_lsg(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         files["u_csv"] = os.path.join(args.out, "u.csv")
         density_mod.write_csv(res.u, files["u_csv"])
-    if args.svg and res.flow is not None and len(res.flow):
+    # a constant datum has no plan and no rays to draw
+    if args.svg and res.plan is not None:
         files["svg"] = os.path.join(args.out or ".", "rays.svg")
-        _write_rays_svg(files["svg"], domain, res.flow.a, res.flow.b, res.flow.mass)
+        _write_rays_svg(files["svg"], domain, res.plan)
     report["files"] = files
     _emit(report, args.out)
     return EXIT_OK
@@ -339,14 +361,8 @@ def cmd_lsg(args) -> int:
 def _write_arcs_svg(path, arcs, n_show):
     """Arc family layout with per-pair reflection rays."""
     domain = arcs.domain
-    x0, y0, x1, y1 = domain.bbox()
-    pad = 0.05 * max(x1 - x0, y1 - y0)
-    lo = (x0 - pad, y0 - pad)
-    hi = (x1 + pad, y1 + pad)
-    parts = [_svg_header(lo, hi)]
-    s = np.linspace(0.0, domain.perimeter, 1024)
-    parts.append(_svg_path(domain.boundary_point(s), "lightgray", 0.002 * (hi[0] - lo[0])))
-    lw = 0.006 * (hi[0] - lo[0])
+    parts, w = _svg_view(domain, 1024, "lightgray", 0.002)
+    lw = 0.006 * w
     for k in range(min(n_show, arcs.n_pairs)):
         (p0, p1), (m0, m1) = arcs.intervals(k)
         sp = np.linspace(p0, p1, 64)
@@ -400,6 +416,7 @@ def _flag(convert, ok, rule: str):
 
 
 _count = _flag(int, lambda v: v >= 1, "an integer >= 1")
+_cells = _flag(int, lambda v: 1 <= v <= MAX_GRID, f"an integer from 1 to {MAX_GRID}")
 _tau = _flag(float, lambda v: 0.0 < v <= 1.0, "a trip fraction in (0, 1]")
 _p_lp = _flag(float, lambda v: v >= 1.0, "an exponent >= 1 (or inf)")
 _p_bound = _flag(float, lambda v: 1.0 < v < math.inf, "a finite exponent > 1")
@@ -413,11 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, func, problem=True, grid=True, tau=False, p_type=None, svg=True):
+    def common(p, func, problem=True, grid=_cells, tau=False, p_type=None, svg=True):
         if problem:
             p.add_argument("--problem", required=True, help="problem file (JSON)")
         if grid:
-            p.add_argument("--grid", type=_count, default=None, help="cells per side")
+            p.add_argument("--grid", type=grid, default=None, help="cells per side")
         if tau:
             p.add_argument("--tau", type=_tau, default=1.0, help="trip fraction")
         if p_type:
@@ -440,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("lsg", help="least-gradient reconstruction from g"), cmd_lsg)
 
     p = sub.add_parser("cex", help="alternating-arc counter-example report")
-    common(p, cmd_cex, problem=False, p_type=_p_cex)
+    # cex --grid counts cells across a pair's sag, not per side: no MAX_GRID
+    common(p, cmd_cex, problem=False, grid=_count, p_type=_p_cex)
     p.add_argument("--pairs", type=_count, required=True, help="number of arc pairs")
     p.add_argument(
         "--mode", choices=("exact", "grid"), default="exact", help="evaluation mode"

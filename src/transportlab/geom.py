@@ -401,9 +401,6 @@ class ChordCost:
     domain: Domain
     norm: Norm
 
-    def points(self, s) -> np.ndarray:
-        return self.domain.boundary_point(s)
-
     def matrix(self, s_sources, s_targets) -> np.ndarray:
         """Cost matrix ||x(s_i) - x(t_j)|| for sources s_i and targets t_j,
         built from one (n, m) difference array per axis."""

@@ -20,30 +20,11 @@ from .measures import BoundaryDatum, remove_common_mass, tangential_derivative
 from .ot import TransportPlan, solve_kantorovich
 
 
-@dataclass
-class SegmentFlow:
-    """Oriented transport rays carrying mass from source to target."""
-
-    a: np.ndarray
-    b: np.ndarray
-    mass: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.mass)
-
-
-def flow_from_plan(plan: TransportPlan) -> SegmentFlow:
-    """One oriented segment per plan entry."""
-    a, b = plan.entry_segments()
-    return SegmentFlow(a=a, b=b, mass=plan.mass.copy())
-
-
 def _generic_anchor(
-    anchor_s: float, flow: SegmentFlow, domain: Domain, clear: float
+    anchor_s: float, ends: np.ndarray, domain: Domain, clear: float
 ) -> float:
     """First arclength at or after anchor_s whose boundary point stays
-    at least ``clear`` away from every flow endpoint."""
-    ends = np.concatenate([flow.a, flow.b])
+    at least ``clear`` away from every point of ``ends``, shape (k, 2)."""
     step = 1e-7 * domain.perimeter
     for k in range(256):
         s = anchor_s + k * step
@@ -54,7 +35,9 @@ def _generic_anchor(
 
 
 def reconstruct_u(
-    flow: SegmentFlow,
+    seg_a: np.ndarray,
+    seg_b: np.ndarray,
+    mass: np.ndarray,
     g: BoundaryDatum,
     grid: GridField,
     domain: Domain,
@@ -62,9 +45,10 @@ def reconstruct_u(
 ) -> GridField:
     """Half-plane reconstruction of u on grid cell centers.
 
-    u(center) is g(anchor) plus the signed ray masses crossed by the
-    straight path from the boundary anchor to the center; crossing a ray
-    from its left to its right adds the mass.  Rays are chords, so inside
+    Ray k runs from seg_a[k] to seg_b[k] and carries mass[k].  u(center)
+    is g(anchor) plus the signed ray masses crossed by the straight path
+    from the boundary anchor to the center; crossing a ray from its left
+    to its right adds the mass.  Rays are chords, so inside
     the domain a ray is crossed exactly when the center and the anchor
     lie on opposite sides of its line (see ``kernels.crossing_field``
     for the sweep, the rule for centers outside the domain and the tie
@@ -76,19 +60,19 @@ def reconstruct_u(
     position before any rays are shot.
     """
     out = grid.copy_empty(kind="function")
-    if len(flow) == 0:
+    if len(mass) == 0:
         out.values[:] = float(g.eval(float(anchor_s))[0])
         return out
-    diam = domain.diameter
-    anchor_s = _generic_anchor(float(anchor_s), flow, domain, clear=1e-8 * diam)
+    ends = np.concatenate([seg_a, seg_b])
+    anchor_s = _generic_anchor(float(anchor_s), ends, domain, clear=1e-8 * domain.diameter)
     [anchor], [normal] = domain.frame(anchor_s)
     u0 = float(g.eval(anchor_s)[0])
     acc = kernels.crossing_field(
         grid.centers(),
         anchor,
-        flow.a,
-        flow.b,
-        flow.mass,
+        seg_a,
+        seg_b,
+        mass,
         interior_mask(grid, domain),
         normal,
     )
@@ -144,7 +128,6 @@ class LeastGradientResult:
 
     u: GridField
     plan: TransportPlan
-    flow: SegmentFlow
     cost: float
     tv: float
     trace_err: float
@@ -156,7 +139,6 @@ def solve_least_gradient(
     phi: Norm,
     grid: GridField = None,
     grid_n: int = 512,
-    anchor_s: float = 0.0,
     n_quad: int = 1,
 ) -> LeastGradientResult:
     """Full pipeline: datum -> derivative -> transport -> u.
@@ -174,16 +156,17 @@ def solve_least_gradient(
     if len(f_plus) == 0:
         # constant datum: nothing moves
         plan, cost = None, 0.0
-        flow = SegmentFlow(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+        seg_a = seg_b = np.zeros((0, 2))
+        mass = np.zeros(0)
     else:
         plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, phi.rotated()))
         cost = plan.cost
-        flow = flow_from_plan(plan)
-    u = reconstruct_u(flow, g, grid, domain, anchor_s)
+        (seg_a, seg_b), mass = plan.entry_segments(), plan.mass
+    # positional: pipebench's tracer counts the rays as len(args[0])
+    u = reconstruct_u(seg_a, seg_b, mass, g, grid, domain)
     return LeastGradientResult(
         u=u,
         plan=plan,
-        flow=flow,
         cost=cost,
         tv=total_variation(u, phi, domain),
         trace_err=trace_error(u, g, domain),

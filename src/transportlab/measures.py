@@ -273,7 +273,8 @@ def quadrature_atoms(
     Uses the midpoint rule with n atoms: atom k sits at the midpoint of
     its subinterval and carries mass density(midpoint) * sublength, so
     the total mass matches the integral to O(n^-2) for smooth densities.
-    The interval may wrap past the perimeter (hi > perimeter).
+    The interval may wrap past the perimeter (hi > perimeter).  density
+    takes the array of midpoints and returns one value per midpoint.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
@@ -282,12 +283,9 @@ def quadrature_atoms(
         raise ValueError(f"need at least one atom, got n={n}")
     sub = (hi - lo) / n
     mids = lo + (np.arange(n) + 0.5) * sub
-    try:
-        vals = np.asarray(density(mids), dtype=float)
-        if vals.shape != mids.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.asarray([float(density(m)) for m in mids])
+    vals = np.asarray(density(mids), dtype=float)
+    if vals.shape != mids.shape:
+        raise ValueError(f"density must return shape {mids.shape}, got {vals.shape}")
     if np.any(vals < 0):
         k = int(np.argmin(vals))
         raise ValueError(f"density is negative ({vals[k]:.3e}) at s={mids[k]:.6f}")

@@ -28,10 +28,13 @@ COST_RTOL = 1e-12
 class SolverStats:
     """Deterministic record of how the simplex reached a plan.
 
-    ``start`` is the starting basis used ("certified", "certified_seam",
-    "lifo" or "northwest", see :class:`simplex.BasisStart`), ``seam``
-    the boundary walk's starting event (-1 for northwest), ``fallback``
-    why a certified start was not used ("" when it was), ``pivots`` the
+    ``start`` is the starting basis used: "certified" (the LIFO plan
+    from the seam at s = 0, proven optimal), "certified_seam" (the same
+    from the cheapest seam), "lifo" (a LIFO forest with plain joins, not
+    certified) or "northwest" (input without boundary positions); see
+    :func:`simplex.boundary_stack_basis`.  ``seam`` is the event index
+    the boundary walk starts at (-1 for northwest), ``fallback`` why a
+    certified start was not used ("" when it was), ``pivots`` the
     simplex pivots and ``b_scale`` the factor sum(a) / sum(b) that
     rebalanced the target masses.
     """
@@ -51,11 +54,9 @@ class TransportPlan:
     """Finite transport plan between two boundary measures.
 
     ``i``, ``j``, ``mass`` list the strictly positive entries, which the
-    solver sorts by (i, j); ``basis`` optionally keeps the solver's full
-    spanning-tree basis (including degenerate zero cells),
-    ``potentials`` its final dual potentials ``(u, v)``, with
-    u_i + v_j = c_ij on every basic cell, and ``stats`` its
-    :class:`SolverStats`.
+    solver sorts by (i, j); ``potentials`` are its final dual potentials
+    ``(u, v)``, with u_i + v_j = c_ij on every basic cell, and ``stats``
+    its :class:`SolverStats`.
     """
 
     source: BoundaryMeasure
@@ -68,7 +69,6 @@ class TransportPlan:
     target_points: np.ndarray
     entry_costs: np.ndarray
     gap: float = math.nan
-    basis: tuple = None
     potentials: tuple = None
     stats: SolverStats = None
 
@@ -79,11 +79,6 @@ class TransportPlan:
     def entry_segments(self) -> tuple[np.ndarray, np.ndarray]:
         """Start and end points of every support chord."""
         return self.source_points[self.i], self.target_points[self.j]
-
-    def entry_lengths(self) -> np.ndarray:
-        """Euclidean chord lengths of the support entries."""
-        a, b = self.entry_segments()
-        return np.hypot(*(b - a).T)
 
     def marginal_source(self) -> np.ndarray:
         return np.bincount(self.i, weights=self.mass, minlength=len(self.source))
@@ -104,14 +99,13 @@ class TransportPlan:
             target_points=self.source_points,
             entry_costs=self.entry_costs.copy(),
             gap=self.gap,
-            basis=None,
             # u_i + v_j = c_ij reads v_j + u_i = c'_ji for the reversed plan
             potentials=None if self.potentials is None else self.potentials[::-1],
             stats=self.stats,
         )
 
     def validate(self) -> None:
-        """Check marginals, cost recomputation, and support size."""
+        """Check positive masses, marginals and the cost recomputation."""
         if np.any(self.mass <= 0):
             raise ValueError("plan entries must carry positive mass")
         ms = self.marginal_source()
@@ -127,12 +121,6 @@ class TransportPlan:
             raise ValueError(
                 f"stored cost {self.cost!r} disagrees with entries {recomputed!r}"
             )
-        if self.basis is not None:
-            limit = len(self.source) + len(self.target) - 1
-            if self.n_entries > limit:
-                raise ValueError(
-                    f"basic plan has {self.n_entries} entries, more than {limit}"
-                )
 
     def config(self) -> dict:
         return {
@@ -217,19 +205,12 @@ def solve_kantorovich(
         j=j,
         mass=mass,
         cost=total_cost,
-        source_points=cost.points(f_plus.s),
-        target_points=cost.points(f_minus.s),
+        source_points=cost.domain.boundary_point(f_plus.s),
+        target_points=cost.domain.boundary_point(f_minus.s),
         entry_costs=entry_costs,
         gap=total_cost - dual_obj,
-        basis=(bi, bj, f),
         potentials=(u, v),
-        stats=SolverStats(
-            start=start.kind,
-            seam=start.seam,
-            fallback=start.reason,
-            pivots=iters - 1,
-            b_scale=b_scale,
-        ),
+        stats=SolverStats(*start, pivots=iters - 1, b_scale=b_scale),
     )
     plan.validate()
     return plan
@@ -268,7 +249,8 @@ def displacement_lengths(plan: TransportPlan) -> tuple[np.ndarray, np.ndarray]:
     among their positive-mass entries and are flagged.
     """
     n = len(plan.source)
-    lengths = plan.entry_lengths()
+    a, b = plan.entry_segments()
+    lengths = np.hypot(*(b - a).T)
     D = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
     np.maximum.at(D, plan.i, lengths)

@@ -29,8 +29,6 @@ the root, so the potentials are the same floats a full rebuild gives.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import SolverError
@@ -203,23 +201,6 @@ def northwest_basis(a, b):
         elif j < m - 1:
             j += 1
     return bi, bj, f
-
-
-class BasisStart(NamedTuple):
-    """How a starting basis was built.
-
-    ``kind`` is "certified" (the LIFO plan from the seam at s = 0,
-    proven optimal), "certified_seam" (the same from the cheapest
-    seam), "lifo" (a LIFO forest with plain joins, not certified) or
-    "northwest" (input without boundary positions).  ``seam`` is the
-    event index the boundary walk starts at (-1 for northwest) and
-    ``reason`` says why a certified start was not used, or is "" when
-    it was.
-    """
-
-    kind: str
-    seam: int
-    reason: str
 
 
 def _price_tol(C) -> float:
@@ -524,7 +505,8 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     plan is then the whole basis), else seam 0's, because with several
     components the arbitrary joins, not the seam, set the pivot count.
 
-    Returns (bi, bj, f, start) with ``start`` a :class:`BasisStart`.
+    Returns (bi, bj, f, start) with ``start`` the tuple (kind, seam,
+    reason) that :class:`ot.SolverStats` records.
     The simplex prices every start, so optimality is checked, not
     trusted.
     """
@@ -536,7 +518,7 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     entries, k, comp, u, v = from_zero = _lifo_forest(C, a, b, kinds, idxs)
     joins, why = _certify(C, k, comp, u, v, tol)
     if joins is not None:
-        return (*_as_basis(*entries, joins), BasisStart("certified", 0, ""))
+        return (*_as_basis(*entries, joins), ("certified", 0, ""))
     reason = f"seam 0: {why}"
     costs = _seam_costs(C, a, b, kinds, idxs)
     seam = int(np.argmin(costs))
@@ -548,8 +530,7 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
         )
         joins, why = _certify(C, k, comp, u, v, tol)
         if joins is not None:
-            start = BasisStart("certified_seam", seam, reason)
-            return (*_as_basis(*entries, joins), start)
+            return (*_as_basis(*entries, joins), ("certified_seam", seam, reason))
         reason += f"; seam {seam}: {why}"
         if k > 1:
             entries, k, comp, u, v = from_zero
@@ -558,7 +539,7 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
         reason += "; no cheaper seam"
         seam = 0
     joins = _plain_joins(n, k, comp)
-    return (*_as_basis(*entries, joins), BasisStart("lifo", seam, reason))
+    return (*_as_basis(*entries, joins), ("lifo", seam, reason))
 
 
 def solve_transport(C, a, b, s_a=None, s_b=None):
@@ -566,13 +547,14 @@ def solve_transport(C, a, b, s_a=None, s_b=None):
 
     With the boundary positions ``s_a`` and ``s_b`` the start is
     :func:`boundary_stack_basis`; without them it is
-    :func:`northwest_basis`.  ``start`` is the :class:`BasisStart` used.
+    :func:`northwest_basis`.  ``start`` is the tuple (kind, seam,
+    reason) of the start used.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
     n, m = C.shape
     if s_a is None or s_b is None:
         bi, bj, f = northwest_basis(a, b)
-        start = BasisStart("northwest", -1, "no boundary positions")
+        start = ("northwest", -1, "no boundary positions")
     else:
         bi, bj, f, start = boundary_stack_basis(C, a, b, s_a, s_b)
     u = np.zeros(n)

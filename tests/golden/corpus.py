@@ -175,8 +175,7 @@ def core_trials() -> dict:
             i, j, mass = bi[keep], bj[keep], f[keep]
             cost = float(np.dot(mass, C[i, j]))
             gap = cost - float(np.dot(u, a) + np.dot(v, b))
-            stats = {"start": start.kind, "seam": start.seam, "fallback": start.reason,
-                     "pivots": iters - 1}
+            stats = {**dict(zip(("start", "seam", "fallback"), start)), "pivots": iters - 1}
             out[f"core/{trial:02d}/{name}"] = _plan_entry(i, j, mass, cost, gap, u, v, stats)
     return out
 

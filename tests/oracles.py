@@ -40,10 +40,9 @@ def brute_force_plan(
         j=j,
         mass=np.full(n, unit),
         cost=float(unit * entry_costs.sum()),
-        source_points=cost.points(f_plus.s),
-        target_points=cost.points(f_minus.s),
+        source_points=cost.domain.boundary_point(f_plus.s),
+        target_points=cost.domain.boundary_point(f_minus.s),
         entry_costs=entry_costs,
-        basis=None,
     )
     return plan
 

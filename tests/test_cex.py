@@ -73,12 +73,6 @@ class TestArcLayout:
         with pytest.raises(InfeasibleError):
             build_arcs(2, eps=[per / 2, per / 2])
 
-    def test_non_disk_rejected(self):
-        from transportlab.geom import ellipse
-
-        with pytest.raises(ValueError, match="disk"):
-            build_arcs(2, domain=ellipse(2.0, 1.0))
-
     def test_pair_measures_balanced(self):
         arcs = build_arcs(4)
         f_plus, f_minus = arcs.pair_measures(2, atoms_per_arc=32)

@@ -162,6 +162,31 @@ class TestSchemaErrors:
         assert code == 2
         assert literal in err and out == ""
 
+    @pytest.mark.parametrize("n", [4097, 10_000_000])
+    def test_grid_too_large(self, tmp_path, capsys, n):
+        prob = write_problem(tmp_path, {**pair_cfg(), "grid": {"n": n}})
+        code, out, err = run(capsys, "density", "--problem", prob)
+        assert code == 2
+        assert "grid.n" in err and "4096" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "data, item",
+        [
+            ({"f_plus": [0.5, 1.0, 1.0, 1.0], "f_minus": [[3.0, 2.0]]}, "f_plus[0]"),
+            ({"f_plus": [[0.0, 2.0]], "f_minus": [3.0, 1.0, 4.0, 1.0]}, "f_minus[0]"),
+            ({"g": {"samples": [0.0, 1.0, 3.0, -1.0]}}, "g.samples[0]"),
+            ({"g": {"samples": [[0.0, 0.0], [3.0, 1.0]], "jumps": [1.0, 0.5, 4.0, -0.5]}},
+             "g.jumps[0]"),
+        ],
+        ids=["f_plus", "f_minus", "samples", "jumps"],
+    )
+    def test_flat_lists_rejected(self, tmp_path, capsys, data, item):
+        # a flat list of even length once read as pairs
+        prob = write_problem(tmp_path, {"domain": {"kind": "disk", "radius": 1.0}, **data})
+        code, out, err = run(capsys, "solve", "--problem", prob)
+        assert code == 2
+        assert item in err and out == ""
+
     @pytest.mark.parametrize("radius", ["NaN", "Infinity", "1e400"])
     def test_non_finite_radius_rejected(self, tmp_path, capsys, radius):
         path = tmp_path / "problem.json"
@@ -191,6 +216,8 @@ class TestSchemaErrors:
 BAD_FLAGS = [
     (["density", "--grid", "0"], "--grid"),
     (["lsg", "--grid", "-5"], "--grid"),
+    (["density", "--grid", "4097"], "--grid"),
+    (["lsg", "--grid", "4097"], "--grid"),
     (["density", "--tau", "0"], "--tau"),
     (["density", "--tau", "1.5"], "--tau"),
     (["density", "--tau", "nan"], "--tau"),
@@ -416,6 +443,34 @@ class TestLeastGradient:
         assert rep["trace_error"] <= 0.1
         assert set(rep["lp_norms"]) == {"1.5", "2.0"}
         assert (out_dir / "u.csv").exists()
+
+    def test_constant_datum_draws_no_rays(self, tmp_path, capsys, monkeypatch):
+        cfg = cos_cfg()
+        cfg["g"] = {"samples": [[0.0, 2.0], [1.0, 2.0], [4.0, 2.0]]}
+        prob = write_problem(tmp_path, cfg)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "lsg", "--problem", prob, "--grid", "16", "--svg")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["solver"] is None and rep["files"] == {}
+        assert sorted(os.listdir(tmp_path)) == ["problem.json"]
+
+    def test_derivative_taken_once(self, tmp_path, capsys, monkeypatch):
+        from transportlab import cli, leastgrad, measures
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return measures.tangential_derivative(*args, **kwargs)
+
+        # both modules that import the name
+        for mod in (cli, leastgrad):
+            monkeypatch.setattr(mod, "tangential_derivative", counted)
+        prob = write_problem(tmp_path, cos_cfg(100))
+        code, _, _ = run(capsys, "lsg", "--problem", prob, "--grid", "16")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestCounterexample:

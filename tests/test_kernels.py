@@ -302,11 +302,13 @@ class TestCrossingField:
         per = domain.perimeter
         jumps = np.array([[0.1 * per, 0.8], [0.55 * per, -0.8]])
         for g in (smooth_datum(domain, 160), smooth_datum(domain, 160, jumps)):
-            flow = solve_least_gradient(g, domain, EuclideanNorm(), grid_n=8).flow
-            assert len(flow) > 50
+            plan = solve_least_gradient(g, domain, EuclideanNorm(), grid_n=8).plan
+            assert plan.n_entries > 50
+            a, b = plan.entry_segments()
+            ends = np.concatenate([a, b])
             for s0 in (0.0, 0.37 * per):
-                s = _generic_anchor(s0, flow, domain, clear=1e-8 * domain.diameter)
-                self._compare_on_grid(domain, flow.a, flow.b, flow.mass, s, 64)
+                s = _generic_anchor(s0, ends, domain, clear=1e-8 * domain.diameter)
+                self._compare_on_grid(domain, a, b, plan.mass, s, 64)
 
     def test_horizontal_and_vertical_rays(self):
         dom = disk(1.0)
@@ -720,7 +722,7 @@ class TestSimplexCores:
         rng = np.random.default_rng(5)
         C, a, b = self._instance(rng, 12, 17)
         bi, bj, f, u, v, start, iters = simplex.solve_transport(C, a, b)
-        assert start == simplex.BasisStart("northwest", -1, "no boundary positions")
+        assert start == ("northwest", -1, "no boundary positions")
         flows = np.zeros_like(C)
         flows[bi, bj] = f
         assert np.allclose(flows.sum(axis=1), a, rtol=1e-12)

@@ -7,8 +7,6 @@ from transportlab.density import grid_for_domain
 from transportlab.geom import EuclideanNorm, disk
 from transportlab.instances import cosine_datum
 from transportlab.leastgrad import (
-    SegmentFlow,
-    flow_from_plan,
     gradient_norm_field,
     interior_mask,
     reconstruct_u,
@@ -43,20 +41,11 @@ def random_plan(seed, n):
 
 
 class TestFlow:
-    def test_flow_matches_plan_entries(self):
-        plan = random_plan(1, 8)
-        flow = flow_from_plan(plan)
-        assert len(flow) == plan.n_entries
-        a, b = plan.entry_segments()
-        assert np.array_equal(flow.a, a)
-        assert np.array_equal(flow.b, b)
-        assert np.array_equal(flow.mass, plan.mass)
-
     def test_divergence_identity(self):
-        # pairing of the flow against smooth test functions telescopes to
-        # the boundary data: sum m (psi(a) - psi(b)) = <psi, f+> - <psi, f->
+        # pairing the plan's rays against smooth test functions telescopes
+        # to the boundary data: sum m (psi(a) - psi(b)) = <psi, f+> - <psi, f->
         plan = random_plan(2, 20)
-        flow = flow_from_plan(plan)
+        a, b = plan.entry_segments()
         polys = [
             lambda x, y: np.ones_like(x),
             lambda x, y: x,
@@ -67,7 +56,7 @@ class TestFlow:
         src = plan.source_points
         tgt = plan.target_points
         for psi in polys:
-            lhs = np.sum(flow.mass * (psi(*flow.a.T) - psi(*flow.b.T)))
+            lhs = np.sum(plan.mass * (psi(*a.T) - psi(*b.T)))
             rhs = np.sum(plan.source.mass * psi(*src.T)) - np.sum(
                 plan.target.mass * psi(*tgt.T)
             )
@@ -100,16 +89,17 @@ class TestReconstruction:
             samples=np.array([[0.0, 7.0], [3.0, 7.0]]), jumps=None, perimeter=TWO_PI
         )
         res = solve_least_gradient(g, DISK, EuclideanNorm(), grid_n=32)
-        assert len(res.flow) == 0
+        assert res.plan is None
         assert res.cost == 0.0
         assert np.allclose(res.u.values, 7.0)
         assert res.tv == pytest.approx(0.0, abs=1e-12)
 
     def test_anchor_choice_irrelevant(self):
-        flow_res = solve_least_gradient(step_datum(), DISK, EuclideanNorm(), grid_n=48)
+        plan = solve_least_gradient(step_datum(), DISK, EuclideanNorm(), grid_n=48).plan
+        rays = (*plan.entry_segments(), plan.mass)
         grid = grid_for_domain(DISK, 48)
-        u0 = reconstruct_u(flow_res.flow, step_datum(), grid, DISK, anchor_s=0.5)
-        u1 = reconstruct_u(flow_res.flow, step_datum(), grid, DISK, anchor_s=4.5)
+        u0 = reconstruct_u(*rays, step_datum(), grid, DISK, anchor_s=0.5)
+        u1 = reconstruct_u(*rays, step_datum(), grid, DISK, anchor_s=4.5)
         assert np.allclose(u0.values, u1.values, atol=1e-12)
 
     def test_cosine_matches_linear_function(self):
@@ -182,10 +172,3 @@ class TestTrace:
         assert not mask[r > 1.0].any()
         assert mask[r < 0.9].all()
 
-
-class TestFlowContainer:
-    def test_segment_flow_len(self):
-        f = SegmentFlow(
-            a=np.zeros((3, 2)), b=np.ones((3, 2)), mass=np.ones(3)
-        )
-        assert len(f) == 3

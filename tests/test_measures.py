@@ -360,3 +360,12 @@ class TestQuadratureAtoms:
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             quadrature_atoms(lambda s: -np.ones_like(s), (0.0, 1.0), 4, TWO_PI)
+
+    @pytest.mark.parametrize(
+        "density, got",
+        [(lambda s: 1.0, r"\(\)"), (lambda s: np.ones((2, 4)), r"\(2, 4\)")],
+        ids=["scalar", "wrong-shape"],
+    )
+    def test_density_must_be_vectorized(self, density, got):
+        with pytest.raises(ValueError, match=r"shape \(4,\), got " + got):
+            quadrature_atoms(density, (0.0, 1.0), 4, TWO_PI)

@@ -250,7 +250,7 @@ class TestDeterminism:
 def plain_start(C, a, b, s_a, s_b):
     """boundary_stack_basis without the certificate or the seam search."""
     basis = plain_lifo_basis(C, a, b, s_a, s_b)
-    return (*basis, simplex.BasisStart("lifo", 0, "plain start"))
+    return (*basis, ("lifo", 0, "plain start"))
 
 
 class TestDegenerateEscape:
