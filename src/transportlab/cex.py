@@ -32,6 +32,10 @@ SERIES_SUM_BOUND = 3.39
 # agree with 16 to 4.3e-15 relative for 1 <= p <= 2.99
 GJ_NODES = 16
 
+# most cells in one pair grid: a float64 grid of 4096**2 cells is 128 MB,
+# the budget of the largest density grid the CLI accepts
+MAX_PAIR_CELLS = 4096 * 4096
+
 
 def _shape(n) -> np.ndarray:
     """Unscaled arc-length sequence 1/(n ln^2(1+n))."""
@@ -179,6 +183,43 @@ def pair_plan(
     return _ot.solve_kantorovich(f_plus, f_minus, cost)
 
 
+def _pair_grid(arcs: ArcSystem, n: int, grid_n: int) -> tuple:
+    """Origin, cell size and shape (nx, ny) of pair n's grid.
+
+    The grid lies in the pair's chart frame (tangent at the pair midpoint
+    = x axis, inward normal = y axis).  Cells are sized so grid_n of them
+    span the sag, with two cells of padding around the ray fan.
+    """
+    R = arcs.domain.radius
+    half_angle = float(arcs.eps[n]) / R
+    s_max = R * math.sin(half_angle)
+    sag = R * (1.0 - math.cos(half_angle))
+    cell = sag / grid_n
+    pad = 2 * cell
+    nx = int(math.ceil((2 * s_max + 2 * pad) / cell))
+    ny = int(math.ceil((sag + 2 * pad) / cell))
+    return (-s_max - pad, -pad), cell, nx, ny
+
+
+def check_pair_grids(arcs: ArcSystem, grid_n: int) -> None:
+    """Raise ValueError unless every pair grid holds at most MAX_PAIR_CELLS.
+
+    A pair grid has more than grid_n rows, so a larger grid_n fails
+    before any cell size is computed.
+    """
+    if not 1 <= grid_n <= MAX_PAIR_CELLS:
+        raise ValueError(
+            f"grid_n must lie in [1, {MAX_PAIR_CELLS}], got {grid_n!r}"
+        )
+    for n in range(arcs.n_pairs):
+        _, _, nx, ny = _pair_grid(arcs, n, grid_n)
+        if nx * ny > MAX_PAIR_CELLS:
+            raise ValueError(
+                f"{grid_n} cells across the sag give pair {n} a grid of "
+                f"{nx} x {ny} cells, more than {MAX_PAIR_CELLS}"
+            )
+
+
 def _pair_grid_lp(
     arcs: ArcSystem, n: int, p: float, grid_n: int, atoms_per_arc: int
 ) -> float:
@@ -204,18 +245,13 @@ def _pair_grid_lp(
     frame = np.stack([tangent, inward], axis=1)
     a_loc = (a - c) @ frame
     b_loc = (b - c) @ frame
-    half_angle = float(arcs.eps[n]) / R
-    s_max = R * math.sin(half_angle)
-    sag = R * (1.0 - math.cos(half_angle))
-    cell = sag / grid_n
-    pad = 2 * cell
-    nx = int(math.ceil((2 * s_max + 2 * pad) / cell))
-    ny = int(math.ceil((sag + 2 * pad) / cell))
+    origin, cell, nx, ny = _pair_grid(arcs, n, grid_n)
     values = np.zeros((ny, nx))
     kernels.deposit_segments(
-        values, (-s_max - pad, -pad), cell, a_loc, b_loc, plan.mass * plan.entry_costs
+        values, origin, cell, a_loc, b_loc, plan.mass * plan.entry_costs
     )
-    return float(np.sum(values**p) * cell**2)
+    # the pair grid is ours, so the powers may overwrite it
+    return float(kernels.power_sum(values, p, overwrite=True) * cell**2)
 
 
 def run_counterexample(
@@ -237,6 +273,8 @@ def run_counterexample(
     if mode not in ("exact", "grid"):
         raise ValueError(f"unknown mode {mode!r}")
     arcs = build_arcs(N, eps=eps)
+    if mode == "grid":
+        check_pair_grids(arcs, grid_n)
     if mode == "exact":
         per_pair = [exact_pair_lp(arcs, n, p) for n in range(N)]
     else:

@@ -79,8 +79,8 @@ def _reject_booleans(obj, where: str) -> None:
 
 
 def _check_pairs(items, where: str) -> None:
-    """A list of [number, number] pairs: reshape(-1, 2) would read a flat
-    list of even length as pairs too."""
+    """A list of [number, number] pairs, checked here so that the error
+    names the item at fault."""
     if not isinstance(items, list):
         raise SchemaError(f"bad boundary data: {where} is not a list of [number, number] pairs")
     for k, item in enumerate(items):
@@ -380,18 +380,24 @@ def _write_arcs_svg(path, arcs, n_show):
 
 def cmd_cex(args) -> int:
     report = _base_report("cex", args.seed)
+    arcs = cex_mod.build_arcs(args.pairs)
+    grid_n = args.grid or 16
+    if args.mode == "grid":
+        try:
+            cex_mod.check_pair_grids(arcs, grid_n)
+        except ValueError as e:
+            raise SchemaError(f"--grid: {e}") from None
     result = cex_mod.run_counterexample(
         args.pairs,
         args.p,
         mode=args.mode,
-        grid_n=args.grid or 16,
+        grid_n=grid_n,
         atoms_per_arc=args.atoms_per_arc,
     )
     report.update(result)
     _emit(report, args.out)
     if args.svg:
         os.makedirs(args.out or ".", exist_ok=True)
-        arcs = cex_mod.build_arcs(args.pairs)
         _write_arcs_svg(
             os.path.join(args.out or ".", "arcs.svg"), arcs, min(args.pairs, 6)
         )
@@ -457,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("lsg", help="least-gradient reconstruction from g"), cmd_lsg)
 
     p = sub.add_parser("cex", help="alternating-arc counter-example report")
-    # cex --grid counts cells across a pair's sag, not per side: no MAX_GRID
+    # cex --grid counts cells across a pair's sag, not per side: cmd_cex
+    # bounds the cells of each pair grid instead of MAX_GRID
     common(p, cmd_cex, problem=False, grid=_count, p_type=_p_cex)
     p.add_argument("--pairs", type=_count, required=True, help="number of arc pairs")
     p.add_argument(

@@ -129,8 +129,7 @@ def lp_norm(field: GridField, p) -> float:
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p!r}")
-    v = field.values
-    return float((np.sum(v**p) * field.cell**2) ** (1.0 / p))
+    return float((kernels.power_sum(field.values, p) * field.cell**2) ** (1.0 / p))
 
 
 def time_factor(p: float, tau: float) -> float:

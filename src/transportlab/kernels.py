@@ -29,28 +29,35 @@ def _split(lo, hi, i0, i1, p0, d, origin, cell):
     """Cut t-intervals into one piece per grid cell along one axis.
 
     Interval q runs over [lo[q], hi[q]] of the line p0[q] + t * d[q] and
-    through cells i0[q] .. i1[q] in order.  Returns, per piece, the
-    interval index, the cell index and the piece's t-bounds.  A piece
-    ends at the t of the grid line to the next cell, clipped to
+    through cells i0[q] .. i1[q] in order.  Returns the number of pieces
+    per interval and, per piece, the cell index and the t-bounds.  A
+    piece ends at the t of the grid line to the next cell, clipped to
     [lo, hi]; the interval's last piece ends at hi and each piece starts
     where the one before ended (the first at lo).  So pieces tile their
     interval and never have negative length.
+
+    The pieces of one interval are contiguous, so per-piece copies of
+    per-interval values are repeats, never gathers, and the cell index
+    is exact integer arithmetic on the running piece number.
     """
     step = np.sign(i1 - i0)
     count = np.abs(i1 - i0) + 1
-    first = np.cumsum(count) - count
-    q = np.repeat(np.arange(len(count)), count)
-    k = np.arange(len(q)) - first[q]
-    idx = i0[q] + k * step[q]
-    t_out = hi[q]
-    inner = np.flatnonzero(k < count[q] - 1)
-    qi = q[inner]
-    line = origin + (idx[inner] + (step[qi] > 0)) * cell
-    t_out[inner] = np.clip((line - p0[qi]) / d[qi], lo[qi], hi[qi])
+    end = count.cumsum()
+    first = end - count
+    rstep = step.repeat(count)
+    idx = (i0 - first * step).repeat(count) + np.arange(end[-1]) * rstep
+    line = origin + (idx + (rstep > 0)) * cell
+    # only a last piece can divide by d == 0, and hi overwrites it below;
+    # two passes clip to [lo, hi] faster than np.clip with array bounds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_out = (line - p0.repeat(count)) / d.repeat(count)
+        np.maximum(lo.repeat(count), t_out, out=t_out)
+        np.minimum(hi.repeat(count), t_out, out=t_out)
+    t_out[end - 1] = hi
     t_in = np.empty_like(t_out)
     t_in[1:] = t_out[:-1]
     t_in[first] = lo
-    return q, idx, t_in, t_out
+    return count, idx, t_in, t_out
 
 
 def deposit_segments(values, origin, cell, start, end, weight):
@@ -66,10 +73,11 @@ def deposit_segments(values, origin, cell, start, end, weight):
     Each segment is cut at the horizontal grid lines into rows, and each
     row piece at the vertical lines into cells (the Amanatides-Woo
     traversal, batched); a segment visits |rows crossed| + |columns
-    crossed| + 1 cells.  Segments go in chunks of at most ``MAX_VISITS``
-    visits (a longer segment goes alone), and the pieces are summed by
-    ``np.bincount`` in a fixed order, so the result is reproducible bit
-    for bit.
+    crossed| + 1 cells.  Per-piece values are repeats of per-segment and
+    per-row values, with no gathers.  Segments go in chunks of at most
+    ``MAX_VISITS`` visits (a longer segment goes alone), and the pieces
+    are summed by ``np.bincount`` in a fixed order, so the result is
+    reproducible bit for bit.
     """
     ny, nx = values.shape
     ox, oy = float(origin[0]), float(origin[1])
@@ -92,11 +100,11 @@ def deposit_segments(values, origin, cell, start, end, weight):
         hi = max(lo + 1, int(np.searchsorted(cum, base + MAX_VISITS, side="right")))
         part = slice(lo, hi)
         n = hi - lo
-        seg, row, t0, t1 = _split(
+        rc, row, t0, t1 = _split(
             np.zeros(n), np.ones(n), r0[part], r1[part], y0[part], dy[part], oy, cell
         )
-        xs, xd = x0[part][seg], dx[part][seg]
-        piece, col, t_in, t_out = _split(
+        xs, xd = x0[part].repeat(rc), dx[part].repeat(rc)
+        cc, col, t_in, t_out = _split(
             t0, t1,
             _cell_index(xs + t0 * xd, ox, cell, nx),
             _cell_index(xs + t1 * xd, ox, cell, nx),
@@ -105,12 +113,25 @@ def deposit_segments(values, origin, cell, start, end, weight):
         # sum over the rows this chunk spans only, not the whole grid
         r_lo, r_hi = row.min(), row.max() + 1
         values[r_lo:r_hi] += np.bincount(
-            (row[piece] - r_lo) * nx + col,
-            weights=(t_out - t_in) * w[part][seg[piece]],
+            ((row - r_lo) * nx).repeat(cc) + col,
+            weights=(t_out - t_in) * w[part].repeat(rc).repeat(cc),
             minlength=(r_hi - r_lo) * nx,
         ).reshape(-1, nx)
         lo = hi
     return values
+
+
+def power_sum(values, p, overwrite=False):
+    """``np.sum(values**p)``, with the power taken on nonzero cells only.
+
+    0**p is exactly 0 for p > 0, so skipping the zero cells leaves the
+    sum bit for bit as it was; a negative cell still gives NaN.  With
+    ``overwrite`` the powers replace ``values`` in place.
+    """
+    if not p > 0.0:
+        raise ValueError(f"p must be positive, got {p!r}")
+    out = values if overwrite else np.zeros_like(values)
+    return np.sum(np.power(values, p, out=out, where=values != 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,19 @@ def _wrap(s, perimeter):
     return s
 
 
+def _pairs(items, name: str) -> np.ndarray:
+    """A new float array of shape (k, 2) holding items; [] gives k = 0.
+
+    A flat list of even length is refused, not read as pairs.
+    """
+    arr = np.array(items, dtype=float)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"{name} must have shape (k, 2), got shape {arr.shape}")
+    return arr
+
+
 @dataclass
 class BoundaryMeasure:
     """Atomic measure on a boundary of given perimeter.
@@ -111,10 +124,10 @@ class BoundaryMeasure:
 class BoundaryDatum:
     """Piecewise-linear boundary function with explicit jumps.
 
-    ``samples`` is a list of (arclength, value) pairs; the function is
-    linear between consecutive samples and wraps from the last sample to
-    the first.  ``jumps`` is a list of (arclength, height) pairs adding a
-    step at each location.  The jump heights must sum to zero (within
+    ``samples`` holds (arclength, value) pairs, shape (k, 2); the
+    function is linear between consecutive samples and wraps from the
+    last sample to the first.  ``jumps`` holds (arclength, height) pairs,
+    shape (k, 2) or empty, adding a step at each location.  The jump heights must sum to zero (within
     1e-12 of the total variation scale), otherwise the function would not
     close up around the boundary.
     """
@@ -125,8 +138,8 @@ class BoundaryDatum:
 
     def __post_init__(self):
         # copies: the positions are wrapped in place below
-        samples = np.array(self.samples, dtype=float).reshape(-1, 2)
-        jumps = np.array([] if self.jumps is None else self.jumps, dtype=float).reshape(-1, 2)
+        samples = _pairs(self.samples, "samples")
+        jumps = _pairs([] if self.jumps is None else self.jumps, "jumps")
         if len(samples) < 1:
             raise ValueError("datum needs at least one sample")
         if not (np.isfinite(samples).all() and np.isfinite(jumps).all()):
@@ -293,13 +306,9 @@ def quadrature_atoms(
 
 
 def measure_from_config(atoms: list, perimeter: float) -> BoundaryMeasure:
-    arr = np.asarray(atoms, dtype=float).reshape(-1, 2)
+    arr = _pairs(atoms, "atoms")
     return BoundaryMeasure(arr[:, 0], arr[:, 1], perimeter)
 
 
 def datum_from_config(cfg: dict, perimeter: float) -> BoundaryDatum:
-    return BoundaryDatum(
-        np.asarray(cfg["samples"], dtype=float),
-        np.asarray(cfg.get("jumps", []), dtype=float).reshape(-1, 2),
-        perimeter,
-    )
+    return BoundaryDatum(cfg["samples"], cfg.get("jumps"), perimeter)

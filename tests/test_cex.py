@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from transportlab import cex
 from transportlab.cex import (
+    MAX_PAIR_CELLS,
     SERIES_SUM_BOUND,
     build_arcs,
+    check_pair_grids,
     exact_pair_lp,
     pair_plan,
     run_counterexample,
@@ -178,3 +181,31 @@ class TestReports:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             run_counterexample(2, 2.0, mode="fancy")
+
+
+class TestPairGridCap:
+    def test_large_grid_refused_before_solving(self, monkeypatch):
+        # pair 0 at grid 3000 is 11,467 x 3,004 cells, about 34.4 M
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a pair before checking the grids")
+
+        monkeypatch.setattr(cex, "pair_plan", no_solve)
+        with pytest.raises(ValueError, match="11467 x 3004 cells"):
+            run_counterexample(1, 2.0, mode="grid", grid_n=3000)
+
+    @pytest.mark.parametrize("grid_n", [0, 10_000_000, 10**400, math.nan])
+    def test_out_of_range_refused(self, grid_n):
+        with pytest.raises(ValueError):
+            check_pair_grids(build_arcs(1), grid_n)
+
+    def test_exact_mode_ignores_grid(self):
+        rep = run_counterexample(1, 2.0, mode="exact", grid_n=3000)
+        assert rep["mode"] == "exact"
+
+    def test_default_grids_fit(self):
+        # the last of 24 pairs at grid 16 is 34,351 x 20 cells
+        arcs = build_arcs(24)
+        check_pair_grids(arcs, 16)
+        _, _, nx, ny = cex._pair_grid(arcs, 23, 16)
+        assert (nx, ny) == (34351, 20)
+        assert nx * ny <= MAX_PAIR_CELLS

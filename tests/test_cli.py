@@ -501,6 +501,15 @@ class TestCounterexample:
         assert "warning" in rep
         assert (out_dir / "arcs.svg").read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("pairs, grid", [("1", "10000000"), ("1", "3000")])
+    def test_pair_grid_over_the_cap_refused(self, capsys, pairs, grid):
+        code, out, err = run(
+            capsys, "cex", "--pairs", pairs, "--p", "2", "--mode", "grid", "--grid", grid
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("schema error: --grid:")
+
     def test_cex_reruns_identical(self, capsys):
         _, a, _ = run(capsys, "cex", "--pairs", "6", "--p", "2.5")
         _, b, _ = run(capsys, "cex", "--pairs", "6", "--p", "2.5")

@@ -127,6 +127,12 @@ class TestNorms:
         assert lp_norm(f, 2) == pytest.approx(3.0 * math.sqrt(area))
         assert lp_norm(f, math.inf) == pytest.approx(3.0)
 
+    def test_field_left_unchanged(self):
+        vals = np.array([[0.0, 2.0], [0.5, 0.0]])
+        f = GridField(origin=(0.0, 0.0), cell=1.0, nx=2, ny=2, values=vals.copy())
+        assert lp_norm(f, 2.5) == np.sum(vals**2.5) ** (1.0 / 2.5)
+        assert np.array_equal(f.values, vals)
+
     def test_p_below_one_rejected(self):
         f = GridField(origin=(0.0, 0.0), cell=1.0, nx=2, ny=2, values=np.ones((2, 2)))
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 the chord-crossing check each replaced an older kernel; each is compared
 with the kernel it replaced, kept here as a reference, and pinned on
 hand-made cases.  The simplex core must match its reference bit for
-bit."""
+bit, and so must the deposit match the gathering kernel it replaced."""
 
 import math
 from collections import deque
@@ -12,7 +12,7 @@ import pytest
 
 from oracles import plain_lifo_basis
 from transportlab import kernels, simplex
-from transportlab.cex import build_arcs
+from transportlab.cex import build_arcs, run_counterexample
 from transportlab.density import grid_for_domain
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse, radial
 from transportlab.instances import smooth_arc_instance
@@ -63,6 +63,70 @@ def reference_deposit(values, origin, cell, start, end, weight):
     return values
 
 
+def _gather_split(lo, hi, i0, i1, p0, d, origin, cell):
+    """The batched split before it dropped its gathers, kept verbatim."""
+    step = np.sign(i1 - i0)
+    count = np.abs(i1 - i0) + 1
+    first = np.cumsum(count) - count
+    q = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(q)) - first[q]
+    idx = i0[q] + k * step[q]
+    t_out = hi[q]
+    inner = np.flatnonzero(k < count[q] - 1)
+    qi = q[inner]
+    line = origin + (idx[inner] + (step[qi] > 0)) * cell
+    t_out[inner] = np.clip((line - p0[qi]) / d[qi], lo[qi], hi[qi])
+    t_in = np.empty_like(t_out)
+    t_in[1:] = t_out[:-1]
+    t_in[first] = lo
+    return q, idx, t_in, t_out
+
+
+def gather_deposit(values, origin, cell, start, end, weight):
+    """The batched deposit before it dropped its gathers, kept verbatim:
+    each piece gathers its segment's and its row's values by index.  The
+    kernel must match it bit for bit."""
+    _cell_index = kernels._cell_index
+    ny, nx = values.shape
+    ox, oy = float(origin[0]), float(origin[1])
+    start = np.asarray(start, dtype=np.float64).reshape(-1, 2)
+    end = np.asarray(end, dtype=np.float64).reshape(-1, 2)
+    d = end - start
+    keep = np.flatnonzero((d[:, 0] != 0.0) | (d[:, 1] != 0.0))
+    x0, y0 = start[keep, 0], start[keep, 1]
+    dx, dy = d[keep, 0], d[keep, 1]
+    w = np.asarray(weight, dtype=np.float64)[keep] / (cell * cell)
+    r0 = _cell_index(y0, oy, cell, ny)
+    r1 = _cell_index(y0 + dy, oy, cell, ny)
+    c0 = _cell_index(x0, ox, cell, nx)
+    c1 = _cell_index(x0 + dx, ox, cell, nx)
+    cum = np.cumsum(np.abs(r1 - r0) + np.abs(c1 - c0) + 1)
+    lo = 0
+    while lo < len(keep):
+        base = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + kernels.MAX_VISITS, side="right")))
+        part = slice(lo, hi)
+        n = hi - lo
+        seg, row, t0, t1 = _gather_split(
+            np.zeros(n), np.ones(n), r0[part], r1[part], y0[part], dy[part], oy, cell
+        )
+        xs, xd = x0[part][seg], dx[part][seg]
+        piece, col, t_in, t_out = _gather_split(
+            t0, t1,
+            _cell_index(xs + t0 * xd, ox, cell, nx),
+            _cell_index(xs + t1 * xd, ox, cell, nx),
+            xs, xd, ox, cell,
+        )
+        r_lo, r_hi = row.min(), row.max() + 1
+        values[r_lo:r_hi] += np.bincount(
+            (row[piece] - r_lo) * nx + col,
+            weights=(t_out - t_in) * w[part][seg[piece]],
+            minlength=(r_hi - r_lo) * nx,
+        ).reshape(-1, nx)
+        lo = hi
+    return values
+
+
 def lattice_segments(rng, n, step=1.0 / 32):
     """Segments with both ends on a lattice of grid lines and corners,
     a third of them axis-parallel."""
@@ -74,12 +138,21 @@ def lattice_segments(rng, n, step=1.0 / 32):
     return a[keep], b[keep]
 
 
+def assert_same_as_gather(shape, origin, cell, a, b, weight):
+    """The kernel and gather_deposit give the same grid, bit for bit."""
+    got = kernels.deposit_segments(np.zeros(shape), origin, cell, a, b, weight)
+    want = gather_deposit(np.zeros(shape), origin, cell, a, b, weight)
+    assert np.array_equal(got, want)
+    return got
+
+
+@pytest.mark.filterwarnings("error")
 class TestDeposit:
     origin = (-1.0, -1.0)
     cell = 2.0 / 64
 
     def _agree(self, a, b, weight):
-        got = kernels.deposit_segments(np.zeros((64, 64)), self.origin, self.cell, a, b, weight)
+        got = assert_same_as_gather((64, 64), self.origin, self.cell, a, b, weight)
         want = reference_deposit(np.zeros((64, 64)), self.origin, self.cell, a, b, weight)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
         assert got.min() >= 0.0
@@ -165,6 +238,63 @@ class TestDeposit:
         assert values.min() >= 0.0
         self._agree(a, b, np.ones(1))
 
+    @pytest.mark.parametrize("axis", [0, 1], ids=["horizontal", "vertical"])
+    def test_axis_parallel_on_grid_lines(self, axis):
+        # lattice segments along one axis: zero d on the other axis
+        # divides by zero in pieces that the interval end overwrites,
+        # and 0/0 where a segment lies on a grid line
+        rng = np.random.default_rng(7 + axis)
+        a = rng.integers(-40, 41, (80, 2)) / 32.0
+        b = a.copy()
+        b[:, axis] = rng.integers(-40, 41, 80) / 32.0
+        b[:10, axis] = a[:10, axis] + rng.uniform(-0.3, 0.3, 10)
+        keep = np.any(a != b, axis=1)
+        self._agree(a[keep], b[keep], rng.uniform(0.1, 3.0, keep.sum()))
+
+    def test_segment_longer_than_max_visits(self):
+        # the middle segment alone crosses more cells than a chunk holds
+        nx = kernels.MAX_VISITS + 100
+        cell = 1.0 / nx
+        a = np.array([[0.1, 0.5], [0.0, 0.5], [0.3, 3.5]]) * [1.0, cell]
+        b = np.array([[0.2, 2.5], [1.0, 3.5], [0.25, 0.5]]) * [1.0, cell]
+        assert np.abs(b - a)[1, 0] / cell > kernels.MAX_VISITS
+        values = assert_same_as_gather(
+            (4, nx), (0.0, 0.0), cell, a, b, np.array([1.0, 2.0, 3.0])
+        )
+        assert values.sum() * cell**2 == pytest.approx(6.0, rel=1e-12)
+
+    def test_transport_plan_matches_gather(self):
+        # the transport workload's input: a 350-atom plan at grid 512
+        domain = ellipse(2.0, 1.0)
+        rng = np.random.default_rng(11)
+        plan = solve_kantorovich(
+            *smooth_arc_instance(rng, domain, 350), ChordCost(domain, LqNorm(3.0))
+        )
+        grid = grid_for_domain(domain, 512)
+        a, b = plan.entry_segments()
+        tau = 0.7
+        assert_same_as_gather(
+            grid.values.shape, grid.origin, grid.cell,
+            a, a + tau * (b - a), tau * plan.mass * plan.entry_costs,
+        )
+
+    def test_cex_pair_grids_match_gather(self, monkeypatch):
+        # the pair grids of the alternating-arc surrogate: long, flat,
+        # nearly horizontal fans on grids a few cells high
+        calls = []
+        deposit = kernels.deposit_segments
+
+        def record(values, *args):
+            calls.append((values.shape, *args))
+            return deposit(values, *args)
+
+        monkeypatch.setattr(kernels, "deposit_segments", record)
+        run_counterexample(3, 2.5, mode="grid", grid_n=16, atoms_per_arc=24)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        for shape, origin, cell, a, b, weight in calls:
+            assert_same_as_gather(shape, origin, cell, a, b, weight)
+
     def test_mass_conserved(self):
         rng = np.random.default_rng(1)
         a, b = random_segments(rng, 40, -0.9, 0.9)
@@ -181,6 +311,37 @@ class TestDeposit:
         kernels.deposit_segments(values, (0.0, 0.0), 1.0, a, e, np.array([5.0, 2.0]))
         assert values.sum() == pytest.approx(2.0)
         assert values[0, 0] == pytest.approx(0.5)
+
+
+class TestPowerSum:
+    def _field(self):
+        rng = np.random.default_rng(12)
+        a, b = random_segments(rng, 40, -0.9, 0.9)
+        values = np.zeros((64, 64))
+        kernels.deposit_segments(values, (-1.0, -1.0), 2.0 / 64, a, b, rng.uniform(0.1, 3.0, len(a)))
+        assert 0 < np.count_nonzero(values) < values.size
+        return values
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 2.999])
+    def test_equals_sum_of_powers(self, p):
+        values = self._field()
+        want = np.sum(values**p)
+        kept = values.copy()
+        assert kernels.power_sum(values, p) == want
+        assert np.array_equal(values, kept)
+        assert kernels.power_sum(values, p, overwrite=True) == want
+        assert np.array_equal(values, kept**p)
+
+    def test_negative_cell_gives_nan(self):
+        values = self._field()
+        values[3, 5] = -1.0
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert math.isnan(kernels.power_sum(values, 2.5))
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
+    def test_p_not_positive_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be positive"):
+            kernels.power_sum(np.ones((2, 2)), p)
 
 
 def _reference_legs(p0, pts, a, b, mass):

@@ -10,6 +10,8 @@ from transportlab.geom import ChordCost, EuclideanNorm, disk
 from transportlab.measures import (
     BoundaryDatum,
     BoundaryMeasure,
+    datum_from_config,
+    measure_from_config,
     quadrature_atoms,
     remove_common_mass,
     tangential_derivative,
@@ -101,6 +103,23 @@ class TestBoundaryMeasure:
         assert np.all(np.diff(m.s) > 0)
 
 
+class TestMeasureFromConfig:
+    def test_pairs(self):
+        m = measure_from_config([[0.5, 1.0], [1.0, 2.0]], TWO_PI)
+        assert m.s.tolist() == [0.5, 1.0]
+        assert m.mass.tolist() == [1.0, 2.0]
+
+    def test_empty_list_is_no_atoms(self):
+        assert len(measure_from_config([], TWO_PI)) == 0
+
+    @pytest.mark.parametrize(
+        "atoms", [[0.5, 1.0, 1.0, 1.0], [[0.5, 1.0, 1.0]]], ids=["flat", "three-columns"]
+    )
+    def test_atoms_need_shape_k_2(self, atoms):
+        with pytest.raises(ValueError, match=r"atoms must have shape \(k, 2\)"):
+            measure_from_config(atoms, TWO_PI)
+
+
 class TestBoundaryDatum:
     def test_eval_linear_and_jumps(self):
         # continuous part 0, unit step up at 0 and down at pi
@@ -179,6 +198,33 @@ class TestBoundaryDatum:
         assert jumps.tolist() == [[-1.0, 1.0], [2.0, -1.0]]
         assert g.samples[:, 0].tolist() == [7.0 - TWO_PI, 3.0]
         assert g.jumps[:, 0].tolist() == [2.0, TWO_PI - 1.0]
+
+    @pytest.mark.parametrize(
+        "samples, jumps, name",
+        [
+            ([0.0, 1.0, 3.0, -1.0], None, "samples"),
+            ([[0.0, 1.0, 3.0], [3.0, -1.0, 0.0]], None, "samples"),
+            ([[0.0, 1.0], [3.0, -1.0]], [0.5, 1.0, 2.0, -1.0], "jumps"),
+            ([[0.0, 1.0], [3.0, -1.0]], [[[0.5, 1.0]], [[2.0, -1.0]]], "jumps"),
+        ],
+        ids=["flat-samples", "three-columns", "flat-jumps", "three-dims"],
+    )
+    def test_pairs_need_shape_k_2(self, samples, jumps, name):
+        # a flat list of even length is not read as pairs
+        with pytest.raises(ValueError, match=rf"{name} must have shape \(k, 2\)"):
+            BoundaryDatum(samples, jumps, TWO_PI)
+
+    @pytest.mark.parametrize("jumps", [None, [], np.empty((0, 2))], ids=["none", "list", "array"])
+    def test_no_jumps(self, jumps):
+        g = BoundaryDatum([[0.0, 1.0], [3.0, -1.0]], jumps, TWO_PI)
+        assert g.jumps.shape == (0, 2)
+
+    def test_from_config(self):
+        g = datum_from_config({"samples": [[0.0, 1.0], [3.0, -1.0]]}, TWO_PI)
+        assert g.samples.tolist() == [[0.0, 1.0], [3.0, -1.0]]
+        assert g.jumps.shape == (0, 2)
+        with pytest.raises(ValueError, match="samples must have shape"):
+            datum_from_config({"samples": [0.0, 1.0, 3.0, -1.0]}, TWO_PI)
 
     def test_duplicate_across_the_seam_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
