@@ -379,6 +379,10 @@ def _write_arcs_svg(path, arcs, n_show):
 
 
 def cmd_cex(args) -> int:
+    if args.mode == "exact":
+        for flag, value in (("--grid", args.grid), ("--atoms-per-arc", args.atoms_per_arc)):
+            if value is not None:
+                raise SchemaError(f"{flag} applies only to --mode grid")
     report = _base_report("cex", args.seed)
     arcs = cex_mod.build_arcs(args.pairs)
     grid_n = args.grid or 16
@@ -392,7 +396,7 @@ def cmd_cex(args) -> int:
         args.p,
         mode=args.mode,
         grid_n=grid_n,
-        atoms_per_arc=args.atoms_per_arc,
+        atoms_per_arc=args.atoms_per_arc or 64,
     )
     report.update(result)
     _emit(report, args.out)
@@ -471,7 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("exact", "grid"), default="exact", help="evaluation mode"
     )
     p.add_argument(
-        "--atoms-per-arc", type=_count, default=64, help="quadrature atoms per arc"
+        "--atoms-per-arc",
+        type=_count,
+        default=None,
+        help="quadrature atoms per arc (grid mode; default 64)",
     )
     return ap
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +133,17 @@ class Domain:
 
     def curvature(self, s) -> np.ndarray:
         return self._at(s, self._curvature)
+
+    @cached_property
+    def trace_ring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """1024 equally spaced arclengths from 0, with their boundary
+        points and inward normals: read-only arrays, inverted once per
+        domain."""
+        s = np.linspace(0.0, self.perimeter, 1024, endpoint=False)
+        ring = (s, *self.frame(s))
+        for a in ring:
+            a.setflags(write=False)
+        return ring
 
     def contains(self, points) -> np.ndarray:
         """True for points inside or on the boundary."""
@@ -401,11 +413,17 @@ class ChordCost:
     domain: Domain
     norm: Norm
 
-    def matrix(self, s_sources, s_targets) -> np.ndarray:
-        """Cost matrix ||x(s_i) - x(t_j)|| for sources s_i and targets t_j,
-        built from one (n, m) difference array per axis."""
-        p = self.domain.boundary_point(np.asarray(s_sources, dtype=float))
-        q = self.domain.boundary_point(np.asarray(s_targets, dtype=float))
+    def matrix(self, sources, targets) -> np.ndarray:
+        """Cost matrix ||x_i - y_j|| for sources x_i and targets y_j,
+        built from one (n, m) difference array per axis.
+
+        Each side is either boundary points, shape (k, 2), or arclengths
+        (any lower dimension), which are mapped to their boundary points.
+        """
+        p, q = (
+            x if x.ndim == 2 else self.domain.boundary_point(x)
+            for x in (np.asarray(sources, dtype=float), np.asarray(targets, dtype=float))
+        )
         dx = p[:, 0, None] - q[None, :, 0]
         dy = p[:, 1, None] - q[None, :, 1]
         return self.norm._in_place(dx, dy)

@@ -186,7 +186,10 @@ def solve_kantorovich(
     b = f_minus.mass.astype(float)
     b_scale = float(a.sum() / b.sum())
     b = b * b_scale
-    C = cost.matrix(f_plus.s, f_minus.s)
+    # each position is inverted once, for the costs and the plan's chords
+    P = cost.domain.boundary_point(f_plus.s)
+    Q = cost.domain.boundary_point(f_minus.s)
+    C = cost.matrix(P, Q)
     bi, bj, f, u, v, start, iters = simplex.solve_transport(
         C, a, b, s_a=f_plus.s, s_b=f_minus.s
     )
@@ -205,8 +208,8 @@ def solve_kantorovich(
         j=j,
         mass=mass,
         cost=total_cost,
-        source_points=cost.domain.boundary_point(f_plus.s),
-        target_points=cost.domain.boundary_point(f_minus.s),
+        source_points=P,
+        target_points=Q,
         entry_costs=entry_costs,
         gap=total_cost - dual_obj,
         potentials=(u, v),

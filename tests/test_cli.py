@@ -510,6 +510,21 @@ class TestCounterexample:
         assert out == ""
         assert err.startswith("schema error: --grid:")
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--grid", "3000"), ("--atoms-per-arc", "64")]
+    )
+    def test_grid_flag_refused_in_exact_mode(self, capsys, flag, value):
+        code, out, err = run(capsys, "cex", "--pairs", "1", "--p", "2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"schema error: {flag} applies only to --mode grid\n"
+
+    def test_grid_mode_defaults(self, capsys):
+        code, out, _ = run(capsys, "cex", "--pairs", "1", "--p", "2", "--mode", "grid")
+        assert code == 0
+        rep = json.loads(out)
+        assert (rep["grid_n"], rep["atoms_per_arc"]) == (16, 64)
+
     def test_cex_reruns_identical(self, capsys):
         _, a, _ = run(capsys, "cex", "--pairs", "6", "--p", "2.5")
         _, b, _ = run(capsys, "cex", "--pairs", "6", "--p", "2.5")

@@ -468,7 +468,7 @@ class TestCrossingField:
             a, b = plan.entry_segments()
             ends = np.concatenate([a, b])
             for s0 in (0.0, 0.37 * per):
-                s = _generic_anchor(s0, ends, domain, clear=1e-8 * domain.diameter)
+                s, _, _ = _generic_anchor(s0, ends, domain, clear=1e-8 * domain.diameter)
                 self._compare_on_grid(domain, a, b, plan.mass, s, 64)
 
     def test_horizontal_and_vertical_rays(self):
