@@ -25,6 +25,8 @@ TWO_PI = 2.0 * math.pi
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 # panels of an arclength table
 _N_PANELS = 4096
+# elements in a block of the quadratic norm's temporaries
+_BLOCK = 1 << 14
 
 
 class _ArclengthTable:
@@ -144,6 +146,13 @@ class Domain:
         for a in ring:
             a.setflags(write=False)
         return ring
+
+    def __getstate__(self):
+        # a copy or an unpickled domain rebuilds its own read-only ring;
+        # pickle would hand it writeable arrays
+        state = self.__dict__.copy()
+        state.pop("trace_ring", None)
+        return state
 
     def contains(self, points) -> np.ndarray:
         """True for points inside or on the boundary."""
@@ -396,8 +405,15 @@ class QuadraticNorm(Norm):
 
     def _in_place(self, dx, dy):
         (a00, a01), (a10, a11) = self.a
-        # v' A v term by term in einsum's order: the two agree bit for bit
-        return np.sqrt(a00 * dx * dx + a01 * dx * dy + a10 * dy * dx + a11 * dy * dy)
+        # v' A v term by term in einsum's order (the two agree bit for
+        # bit), over blocks of rows written into dx, so that each
+        # temporary holds one block
+        out, dy = np.atleast_1d(dx, dy)
+        rows = max(1, _BLOCK * len(out) // max(out.size, 1))
+        for lo in range(0, len(out), rows):
+            x, y = out[lo : lo + rows], dy[lo : lo + rows]
+            np.sqrt(a00 * x * x + a01 * x * y + a10 * y * x + a11 * y * y, out=x)
+        return dx
 
     def rotated(self):
         return QuadraticNorm(_ROT_MINUS_90.T @ self.a @ _ROT_MINUS_90)

@@ -244,11 +244,12 @@ def remove_common_mass(
     """
     per = f_plus.perimeter
     tol = MERGE_TOL * per
-    mp = f_plus.mass.copy()
-    mm = f_minus.mass.copy()
+    # scalar work on python floats is cheaper than on arrays, and exact
+    sp, sm = f_plus.s.tolist(), f_minus.s.tolist()
+    mp, mm = f_plus.mass.tolist(), f_minus.mass.tolist()
     i = j = 0
-    while i < len(f_plus) and j < len(f_minus):
-        d = f_plus.s[i] - f_minus.s[j]
+    while i < len(sp) and j < len(sm):
+        d = sp[i] - sm[j]
         if abs(d) <= tol:
             c = min(mp[i], mm[j])
             mp[i] -= c
@@ -265,16 +266,16 @@ def remove_common_mass(
     # across the seam at 0
     if len(mp) and len(mm):
         for i, j, gap in (
-            (-1, 0, f_minus.s[0] + per - f_plus.s[-1]),
-            (0, -1, f_plus.s[0] + per - f_minus.s[-1]),
+            (-1, 0, sm[0] + per - sp[-1]),
+            (0, -1, sp[0] + per - sm[-1]),
         ):
             if gap <= tol:
                 c = min(mp[i], mm[j])
                 mp[i] -= c
                 mm[j] -= c
     return (
-        BoundaryMeasure(f_plus.s, mp, per, f_plus.sublength),
-        BoundaryMeasure(f_minus.s, mm, per, f_minus.sublength),
+        BoundaryMeasure(f_plus.s, np.array(mp), per, f_plus.sublength),
+        BoundaryMeasure(f_minus.s, np.array(mm), per, f_minus.sublength),
     )
 
 

@@ -16,8 +16,9 @@ pricing then finds no entering cell and the solve makes no pivot.  If
 the walk from s = 0 does not certify, the seam with the cheapest LIFO
 plan, found in one sweep over the levels, is tried; otherwise the
 forest keeps plain joins.  Input without boundary positions starts
-from the northwest corner.  The core prices every start, so optimality
-is always checked, never trusted.
+from the northwest corner.  Every start is priced once.  A certified
+single tree is priced by its certificate, whose potentials and reduced
+costs are the core's own; every other start is priced by the core.
 
 One core: numpy pricing and python tree bookkeeping.  The basis tree
 hangs from node 0 and persists across pivots.  A pivot re-hangs only
@@ -376,8 +377,18 @@ def _certify(C, k, comp, u, v, tol):
     offsets are recomputed along that tree and every block is checked
     against ``tol`` before the joins are returned.
 
+    A single tree (K = 1) has no offsets to find: its reduced costs
+    are computed as the core's first pricing computes them, and it
+    certifies when none is below ``-tol``.
+
     Returns (joins, "") or (None, reason).
     """
+    if k == 1:
+        R = C - u[:, None]
+        R -= v
+        if R.min() >= -tol:
+            return [], ""
+        return None, "a component's plan is not optimal on its own"
     n, m = C.shape
     ro, has_s, r0 = _groups(comp[:n])
     co, has_t, c0 = _groups(comp[n:])
@@ -505,20 +516,25 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     plan is then the whole basis), else seam 0's, because with several
     components the arbitrary joins, not the seam, set the pivot count.
 
-    Returns (bi, bj, f, start) with ``start`` the tuple (kind, seam,
-    reason) that :class:`ot.SolverStats` records.
-    The simplex prices every start, so optimality is checked, not
-    trusted.
+    Returns (bi, bj, f, start, potentials) with ``start`` the tuple
+    (kind, seam, reason) that :class:`ot.SolverStats` records.
+    ``potentials`` is the forest's (u, v) when a single tree certified,
+    else None.  That tree is rooted at node 0 with potential 0, as the
+    core's first walk is, so these are the core's potentials and the
+    certificate was its first pricing; every other start is left to
+    the core to price.
     """
     n = len(a)
     kinds, idxs = _events(s_a, s_b)
-    # half the pricing tolerance: the core's own potentials differ from
-    # the certificate's by rounding, and must still price nothing in
+    # half the pricing tolerance: across several components the core's
+    # own potentials differ from the certificate's by rounding, and must
+    # still price nothing in
     tol = 0.5 * _price_tol(C)
     entries, k, comp, u, v = from_zero = _lifo_forest(C, a, b, kinds, idxs)
     joins, why = _certify(C, k, comp, u, v, tol)
     if joins is not None:
-        return (*_as_basis(*entries, joins), ("certified", 0, ""))
+        pot = (u, v) if k == 1 else None
+        return (*_as_basis(*entries, joins), ("certified", 0, ""), pot)
     reason = f"seam 0: {why}"
     costs = _seam_costs(C, a, b, kinds, idxs)
     seam = int(np.argmin(costs))
@@ -530,7 +546,8 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
         )
         joins, why = _certify(C, k, comp, u, v, tol)
         if joins is not None:
-            return (*_as_basis(*entries, joins), ("certified_seam", seam, reason))
+            pot = (u, v) if k == 1 else None
+            return (*_as_basis(*entries, joins), ("certified_seam", seam, reason), pot)
         reason += f"; seam {seam}: {why}"
         if k > 1:
             entries, k, comp, u, v = from_zero
@@ -539,7 +556,7 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
         reason += "; no cheaper seam"
         seam = 0
     joins = _plain_joins(n, k, comp)
-    return (*_as_basis(*entries, joins), ("lifo", seam, reason))
+    return (*_as_basis(*entries, joins), ("lifo", seam, reason), None)
 
 
 def solve_transport(C, a, b, s_a=None, s_b=None):
@@ -548,15 +565,20 @@ def solve_transport(C, a, b, s_a=None, s_b=None):
     With the boundary positions ``s_a`` and ``s_b`` the start is
     :func:`boundary_stack_basis`; without them it is
     :func:`northwest_basis`.  ``start`` is the tuple (kind, seam,
-    reason) of the start used.
+    reason) of the start used.  A certified single tree comes with the
+    core's own potentials and has passed its first pricing at half its
+    tolerance, so it is returned after that one iteration without
+    running the core.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
     n, m = C.shape
     if s_a is None or s_b is None:
         bi, bj, f = northwest_basis(a, b)
-        start = ("northwest", -1, "no boundary positions")
+        start, pot = ("northwest", -1, "no boundary positions"), None
     else:
-        bi, bj, f, start = boundary_stack_basis(C, a, b, s_a, s_b)
+        bi, bj, f, start, pot = boundary_stack_basis(C, a, b, s_a, s_b)
+    if pot is not None:
+        return bi, bj, f, *pot, start, 1
     u = np.zeros(n)
     v = np.zeros(m)
     tol = _price_tol(C)

@@ -64,3 +64,55 @@ def lifo_seam_costs(C, a, b, s_a, s_b):
         ei, ej, ef = simplex._lifo(a, b, np.roll(kinds, -seam), np.roll(idxs, -seam))
         costs.append(float(np.dot(ef, C[ei, ej])))
     return np.array(costs)
+
+
+def grouped_certify(C, k, comp, u, v, tol):
+    """``simplex._certify`` for any number of components, one tree
+    included: reduced costs grouped by component, block minima and
+    Bellman-Ford over the offsets.  The reference for its single-tree
+    shortcut."""
+    n, m = C.shape
+    ro, has_s, r0 = simplex._groups(comp[:n])
+    co, has_t, c0 = simplex._groups(comp[n:])
+    R = C[ro[:, None], co]
+    R -= u[ro, None]
+    R -= v[co]
+    W = np.full((k, k), np.inf)
+    W[has_s[:, None], has_t] = np.minimum.reduceat(
+        np.minimum.reduceat(R, r0, axis=0), c0, axis=1
+    )
+    if np.diagonal(W).min() < -tol:
+        return None, "a component's plan is not optimal on its own"
+    root = int(np.flatnonzero(np.isfinite(np.diagonal(W)))[0])
+    off = W.copy()
+    np.fill_diagonal(off, np.inf)
+    dist = np.full(k, np.inf)
+    dist[root] = 0.0
+    pred = np.full(k, -1, dtype=np.int64)
+    for sweep in range(simplex.CERTIFY_SWEEPS):
+        for c in range(k) if sweep % 2 == 0 else range(k - 1, -1, -1):
+            row = off[c] + dist
+            p = int(row.argmin())
+            if row[p] < dist[c] - tol and c != root:
+                dist[c] = row[p]
+                pred[c] = p
+        tree, why = simplex._offset_tree(W, root, dist, pred, tol)
+        if tree is not None:
+            break
+        if why:
+            return None, why
+    else:
+        return None, f"no feasible offsets after {simplex.CERTIFY_SWEEPS} Bellman-Ford sweeps"
+    rlo = np.zeros(k, dtype=np.int64)
+    clo = np.zeros(k, dtype=np.int64)
+    rlo[has_s], clo[has_t] = r0, c0
+    rhi = np.full(k, n, dtype=np.int64)
+    chi = np.full(k, m, dtype=np.int64)
+    rhi[has_s[:-1]] = r0[1:]
+    chi[has_t[:-1]] = c0[1:]
+    rlo, rhi, clo, chi = rlo.tolist(), rhi.tolist(), clo.tolist(), chi.tolist()
+    joins = []
+    for A, B in tree:
+        f, w = divmod(int(R[rlo[A] : rhi[A], clo[B] : chi[B]].argmin()), chi[B] - clo[B])
+        joins.append((int(ro[rlo[A] + f]), int(co[clo[B] + w])))
+    return joins, ""

@@ -7,7 +7,9 @@ and a domain inverts its trace ring once.  Reusing an inversion must not
 change a bit of any result, so every comparison here is exact.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -123,3 +125,17 @@ class TestExactReuse:
         for a in domain.trace_ring:
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+@pytest.mark.parametrize("route", ["deepcopy", "pickle"])
+def test_copied_ring_is_read_only(route):
+    # a copy made after the ring is built rebuilds its own
+    domain = ellipse(2.0, 1.0)
+    ring = domain.trace_ring
+    if route == "deepcopy":
+        twin = copy.deepcopy(domain)
+    else:
+        twin = pickle.loads(pickle.dumps(domain))
+    for a, b in zip(twin.trace_ring, ring):
+        assert not a.flags.writeable
+        assert np.array_equal(a, b)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from transportlab.geom import (
     norm_from_config,
     radial,
 )
+from transportlab.instances import mirror_cosine_measures
 
 
 class TestDisk:
@@ -176,6 +178,21 @@ class TestNorms:
         v = rng.normal(size=(*shape, 2))
         ref = np.sqrt(np.einsum("...i,ij,...j->...", v, QUAD.a, v))
         assert np.array_equal(QUAD(v[..., 0], v[..., 1]), ref)
+
+    def test_quadratic_matrix_peak(self):
+        # the quadratic norm writes into the difference arrays a block
+        # of rows at a time, so its cost matrix peaks as the euclidean one
+        f_plus, f_minus = mirror_cosine_measures(1000)
+        peaks = []
+        for norm in (EuclideanNorm(), QUAD):
+            cost = ChordCost(disk(1.0), norm)
+            tracemalloc.start()
+            try:
+                cost.matrix(f_plus.s, f_minus.s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1e6
 
     @pytest.mark.parametrize(
         "norm", [EuclideanNorm(), LqNorm(3.0), QUAD], ids=["euclid", "lq3", "quad"]

@@ -5,7 +5,8 @@ ends at the plan of the northwest start, which the solver uses for input
 without boundary positions.  Every seam's LIFO walk leaves a forest, the
 seam sweep agrees with one LIFO walk per seam, degenerate forests are
 handled, and the pivot ladder is pinned against the counts of the plain
-LIFO start the solver used before.
+LIFO start the solver used before.  A certified single tree skips the
+core, which would stop at once on it with the same arrays.
 """
 
 import math
@@ -13,13 +14,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_plan, lifo_seam_costs
+from oracles import brute_force_plan, grouped_certify, lifo_seam_costs
 from test_kernels import cex_inputs, core_inputs, harmonic_datum
 from transportlab import simplex
 from transportlab.cex import build_arcs
 from transportlab.errors import SolverError
-from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse
-from transportlab.instances import cosine_datum, mirror_cosine_measures, random_atoms_instance
+from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse, radial
+from transportlab.instances import (
+    cosine_datum,
+    mirror_cosine_measures,
+    random_atoms_instance,
+    smooth_arc_instance,
+)
 from transportlab.measures import BoundaryMeasure, remove_common_mass, tangential_derivative
 from transportlab.ot import SolverStats, solve_kantorovich
 
@@ -336,3 +342,121 @@ class TestPivotLadder:
         pivots = [solve_kantorovich(*inputs).stats.pivots for inputs in lsg_pool(40)]
         assert np.median(pivots) <= 2
         assert all(p <= q for p, q in zip(pivots, LSG_POOL_PLAIN_PIVOTS))
+
+
+def single_tree_groups():
+    """Core inputs whose starts may certify as one tree, by group: the
+    first 40 lsg pool inputs of seed 101 (disk and ellipse), three on a
+    radial domain, the 25 random core trials and 600 random forests."""
+    groups = {"lsg": [core_inputs(*inputs) for inputs in lsg_pool(40)]}
+    rad = radial(lambda t: 1.0 + 0.05 * math.cos(3 * t))
+    cost = ChordCost(rad, LqNorm(3.0))
+    rng = np.random.default_rng(7)
+    groups["radial"] = [
+        core_inputs(
+            *remove_common_mass(*tangential_derivative(harmonic_datum(rng, rad), n_quad=1)), cost
+        )
+        for _ in range(3)
+    ]
+    rng = np.random.default_rng(4)
+    groups["random"] = []
+    for _ in range(25):
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(2, 30))
+        C = rng.uniform(0.0, 3.0, (n, m))
+        a = rng.uniform(0.1, 2.0, n)
+        b = rng.uniform(0.1, 2.0, m)
+        b *= a.sum() / b.sum()
+        s_a = rng.uniform(0.0, 2 * math.pi, n)
+        s_b = rng.uniform(0.0, 2 * math.pi, m)
+        groups["random"].append((C, a, b, s_a, s_b))
+    for kind in FOREST_KINDS:
+        rng = np.random.default_rng(FOREST_KINDS.index(kind))
+        groups["random"] += [forest_instance(rng, kind) for _ in range(200)]
+    return groups
+
+
+def counting_core(monkeypatch):
+    """Wrap ``simplex._solve_core`` so that its calls are counted."""
+    calls = []
+    core = simplex._solve_core
+
+    def counted(*args):
+        calls.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(simplex, "_solve_core", counted)
+    return calls
+
+
+class TestSingleTreeStart:
+    def test_core_stops_at_once_with_the_same_arrays(self):
+        # every start handed over with potentials: the core, run on
+        # copies of it, stops after its first pricing with the very
+        # arrays that solve_transport returns without running it
+        with_pot = {}
+        for group, inputs in single_tree_groups().items():
+            with_pot[group] = 0
+            for C, a, b, s_a, s_b in inputs:
+                bi, bj, f, start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)
+                if pot is None:
+                    continue
+                with_pot[group] += 1
+                assert start[0].startswith("certified")
+                n, m = C.shape
+                got = (bi.copy(), bj.copy(), f.copy(), np.zeros(n), np.zeros(m))
+                theta_tol = 1e-14 * (1.0 + float(max(a.max(), b.max())))
+                cap = 400 * (n + m) + 200000
+                status, iters = simplex._solve_core(
+                    C, *got, simplex._price_tol(C), theta_tol, cap
+                )
+                assert (status, iters) == (0, 1)
+                want = (bi, bj, f, *pot)
+                for x, y in zip(got, want):
+                    assert np.array_equal(x, y)
+                out = simplex.solve_transport(C, a, b, s_a, s_b)
+                assert out[5:] == (start, 1)
+                for x, y in zip(out[:5], want):
+                    assert np.array_equal(x, y)
+        assert with_pot == {"lsg": 35, "radial": 1, "random": 97}
+
+    def test_shortcut_matches_the_grouped_certificate(self):
+        # on one-component forests, from seam 0 and from the cheapest
+        # seam, the shortcut gives the grouped certificate's answer
+        reasons = []
+        for inputs in single_tree_groups().values():
+            for C, a, b, s_a, s_b in inputs:
+                kinds, idxs = simplex._events(s_a, s_b)
+                tol = 0.5 * simplex._price_tol(C)
+                cheapest = int(np.argmin(simplex._seam_costs(C, a, b, kinds, idxs)))
+                for seam in {0, cheapest}:
+                    walk = np.roll(kinds, -seam), np.roll(idxs, -seam)
+                    _, k, comp, u, v = simplex._lifo_forest(C, a, b, *walk)
+                    if k != 1:
+                        continue
+                    got = simplex._certify(C, k, comp, u, v, tol)
+                    assert got == grouped_certify(C, k, comp, u, v, tol)
+                    reasons.append(got[1])
+        assert set(reasons) == {"", "a component's plan is not optimal on its own"}
+
+    def test_core_calls(self, monkeypatch):
+        calls = counting_core(monkeypatch)
+        per_start = {}
+        for inputs in lsg_pool(40):
+            calls.clear()
+            kind = solve_kantorovich(*inputs).stats.start
+            per_start.setdefault(kind, []).append(len(calls))
+        # every certified lsg start is one tree and skips the core; an
+        # uncertified one is priced by it
+        assert per_start == {
+            "certified": [0] * 8,
+            "certified_seam": [0] * 27,
+            "lifo": [1] * 5,
+        }
+        # the first transport pool input of seed 1 certifies as a forest
+        # of two trees, and the core prices it
+        domain = ellipse(2.0, 1.0)
+        f_plus, f_minus = smooth_arc_instance(np.random.default_rng([1, 2]), domain, 350)
+        calls.clear()
+        plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, LqNorm(3.0)))
+        assert (plan.stats.start, plan.stats.pivots, len(calls)) == ("certified", 0, 1)
