@@ -273,10 +273,22 @@ def remove_common_mass(
                 c = min(mp[i], mm[j])
                 mp[i] -= c
                 mm[j] -= c
-    return (
-        BoundaryMeasure(f_plus.s, np.array(mp), per, f_plus.sublength),
-        BoundaryMeasure(f_minus.s, np.array(mm), per, f_minus.sublength),
-    )
+    return _reweighted(f_plus, np.array(mp)), _reweighted(f_minus, np.array(mm))
+
+
+def _reweighted(measure: BoundaryMeasure, mass: np.ndarray) -> BoundaryMeasure:
+    """``measure`` with new masses on its atoms, zero-mass atoms dropped.
+
+    Its positions are already wrapped, sorted and merged, and dropping
+    atoms keeps them so, which is all the constructor would redo.
+    """
+    keep = mass > 0
+    out = object.__new__(BoundaryMeasure)
+    out.s = measure.s[keep]
+    out.mass = mass[keep]
+    out.perimeter = measure.perimeter
+    out.sublength = measure.sublength[keep]
+    return out
 
 
 def quadrature_atoms(

@@ -10,14 +10,21 @@ termination needs.
 
 The boundary start matches atoms last-in-first-out along the boundary
 (optimal rays never cross, so optimal plans pair mass at equal levels
-of the cumulative signed mass) and joins the matching forest into a
-basis through cells that certify it optimal when it is: the first
-pricing then finds no entering cell and the solve makes no pivot.  If
-the walk from s = 0 does not certify, the seam with the cheapest LIFO
-plan, found in one sweep over the levels, is tried; otherwise the
-forest keeps plain joins.  Input without boundary positions starts
-from the northwest corner.  Every start is priced once.  A certified
-single tree is priced by its certificate, whose potentials and reduced
+of the cumulative signed mass).  An exact mass tie in the walk keeps
+the emptying arrival alive with mass 0, and its zero-flow cell joins
+the matching into one spanning tree whenever the walk ends with one
+atom on its stack.  That tree is priced once and is the start when it
+certifies.  Otherwise (float dust left on the stack, or a tie tree
+that prices a cell in) the forest of positive cells is joined into a
+basis through cells that certify it optimal when it is, found by
+Bellman-Ford over the components' potential offsets.  A certified
+start makes the first pricing find no entering cell, so the solve
+makes no pivot.  If the walk from s = 0 does not certify, the seam
+with the cheapest LIFO plan, found in one sweep over the levels, is
+tried; otherwise the forest keeps plain joins.  Input without boundary
+positions starts from the northwest corner.  Every start is priced
+once.  A certified single tree (a tie tree, or a forest of one
+component) is priced by its certificate, whose potentials and reduced
 costs are the core's own; every other start is priced by the core.
 
 One core: numpy pricing and python tree bookkeeping.  The basis tree
@@ -222,34 +229,43 @@ def _events(s_a, s_b):
 def _lifo(a, b, kinds, idxs):
     """Last-in-first-out matching of opposite-kind atoms in walk order.
 
-    Returns the matched (i, j, mass) lists.  The stack's leftover float
-    dust at the end of the walk is dropped; it is bounded by the
-    balance tolerance enforced before solving.
+    Returns the positive cells as (i, j, mass) lists and the zero-flow
+    cells of the walk's exact ties as a list of (i, j).  An arrival
+    that exactly empties the stack top stays alive with mass 0: it
+    takes a zero-flow cell with the next stack item, or, on an empty
+    stack, it is pushed with mass 0 and the next arrival of the other
+    kind takes a zero-flow cell with it.  Every cell thus finishes
+    exactly one atom, and the cells form one tree per atom left on the
+    stack: a spanning tree when one is left (Charnes' perturbation of a
+    degenerate transportation basis).  The positive cells and their
+    masses are the walk's without tie cells, since the subtractions
+    are the same.  The stack's leftover float dust at the end of the
+    walk is dropped; it is bounded by the balance tolerance enforced
+    before solving.
     """
     stack = []  # [kind, idx, remaining]
-    ei, ej, ef = [], [], []
+    ei, ej, ef, ties = [], [], [], []
     for kind, idx in zip(kinds.tolist(), idxs.tolist()):
         rem = float(a[idx] if kind == 0 else b[idx])
-        while rem > 0 and stack and stack[-1][0] != kind:
+        while stack and stack[-1][0] != kind:
             top = stack[-1]
             c = min(rem, top[2])
-            if kind == 0:
-                ei.append(idx)
-                ej.append(top[1])
+            i, j = (idx, top[1]) if kind == 0 else (top[1], idx)
+            if c > 0:
+                ei.append(i)
+                ej.append(j)
+                ef.append(c)
             else:
-                ei.append(top[1])
-                ej.append(idx)
-            ef.append(c)
-            rem -= c
+                ties.append((i, j))
             if top[2] - c <= 0:
                 stack.pop()
-                rem = max(rem, 0.0)
+                rem -= c
             else:
                 top[2] -= c
-                rem = 0.0
-        if rem > 0:
+                break
+        else:
             stack.append([kind, idx, rem])
-    return ei, ej, ef
+    return ei, ej, ef, ties
 
 
 def _forest(C, ei, ej):
@@ -280,8 +296,8 @@ def _forest(C, ei, ej):
                     pot[y] = c - pot[x]
                     stack.append(y)
         k += 1
-    # a LIFO walk cannot trip this: each atom on its stack is alone in
-    # its component, so every match joins two components
+    # a LIFO walk cannot trip this: each of its cells finishes one atom
+    # and joins it to one that is finished later or never
     if len(ei) != n + m - k:
         raise SolverError("boundary matching produced a cycle")
     pot = np.array(pot)
@@ -486,10 +502,24 @@ def _seam_costs(C, a, b, kinds, idxs):
     return below[t] + above[t]
 
 
-def _lifo_forest(C, a, b, kinds, idxs):
-    """LIFO matching of a walk and its forest: (entries, K, comp, u, v)."""
-    ei, ej, ef = _lifo(a, b, kinds, idxs)
-    return ((ei, ej, ef), *_forest(C, ei, ej))
+def _walk_start(C, a, b, kinds, idxs, tol):
+    """The start one walk gives: (entries, joins, why, K, comp, pot).
+
+    When the walk's positive and tie cells form one tree, that tree is
+    priced once; if it certifies, its ties are the joins and ``pot`` its
+    potentials.  Otherwise the forest of positive cells goes to
+    :func:`_certify`, and K and comp describe that forest.
+    """
+    ei, ej, ef, ties = _lifo(a, b, kinds, idxs)
+    if ties and len(ei) + len(ties) == sum(C.shape) - 1:
+        ti, tj = zip(*ties)
+        _, comp, u, v = _forest(C, ei + list(ti), ej + list(tj))
+        if _certify(C, 1, comp, u, v, tol)[0] is not None:
+            return (ei, ej, ef), ties, "", 1, comp, (u, v)
+    k, comp, u, v = _forest(C, ei, ej)
+    joins, why = _certify(C, k, comp, u, v, tol)
+    pot = (u, v) if joins is not None and k == 1 else None
+    return (ei, ej, ef), joins, why, k, comp, pot
 
 
 def _as_basis(ei, ej, ef, joins):
@@ -505,24 +535,29 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     """Non-crossing LIFO matching along the boundary, as a certified basis.
 
     Walking the boundary from a seam, opposite-kind atoms match
-    last-in-first-out, which never produces crossing chords.  The
-    forest this leaves is joined into a spanning tree by zero-flow
-    cells chosen by :func:`_certify`, so that when the LIFO plan is
-    optimal the first pricing finds no entering cell.  The walk starts
-    at s = 0; if that plan does not certify, it is redone from the seam
-    whose LIFO plan is cheapest (:func:`_seam_costs`).  If that does not
-    certify either, a forest joined by :func:`_plain_joins` is the
-    start: the cheaper seam's when it is a single tree (the cheaper
-    plan is then the whole basis), else seam 0's, because with several
-    components the arbitrary joins, not the seam, set the pivot count.
+    last-in-first-out, which never produces crossing chords.  When the
+    walk ends with one atom on its stack, its positive cells and the
+    zero-flow cells of its exact ties form one spanning tree
+    (:func:`_lifo`), which is priced once and is the start when it
+    certifies.  Otherwise the forest of positive cells is joined into
+    a spanning tree by zero-flow cells chosen by :func:`_certify`, so
+    that when the LIFO plan is optimal the first pricing finds no
+    entering cell.  The walk starts at s = 0; if that plan does not
+    certify, it is redone from the seam whose LIFO plan is cheapest
+    (:func:`_seam_costs`).  If that does not certify either, a forest
+    joined by :func:`_plain_joins` is the start: the cheaper seam's
+    when it is a single tree (the cheaper plan is then the whole
+    basis), else seam 0's, because with several components the
+    arbitrary joins, not the seam, set the pivot count.  The fallback
+    reasons are those of the forests of positive cells.
 
     Returns (bi, bj, f, start, potentials) with ``start`` the tuple
     (kind, seam, reason) that :class:`ot.SolverStats` records.
-    ``potentials`` is the forest's (u, v) when a single tree certified,
-    else None.  That tree is rooted at node 0 with potential 0, as the
-    core's first walk is, so these are the core's potentials and the
-    certificate was its first pricing; every other start is left to
-    the core to price.
+    ``potentials`` is the tree's (u, v) when a single tree (a tie tree,
+    or a forest of one component) certified, else None.  That tree is
+    rooted at node 0 with potential 0, as the core's first walk is, so
+    these are the core's potentials and the certificate was its first
+    pricing; every other start is left to the core to price.
     """
     n = len(a)
     kinds, idxs = _events(s_a, s_b)
@@ -530,10 +565,8 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     # own potentials differ from the certificate's by rounding, and must
     # still price nothing in
     tol = 0.5 * _price_tol(C)
-    entries, k, comp, u, v = from_zero = _lifo_forest(C, a, b, kinds, idxs)
-    joins, why = _certify(C, k, comp, u, v, tol)
+    entries, joins, why, k, comp, pot = from_zero = _walk_start(C, a, b, kinds, idxs, tol)
     if joins is not None:
-        pot = (u, v) if k == 1 else None
         return (*_as_basis(*entries, joins), ("certified", 0, ""), pot)
     reason = f"seam 0: {why}"
     costs = _seam_costs(C, a, b, kinds, idxs)
@@ -541,16 +574,14 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     # the sweep is exact to ~1e-14 relative; a seam not cheaper by more
     # than that pairs the levels as seam 0 does, up to rounding
     if costs[seam] < costs[0] - 1e-12 * abs(costs[0]):
-        entries, k, comp, u, v = _lifo_forest(
-            C, a, b, np.roll(kinds, -seam), np.roll(idxs, -seam)
+        entries, joins, why, k, comp, pot = _walk_start(
+            C, a, b, np.roll(kinds, -seam), np.roll(idxs, -seam), tol
         )
-        joins, why = _certify(C, k, comp, u, v, tol)
         if joins is not None:
-            pot = (u, v) if k == 1 else None
             return (*_as_basis(*entries, joins), ("certified_seam", seam, reason), pot)
         reason += f"; seam {seam}: {why}"
         if k > 1:
-            entries, k, comp, u, v = from_zero
+            entries, _, _, k, comp, _ = from_zero
             seam = 0
     else:
         reason += "; no cheaper seam"

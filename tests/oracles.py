@@ -47,11 +47,48 @@ def brute_force_plan(
     return plan
 
 
+def plain_lifo(a, b, kinds, idxs):
+    """The LIFO walk without tie cells: an arrival that exactly empties
+    the stack top is finished with it.  Returns the matched (i, j, mass)
+    lists; the reference for the positive cells of ``simplex._lifo``."""
+    stack = []  # [kind, idx, remaining]
+    ei, ej, ef = [], [], []
+    for kind, idx in zip(kinds.tolist(), idxs.tolist()):
+        rem = float(a[idx] if kind == 0 else b[idx])
+        while rem > 0 and stack and stack[-1][0] != kind:
+            top = stack[-1]
+            c = min(rem, top[2])
+            if kind == 0:
+                ei.append(idx)
+                ej.append(top[1])
+            else:
+                ei.append(top[1])
+                ej.append(idx)
+            ef.append(c)
+            rem -= c
+            if top[2] - c <= 0:
+                stack.pop()
+                rem = max(rem, 0.0)
+            else:
+                top[2] -= c
+                rem = 0.0
+        if rem > 0:
+            stack.append([kind, idx, rem])
+    return ei, ej, ef
+
+
+def plain_lifo_forest(C, a, b, kinds, idxs):
+    """The walk's forest without tie cells: (entries, K, comp, u, v),
+    one component per exact tie and per atom left on the stack."""
+    ei, ej, ef = plain_lifo(a, b, kinds, idxs)
+    return ((ei, ej, ef), *simplex._forest(C, ei, ej))
+
+
 def plain_lifo_basis(C, a, b, s_a, s_b):
     """The LIFO forest from the seam at s = 0 with the plain joins: the
     uncertified boundary start, from which degenerate crawls are long."""
     kinds, idxs = simplex._events(s_a, s_b)
-    entries, k, comp, _, _ = simplex._lifo_forest(C, a, b, kinds, idxs)
+    entries, k, comp, _, _ = plain_lifo_forest(C, a, b, kinds, idxs)
     return simplex._as_basis(*entries, simplex._plain_joins(len(a), k, comp))
 
 
@@ -61,7 +98,7 @@ def lifo_seam_costs(C, a, b, s_a, s_b):
     kinds, idxs = simplex._events(s_a, s_b)
     costs = []
     for seam in range(len(kinds)):
-        ei, ej, ef = simplex._lifo(a, b, np.roll(kinds, -seam), np.roll(idxs, -seam))
+        ei, ej, ef = plain_lifo(a, b, np.roll(kinds, -seam), np.roll(idxs, -seam))
         costs.append(float(np.dot(ef, C[ei, ej])))
     return np.array(costs)
 

@@ -14,9 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_plan, grouped_certify, lifo_seam_costs
+from oracles import (
+    brute_force_plan,
+    grouped_certify,
+    lifo_seam_costs,
+    plain_lifo,
+    plain_lifo_forest,
+)
 from test_kernels import cex_inputs, core_inputs, harmonic_datum
-from transportlab import simplex
+from transportlab import cex, simplex
 from transportlab.cex import build_arcs
 from transportlab.errors import SolverError
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse, radial
@@ -46,6 +52,26 @@ def lsg_pool(count, seed=101):
         f_plus, f_minus = remove_common_mass(f_plus, f_minus)
         out.append((f_plus, f_minus, ChordCost(domain, LqNorm(3.0).rotated())))
     return out
+
+
+def transport_pool(count, seed=1):
+    """The first inputs of the benchmark's transport pool for a seed:
+    smooth densities on two arcs of ``ellipse(2, 1)`` under the l3 norm;
+    the pool draws a tau after each input."""
+    rng = np.random.default_rng([seed, 2])
+    domain = ellipse(2.0, 1.0)
+    cost = ChordCost(domain, LqNorm(3.0))
+    out = []
+    for _ in range(count):
+        f_plus, f_minus = smooth_arc_instance(rng, domain, 350)
+        rng.uniform(0.25, 1.0)
+        out.append((f_plus, f_minus, cost))
+    return out
+
+
+# transport pool inputs of seed 1 whose walk leaves float dust of one
+# kind beside a second atom on its stack: the tie cells do not span
+TRANSPORT_DUST = (21, 38)
 
 
 def solve_both(C, a, b, s_a, s_b):
@@ -155,10 +181,94 @@ class TestLifoForest:
             kinds, idxs = simplex._events(s_a, s_b)
             for seam in range(len(kinds)):
                 walk = np.roll(kinds, -seam), np.roll(idxs, -seam)
-                ei, ej, _ = simplex._lifo(a, b, *walk)
+                ei, ej, _, _ = simplex._lifo(a, b, *walk)
                 # _forest raises SolverError on a cycle
                 k = simplex._forest(C, ei, ej)[0]
                 assert len(ei) == len(a) + len(b) - k, f"trial {trial}, seam {seam}"
+
+
+class TestTieJoins:
+    """An arrival that exactly empties the stack top stays alive with
+    mass 0 and takes a zero-flow cell, so the walk's exact ties join its
+    forest without changing a positive cell."""
+
+    @pytest.mark.parametrize("kind", FOREST_KINDS)
+    def test_positive_cells_are_the_plain_walk(self, kind):
+        rng = np.random.default_rng(FOREST_KINDS.index(kind))
+        for trial in range(200):
+            C, a, b, s_a, s_b = forest_instance(rng, kind)
+            kinds, idxs = simplex._events(s_a, s_b)
+            for seam in range(len(kinds)):
+                walk = np.roll(kinds, -seam), np.roll(idxs, -seam)
+                ei, ej, ef, _ = simplex._lifo(a, b, *walk)
+                assert (ei, ej, ef) == plain_lifo(a, b, *walk), f"trial {trial}, seam {seam}"
+
+    @pytest.mark.parametrize("kind", FOREST_KINDS)
+    def test_ties_join_the_forest(self, kind):
+        # each tie cell joins two trees of the positive forest; with
+        # integer masses every walk ends with one atom on its stack, and
+        # positive and tie cells span
+        rng = np.random.default_rng(FOREST_KINDS.index(kind))
+        spanning = 0
+        for trial in range(200):
+            C, a, b, s_a, s_b = forest_instance(rng, kind)
+            kinds, idxs = simplex._events(s_a, s_b)
+            for seam in range(len(kinds)):
+                walk = np.roll(kinds, -seam), np.roll(idxs, -seam)
+                ei, ej, _, ties = simplex._lifo(a, b, *walk)
+                assert not set(ties) & set(zip(ei, ej))
+                k_plain = simplex._forest(C, ei, ej)[0]
+                # _forest raises SolverError on a cycle
+                k = simplex._forest(C, ei + [i for i, _ in ties], ej + [j for _, j in ties])[0]
+                assert k == k_plain - len(ties), f"trial {trial}, seam {seam}"
+                if kind == "integer":
+                    assert k == 1, f"trial {trial}, seam {seam}"
+                spanning += k == 1
+        assert spanning > 0
+
+    def test_tie_empties_the_stack(self):
+        # the first target empties the stack exactly and is pushed with
+        # mass 0; the next source finishes it through a zero-flow cell
+        f_plus = BoundaryMeasure([0.5, 1.5], [1.0, 1.0], TWO_PI)
+        f_minus = BoundaryMeasure([1.0, 2.0], [1.0, 1.0], TWO_PI)
+        C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
+        kinds, idxs = simplex._events(s_a, s_b)
+        assert simplex._lifo(a, b, kinds, idxs) == ([0, 1], [0, 1], [1.0, 1.0], [(1, 0)])
+        bi, bj, f, start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)
+        assert (bi.tolist(), bj.tolist(), f.tolist()) == ([0, 1, 1], [0, 1, 0], [1.0, 1.0, 0.0])
+        assert start == ("certified", 0, "") and pot is not None
+        check_against_northwest(f_plus, f_minus, EUC)
+
+    def test_tie_at_the_last_atom(self):
+        # nested pairs: the first target empties the top source and takes
+        # a zero-flow cell with the source below it; the last target
+        # empties the stack and is the one atom left on it, with mass 0
+        f_plus = BoundaryMeasure([0.5, 1.0], [1.0, 1.0], TWO_PI)
+        f_minus = BoundaryMeasure([1.5, 2.0], [1.0, 1.0], TWO_PI)
+        C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
+        kinds, idxs = simplex._events(s_a, s_b)
+        assert simplex._lifo(a, b, kinds, idxs) == ([1, 0], [0, 1], [1.0, 1.0], [(0, 0)])
+        start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)[3:]
+        assert start == ("certified", 0, "") and pot is not None
+        check_against_northwest(f_plus, f_minus, EUC)
+
+    def test_dust_walk_certifies_through_bellman_ford(self, monkeypatch):
+        # 0.5 - 0.4 leaves float dust on the last small target, which
+        # stays on the stack above the zero-mass target of the second
+        # tie: two trees, joined by Bellman-Ford and priced by the core
+        f_plus = BoundaryMeasure([0.3, 0.9, 3.0], [1.0, 1.0, 0.5], TWO_PI)
+        f_minus = BoundaryMeasure([0.6, 1.2, 1.8, 2.4], [1.0, 1.0, 0.1, 0.4], TWO_PI)
+        C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
+        kinds, idxs = simplex._events(s_a, s_b)
+        ei, ej, _, ties = simplex._lifo(a, b, kinds, idxs)
+        assert ties == [(1, 0)]
+        assert len(ei) + len(ties) == len(a) + len(b) - 2
+        start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)[3:]
+        assert start == ("certified", 0, "") and pot is None
+        calls = counting_core(monkeypatch)
+        stats = solve_kantorovich(f_plus, f_minus, EUC).stats
+        assert (stats.start, stats.pivots, len(calls)) == ("certified", 0, 1)
+        check_against_northwest(f_plus, f_minus, EUC)
 
 
 def check_sweep(C, a, b, s_a, s_b):
@@ -214,7 +324,7 @@ class TestDegenerateInputs:
         f_minus = BoundaryMeasure([2.0, 3.0, 5.0], [1.0, 1.0, 1.0], TWO_PI)
         C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
         kinds, idxs = simplex._events(s_a, s_b)
-        assert simplex._lifo_forest(C, a, b, kinds, idxs)[1] == 1
+        assert plain_lifo_forest(C, a, b, kinds, idxs)[1] == 1
         stats = check_against_northwest(f_plus, f_minus, EUC)
         assert (stats.start, stats.pivots) == ("certified", 0)
 
@@ -232,7 +342,7 @@ class TestDegenerateInputs:
         f_minus = BoundaryMeasure(s_b, b, TWO_PI)
         C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
         kinds, idxs = simplex._events(s_a, s_b)
-        k, comp = simplex._lifo_forest(C, a, b, kinds, idxs)[1:3]
+        k, comp = plain_lifo_forest(C, a, b, kinds, idxs)[1:3]
         assert k == 3
         lone_comp = comp[2] if lone == "source" else comp[len(a) + 2]
         assert np.count_nonzero(comp == lone_comp) == 1
@@ -246,19 +356,26 @@ class TestDegenerateInputs:
         check_against_northwest(f_plus, f_minus, EUC)
 
     def test_sweep_cap(self, monkeypatch):
-        # offsets the capped Bellman-Ford cannot settle: the plain joins
-        # are kept, seam 0 is already the cheapest, and the plan is right
-        arcs = build_arcs(2, eps=[0.1, 0.08])
-        f_plus, f_minus = arcs.pair_measures(0, 24)
-        cost = ChordCost(arcs.domain, EuclideanNorm())
+        # offsets the capped Bellman-Ford cannot settle on a dust walk,
+        # whose tie cells leave two trees: the plain joins are kept,
+        # seam 0 is already the cheapest, and the plan is the certified
+        # start's (the northwest start ends at another optimum here)
+        f_plus, f_minus, cost = transport_pool(TRANSPORT_DUST[0] + 1)[TRANSPORT_DUST[0]]
+        want = solve_kantorovich(f_plus, f_minus, cost)
+        assert want.stats.start == "certified"
         monkeypatch.setattr(simplex, "CERTIFY_SWEEPS", 0)
-        stats = check_against_northwest(f_plus, f_minus, cost)
+        plan = solve_kantorovich(f_plus, f_minus, cost)
+        stats = plan.stats
         assert stats.start == "lifo"
         assert stats.seam == 0
         assert stats.fallback == (
             "seam 0: no feasible offsets after 0 Bellman-Ford sweeps; no cheaper seam"
         )
         assert stats.pivots > 0
+        for x, y in zip((plan.i, plan.j, plan.mass), (want.i, want.j, want.mass)):
+            assert np.array_equal(x, y)
+        assert plan.cost == want.cost
+        assert abs(plan.gap) <= 1e-14 * plan.cost
 
     def test_negative_cycle_falls_back(self):
         # unit atoms: every LIFO match is exact, so each pair is its own
@@ -418,12 +535,13 @@ class TestSingleTreeStart:
                 assert out[5:] == (start, 1)
                 for x, y in zip(out[:5], want):
                     assert np.array_equal(x, y)
-        assert with_pot == {"lsg": 35, "radial": 1, "random": 97}
+        assert with_pot == {"lsg": 35, "radial": 1, "random": 104}
 
     def test_shortcut_matches_the_grouped_certificate(self):
-        # on one-component forests, from seam 0 and from the cheapest
-        # seam, the shortcut gives the grouped certificate's answer
-        reasons = []
+        # on one-component forests and on spanning tie trees, from seam 0
+        # and from the cheapest seam, the shortcut gives the grouped
+        # certificate's answer
+        reasons = {"forest": [], "tie tree": []}
         for inputs in single_tree_groups().values():
             for C, a, b, s_a, s_b in inputs:
                 kinds, idxs = simplex._events(s_a, s_b)
@@ -431,13 +549,23 @@ class TestSingleTreeStart:
                 cheapest = int(np.argmin(simplex._seam_costs(C, a, b, kinds, idxs)))
                 for seam in {0, cheapest}:
                     walk = np.roll(kinds, -seam), np.roll(idxs, -seam)
-                    _, k, comp, u, v = simplex._lifo_forest(C, a, b, *walk)
-                    if k != 1:
-                        continue
-                    got = simplex._certify(C, k, comp, u, v, tol)
-                    assert got == grouped_certify(C, k, comp, u, v, tol)
-                    reasons.append(got[1])
-        assert set(reasons) == {"", "a component's plan is not optimal on its own"}
+                    ei, ej, _, ties = simplex._lifo(a, b, *walk)
+                    trees = {
+                        "forest": simplex._forest(C, ei, ej),
+                        "tie tree": simplex._forest(
+                            C, ei + [i for i, _ in ties], ej + [j for _, j in ties]
+                        ),
+                    }
+                    if not ties:
+                        del trees["tie tree"]
+                    for name, (k, comp, u, v) in trees.items():
+                        if k != 1:
+                            continue
+                        got = simplex._certify(C, k, comp, u, v, tol)
+                        assert got == grouped_certify(C, k, comp, u, v, tol)
+                        reasons[name].append(got[1])
+        for found in reasons.values():
+            assert set(found) == {"", "a component's plan is not optimal on its own"}
 
     def test_core_calls(self, monkeypatch):
         calls = counting_core(monkeypatch)
@@ -453,10 +581,41 @@ class TestSingleTreeStart:
             "certified_seam": [0] * 27,
             "lifo": [1] * 5,
         }
-        # the first transport pool input of seed 1 certifies as a forest
-        # of two trees, and the core prices it
-        domain = ellipse(2.0, 1.0)
-        f_plus, f_minus = smooth_arc_instance(np.random.default_rng([1, 2]), domain, 350)
-        calls.clear()
-        plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, LqNorm(3.0)))
-        assert (plan.stats.start, plan.stats.pivots, len(calls)) == ("certified", 0, 1)
+        # the first transport pool input of seed 1 has one exact tie, and
+        # its tie tree certifies without the core; a dust walk leaves two
+        # trees, which Bellman-Ford certifies and the core prices
+        pool = transport_pool(TRANSPORT_DUST[0] + 1)
+        for k, want in ((0, 0), (TRANSPORT_DUST[0], 1)):
+            calls.clear()
+            plan = solve_kantorovich(*pool[k])
+            assert (plan.stats.start, plan.stats.pivots, len(calls)) == ("certified", 0, want)
+
+
+class TestPoolStarts:
+    """Start kinds and core runs on the benchmark's separated pools: the
+    tie tree certifies without the core, and only dust walks run it."""
+
+    def test_transport_pool(self, monkeypatch):
+        calls = counting_core(monkeypatch)
+        runs = []
+        for inputs in transport_pool(40):
+            calls.clear()
+            stats = solve_kantorovich(*inputs).stats
+            assert (stats.start, stats.pivots) == ("certified", 0)
+            runs.append(len(calls))
+        assert [k for k, c in enumerate(runs) if c] == list(TRANSPORT_DUST)
+        assert sum(runs) == 2
+
+    def test_cex_grid_pool(self, monkeypatch):
+        # the pair plans of the first 20 cex_grid ops of seed 1
+        calls = counting_core(monkeypatch)
+        rng = np.random.default_rng([1, 3])
+        base = build_arcs(8).eps
+        starts = []
+        for _ in range(20):
+            eps = base * rng.uniform(0.8, 1.2, 8)
+            rng.uniform(2.0, 3.0)
+            arcs = build_arcs(8, eps=list(eps))
+            starts += [cex.pair_plan(arcs, n, 24).stats.start for n in range(8)]
+        assert starts == ["certified"] * 160
+        assert len(calls) == 0
