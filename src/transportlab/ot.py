@@ -30,13 +30,20 @@ class SolverStats:
 
     ``start`` is the starting basis used: "certified" (the LIFO plan
     from the seam at s = 0, proven optimal), "certified_seam" (the same
-    from the cheapest seam), "lifo" (a LIFO forest with plain joins, not
+    from the cheapest seam), "lifo" (a LIFO walk's cells, joined by its
+    exact ties when they span and by plain joins otherwise, not
     certified) or "northwest" (input without boundary positions); see
     :func:`simplex.boundary_stack_basis`.  ``seam`` is the event index
     the boundary walk starts at (-1 for northwest), ``fallback`` why a
     certified start was not used ("" when it was), ``pivots`` the
     simplex pivots and ``b_scale`` the factor sum(a) / sum(b) that
     rebalanced the target masses.
+
+    ``fallback`` gives seam 0's reason first: its walk's verdict, or
+    "seam 0: seam S is cheaper" when the seam sweep found a strictly
+    cheaper plan and seam 0 was not walked.  Then "; no cheaper seam"
+    (separated supports, or no seam cheaper) or "; seam S: " and the
+    cheaper seam's verdict follows when that start did not certify.
     """
 
     start: str

@@ -19,13 +19,21 @@ that prices a cell in) the forest of positive cells is joined into a
 basis through cells that certify it optimal when it is, found by
 Bellman-Ford over the components' potential offsets.  A certified
 start makes the first pricing find no entering cell, so the solve
-makes no pivot.  If the walk from s = 0 does not certify, the seam
-with the cheapest LIFO plan, found in one sweep over the levels, is
-tried; otherwise the forest keeps plain joins.  Input without boundary
-positions starts from the northwest corner.  Every start is priced
-once.  A certified single tree (a tie tree, or a forest of one
-component) is priced by its certificate, whose potentials and reduced
-costs are the core's own; every other start is priced by the core.
+makes no pivot.
+
+Each start search walks once.  Separated supports (sources on one
+arc, targets on the other) pair the same atoms from every seam, so
+they walk from s = 0 alone.  Any other input is first swept for the
+seam with the cheapest LIFO plan, in one pass over the levels, and
+walks from it, or from s = 0 when no seam is cheaper.  A start that
+does not certify keeps that walk's tie tree when its tie cells span,
+else plain joins of its forest; a cheaper seam's forest of several
+trees gives way to seam 0's, the one case that walks twice.  Input
+without boundary positions starts from the northwest corner.  Every
+start is priced once.  A certified single tree (a tie tree, or a
+forest of one component) is priced by its certificate, whose
+potentials and reduced costs are the core's own; every other start is
+priced by the core.
 
 One core: numpy pricing and python tree bookkeeping.  The basis tree
 hangs from node 0 and persists across pivots.  A pivot re-hangs only
@@ -503,23 +511,32 @@ def _seam_costs(C, a, b, kinds, idxs):
 
 
 def _walk_start(C, a, b, kinds, idxs, tol):
-    """The start one walk gives: (entries, joins, why, K, comp, pot).
+    """The start one walk gives: (entries, joins, why, trees, pot).
 
     When the walk's positive and tie cells form one tree, that tree is
     priced once; if it certifies, its ties are the joins and ``pot`` its
     potentials.  Otherwise the forest of positive cells goes to
-    :func:`_certify`, and K and comp describe that forest.
+    :func:`_certify`.  ``why`` is "" for a certified start, else the
+    forest's reason.  The joins are then the fallback's: the tie cells
+    when they span, a tree the core leaves in few pivots, else
+    :func:`_plain_joins`; and ``trees`` counts the trees that the
+    walk's positive and tie cells leave.
     """
+    n, m = C.shape
     ei, ej, ef, ties = _lifo(a, b, kinds, idxs)
-    if ties and len(ei) + len(ties) == sum(C.shape) - 1:
+    if ties and len(ei) + len(ties) == n + m - 1:
         ti, tj = zip(*ties)
         _, comp, u, v = _forest(C, ei + list(ti), ej + list(tj))
         if _certify(C, 1, comp, u, v, tol)[0] is not None:
-            return (ei, ej, ef), ties, "", 1, comp, (u, v)
+            return (ei, ej, ef), ties, "", 1, (u, v)
     k, comp, u, v = _forest(C, ei, ej)
     joins, why = _certify(C, k, comp, u, v, tol)
-    pot = (u, v) if joins is not None and k == 1 else None
-    return (ei, ej, ef), joins, why, k, comp, pot
+    if joins is None:
+        # each tie joins two components: the walk leaves K - len(ties) trees
+        trees = k - len(ties)
+        joins = ties if trees == 1 else _plain_joins(n, k, comp)
+        return (ei, ej, ef), joins, why, trees, None
+    return (ei, ej, ef), joins, "", 1, (u, v) if k == 1 else None
 
 
 def _as_basis(ei, ej, ef, joins):
@@ -542,14 +559,28 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     certifies.  Otherwise the forest of positive cells is joined into
     a spanning tree by zero-flow cells chosen by :func:`_certify`, so
     that when the LIFO plan is optimal the first pricing finds no
-    entering cell.  The walk starts at s = 0; if that plan does not
-    certify, it is redone from the seam whose LIFO plan is cheapest
-    (:func:`_seam_costs`).  If that does not certify either, a forest
-    joined by :func:`_plain_joins` is the start: the cheaper seam's
-    when it is a single tree (the cheaper plan is then the whole
-    basis), else seam 0's, because with several components the
-    arbitrary joins, not the seam, set the pivot count.  The fallback
-    reasons are those of the forests of positive cells.
+    entering cell.
+
+    Each start search walks once.  When the supports are separated
+    (the sources fill one arc and the targets the other, so the event
+    kinds form at most two runs around the boundary), the cumulative
+    signed mass F is unimodal: every level is crossed once upward and
+    once downward, and every seam pairs the same atoms, whatever C is.
+    The walk from s = 0 is then the only one.  Any other input is swept
+    first (:func:`_seam_costs`), and the walk starts at the cheapest
+    seam when its LIFO plan beats seam 0's by more than the sweep's
+    rounding, else at s = 0.  A start that does not certify falls back
+    to a walk's cells with the joins of :func:`_walk_start`: the
+    cheaper seam's when its positive and tie cells form one tree (the
+    cheaper plan is then the whole basis), else seam 0's, walked only
+    now, because with several trees the joins, not the seam, set the
+    pivot count.
+
+    The fallback reason starts with seam 0's: the verdict of its walk
+    when it ran, else "seam 0: seam S is cheaper", since the sweep
+    found a strictly cheaper plan.  A start walked from seam 0 alone
+    adds "; no cheaper seam"; one walked from seam S after seam 0
+    adds "; seam S: " and that walk's verdict.
 
     Returns (bi, bj, f, start, potentials) with ``start`` the tuple
     (kind, seam, reason) that :class:`ot.SolverStats` records.
@@ -559,35 +590,31 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     these are the core's potentials and the certificate was its first
     pricing; every other start is left to the core to price.
     """
-    n = len(a)
     kinds, idxs = _events(s_a, s_b)
     # half the pricing tolerance: across several components the core's
     # own potentials differ from the certificate's by rounding, and must
     # still price nothing in
     tol = 0.5 * _price_tol(C)
-    entries, joins, why, k, comp, pot = from_zero = _walk_start(C, a, b, kinds, idxs, tol)
-    if joins is not None:
+    tail = "; no cheaper seam"
+    if np.count_nonzero(kinds[1:] != kinds[:-1]) > 2:
+        costs = _seam_costs(C, a, b, kinds, idxs)
+        seam = int(np.argmin(costs))
+        # the sweep is exact to ~1e-14 relative; a seam not cheaper by
+        # more than that pairs the levels as seam 0 does, up to rounding
+        if costs[seam] < costs[0] - 1e-12 * abs(costs[0]):
+            entries, joins, why, trees, pot = _walk_start(
+                C, a, b, np.roll(kinds, -seam), np.roll(idxs, -seam), tol
+            )
+            reason = f"seam 0: seam {seam} is cheaper"
+            if not why:
+                return (*_as_basis(*entries, joins), ("certified_seam", seam, reason), pot)
+            tail = f"; seam {seam}: {why}"
+            if trees == 1:
+                return (*_as_basis(*entries, joins), ("lifo", seam, reason + tail), None)
+    entries, joins, why, _, pot = _walk_start(C, a, b, kinds, idxs, tol)
+    if not why:
         return (*_as_basis(*entries, joins), ("certified", 0, ""), pot)
-    reason = f"seam 0: {why}"
-    costs = _seam_costs(C, a, b, kinds, idxs)
-    seam = int(np.argmin(costs))
-    # the sweep is exact to ~1e-14 relative; a seam not cheaper by more
-    # than that pairs the levels as seam 0 does, up to rounding
-    if costs[seam] < costs[0] - 1e-12 * abs(costs[0]):
-        entries, joins, why, k, comp, pot = _walk_start(
-            C, a, b, np.roll(kinds, -seam), np.roll(idxs, -seam), tol
-        )
-        if joins is not None:
-            return (*_as_basis(*entries, joins), ("certified_seam", seam, reason), pot)
-        reason += f"; seam {seam}: {why}"
-        if k > 1:
-            entries, _, _, k, comp, _ = from_zero
-            seam = 0
-    else:
-        reason += "; no cheaper seam"
-        seam = 0
-    joins = _plain_joins(n, k, comp)
-    return (*_as_basis(*entries, joins), ("lifo", seam, reason), None)
+    return (*_as_basis(*entries, joins), ("lifo", 0, f"seam 0: {why}{tail}"), None)
 
 
 def solve_transport(C, a, b, s_a=None, s_b=None):

@@ -355,21 +355,31 @@ def close(a, b) -> bool:
     return abs(a - b) <= RTOL * max(abs(a), abs(b), 1.0)
 
 
-def _exact_parts(entry: dict):
-    """Everything of an entry that must be bit-identical, nested plans too."""
-    parts = {k: v for k, v in entry.items() if k != "plan"}
-    if "plan" in entry:
-        parts["plan"] = _exact_parts(entry["plan"])
-    return parts
+def _exact_parts(entry: dict, prefix: str = ""):
+    """(name, value) for everything of an entry that must be bit-identical
+    apart from its plain numbers: digests, file digests and stats, nested
+    plans too."""
+    for k, v in entry.items():
+        if k == "numbers":
+            continue
+        if isinstance(v, dict):
+            yield from _exact_parts(v, prefix + k + ".")
+        else:
+            yield prefix + k, v
 
 
 def compare(want: dict, got: dict, exact: bool) -> list[str]:
-    """What moved between two entries: every differing digest, stat or
-    number when exact, else the numbers that differ by more than RTOL."""
+    """What moved between two entries: when exact, every differing digest
+    or file digest by name and every differing stat and number as
+    ``name: old -> new``; else the numbers that differ by more than RTOL."""
     moved = []
     if exact:
-        if _exact_parts(want) != _exact_parts(got):
-            moved.append("bits")
+        want_x, got_x = dict(_exact_parts(want)), dict(_exact_parts(got))
+        for k in sorted(set(want_x) | set(got_x)):
+            a, b = want_x.get(k), got_x.get(k)
+            if a != b:
+                hashed = k.endswith("digest") or k.startswith("files.")
+                moved.append(k if hashed else f"{k}: {a!r} -> {b!r}")
         want_n, got_n = dict(_numbers(want)), dict(_numbers(got))
         for k in sorted(set(want_n) | set(got_n)):
             if want_n.get(k) != got_n.get(k):

@@ -3,7 +3,9 @@
 Whenever the start says it is certified, the simplex makes no pivot and
 ends at the plan of the northwest start, which the solver uses for input
 without boundary positions.  Every seam's LIFO walk leaves a forest, the
-seam sweep agrees with one LIFO walk per seam, degenerate forests are
+seam sweep agrees with one LIFO walk per seam, separated supports cost
+the same from every seam and skip the sweep, a start search walks once
+unless its fallback needs seam 0's forest, degenerate forests are
 handled, and the pivot ladder is pinned against the counts of the plain
 LIFO start the solver used before.  A certified single tree skips the
 core, which would stop at once on it with the same arrays.
@@ -265,7 +267,7 @@ class TestTieJoins:
         assert len(ei) + len(ties) == len(a) + len(b) - 2
         start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)[3:]
         assert start == ("certified", 0, "") and pot is None
-        calls = counting_core(monkeypatch)
+        calls = counting(monkeypatch, "_solve_core")
         stats = solve_kantorovich(f_plus, f_minus, EUC).stats
         assert (stats.start, stats.pivots, len(calls)) == ("certified", 0, 1)
         check_against_northwest(f_plus, f_minus, EUC)
@@ -384,11 +386,10 @@ class TestDegenerateInputs:
         plan = solve_kantorovich(f_plus, f_minus, EUC)
         assert plan.stats.start == "lifo"
         assert plan.stats.fallback == (
-            "seam 0: negative cycle between components; "
-            "seam 5: negative cycle between components"
+            "seam 0: seam 5 is cheaper; seam 5: negative cycle between components"
         )
-        # seam 5's forest has several components, so seam 0's is kept
-        assert plan.stats.seam == 0
+        # seam 5's exact ties join its pairs into one tree, the start
+        assert plan.stats.seam == 5
         assert plan.cost == pytest.approx(brute_force_plan(f_plus, f_minus, EUC).cost, rel=1e-12)
         check_against_northwest(f_plus, f_minus, EUC)
 
@@ -406,7 +407,7 @@ class TestSolverStats:
     def test_seam_recorded(self):
         stats = solve_kantorovich(*lsg_pool(1)[0]).stats
         assert (stats.start, stats.seam, stats.pivots) == ("certified_seam", 75, 0)
-        assert stats.fallback == "seam 0: a component's plan is not optimal on its own"
+        assert stats.fallback == "seam 0: seam 75 is cheaper"
 
     def test_no_positions_fall_back_to_northwest(self):
         start = simplex.solve_transport(np.ones((2, 2)), np.ones(2), np.ones(2))[5]
@@ -493,16 +494,16 @@ def single_tree_groups():
     return groups
 
 
-def counting_core(monkeypatch):
-    """Wrap ``simplex._solve_core`` so that its calls are counted."""
+def counting(monkeypatch, name):
+    """Wrap ``simplex.<name>`` so that its calls are counted."""
     calls = []
-    core = simplex._solve_core
+    wrapped = getattr(simplex, name)
 
     def counted(*args):
         calls.append(1)
-        return core(*args)
+        return wrapped(*args)
 
-    monkeypatch.setattr(simplex, "_solve_core", counted)
+    monkeypatch.setattr(simplex, name, counted)
     return calls
 
 
@@ -568,7 +569,7 @@ class TestSingleTreeStart:
             assert set(found) == {"", "a component's plan is not optimal on its own"}
 
     def test_core_calls(self, monkeypatch):
-        calls = counting_core(monkeypatch)
+        calls = counting(monkeypatch, "_solve_core")
         per_start = {}
         for inputs in lsg_pool(40):
             calls.clear()
@@ -596,7 +597,8 @@ class TestPoolStarts:
     tie tree certifies without the core, and only dust walks run it."""
 
     def test_transport_pool(self, monkeypatch):
-        calls = counting_core(monkeypatch)
+        calls = counting(monkeypatch, "_solve_core")
+        sweeps = counting(monkeypatch, "_seam_costs")
         runs = []
         for inputs in transport_pool(40):
             calls.clear()
@@ -605,10 +607,12 @@ class TestPoolStarts:
             runs.append(len(calls))
         assert [k for k, c in enumerate(runs) if c] == list(TRANSPORT_DUST)
         assert sum(runs) == 2
+        assert not sweeps  # separated supports: seam 0 is as cheap as any
 
     def test_cex_grid_pool(self, monkeypatch):
         # the pair plans of the first 20 cex_grid ops of seed 1
-        calls = counting_core(monkeypatch)
+        calls = counting(monkeypatch, "_solve_core")
+        sweeps = counting(monkeypatch, "_seam_costs")
         rng = np.random.default_rng([1, 3])
         base = build_arcs(8).eps
         starts = []
@@ -619,3 +623,121 @@ class TestPoolStarts:
             starts += [cex.pair_plan(arcs, n, 24).stats.start for n in range(8)]
         assert starts == ["certified"] * 160
         assert len(calls) == 0
+        assert not sweeps
+
+    def test_mirror_cosine(self, monkeypatch):
+        sweeps = counting(monkeypatch, "_seam_costs")
+        stats = solve_kantorovich(*mirror_cosine_measures(1000), EUC).stats
+        assert (stats.start, stats.pivots) == ("certified", 0)
+        assert not sweeps
+
+
+def two_runs(rng, ties):
+    """Separated supports under a random cost matrix: the sources fill
+    one arc and the targets the other, the cut at a random place of the
+    boundary.  With ``ties`` the masses are small integers."""
+    n, m = (int(x) for x in rng.integers(1, 12, 2))
+    cut = rng.uniform(0.5, TWO_PI - 0.5)
+    turn = rng.uniform(0.0, TWO_PI)
+    s_a = np.mod(turn + rng.uniform(0.0, cut, n), TWO_PI)
+    s_b = np.mod(turn + rng.uniform(cut, TWO_PI, m), TWO_PI)
+    if ties:
+        a = rng.integers(1, 4, n).astype(float)
+        b = rng.integers(1, 4, m).astype(float)
+        (a if a.sum() < b.sum() else b)[0] += abs(a.sum() - b.sum())
+    else:
+        a = rng.uniform(0.1, 2.0, n)
+        b = rng.uniform(0.1, 2.0, m)
+        b *= a.sum() / b.sum()
+    return rng.uniform(0.0, 3.0, (n, m)), a, b, s_a, s_b
+
+
+# the cheapest seam's walk leaves two trees of unit-tenth masses and
+# does not certify, so seam 0 is walked as well, for the fallback; its
+# start does not certify either
+TWO_TREE_SEAM = 3155
+
+
+class TestOneWalk:
+    """Each start search walks the boundary once, except when the fallback
+    needs seam 0's forest after a cheaper seam's several trees."""
+
+    def test_separated_seams_cost_the_same(self):
+        # the fact the sweep skip rests on: F is unimodal, so every seam
+        # pairs the same atoms, whatever C is
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            C, a, b, s_a, s_b = two_runs(rng, ties=trial % 2 == 1)
+            kinds, _ = simplex._events(s_a, s_b)
+            assert np.count_nonzero(kinds[1:] != kinds[:-1]) <= 2
+            costs = lifo_seam_costs(C, a, b, s_a, s_b)
+            assert np.max(np.abs(costs - costs[0])) <= 1e-13 * costs[0], f"trial {trial}"
+
+    def test_separated_inputs_walk_once(self, monkeypatch):
+        walks = counting(monkeypatch, "_lifo")
+        sweeps = counting(monkeypatch, "_seam_costs")
+        rng = np.random.default_rng(18)
+        for trial in range(50):
+            C, a, b, s_a, s_b = two_runs(rng, ties=trial % 2 == 1)
+            walks.clear()
+            start = simplex.boundary_stack_basis(C, a, b, s_a, s_b)[3]
+            assert start[1] == 0 and len(walks) == 1
+            assert start[2] == "" or start[2].endswith("; no cheaper seam")
+        assert not sweeps
+
+    def test_lsg_pool(self, monkeypatch):
+        walks = counting(monkeypatch, "_lifo")
+        per_start = {}
+        for inputs in lsg_pool(40):
+            walks.clear()
+            stats = solve_kantorovich(*inputs).stats
+            per_start.setdefault(stats.start, []).append(len(walks))
+            if stats.seam:
+                assert stats.fallback.startswith(f"seam 0: seam {stats.seam} is cheaper")
+        # the uncertified starts are all single trees at a cheaper seam
+        assert per_start == {
+            "certified": [1] * 8,
+            "certified_seam": [1] * 27,
+            "lifo": [1] * 5,
+        }
+
+    def test_two_trees_walk_seam_zero(self, monkeypatch):
+        rng = np.random.default_rng(TWO_TREE_SEAM)
+        n, m = int(rng.integers(3, 7)), int(rng.integers(3, 7))
+        a, b = rng.integers(1, 6, n) / 10, rng.integers(1, 6, m) / 10
+        C = rng.uniform(0.0, 3.0, (n, m))
+        s_a = np.sort(rng.uniform(0.0, TWO_PI, n))
+        s_b = np.sort(rng.uniform(0.0, TWO_PI, m))
+        kinds, idxs = simplex._events(s_a, s_b)
+        seam = int(np.argmin(simplex._seam_costs(C, a, b, kinds, idxs)))
+        walk = np.roll(kinds, -seam), np.roll(idxs, -seam)
+        ei, ej, _, ties = simplex._lifo(a, b, *walk)
+        assert seam == 3 and len(ei) + len(ties) == n + m - 2
+        walks = counting(monkeypatch, "_lifo")
+        (start, _, _, cost, gap), want = solve_both(C, a, b, s_a, s_b)
+        assert start == (
+            "lifo",
+            0,
+            "seam 0: a component's plan is not optimal on its own; "
+            "seam 3: no feasible offsets after 8 Bellman-Ford sweeps",
+        )
+        assert len(walks) == 2
+        assert abs(cost - want[3]) <= 1e-15 * want[3]
+        assert abs(gap) <= 1e-14 * cost
+
+    def test_uncertified_tie_tree_starts_the_core(self):
+        # unit atoms: every match is a tie, and the cheapest seam's tie
+        # tree, not plain joins of its pairs, is handed to the core
+        # (plain joins took 918, 585 and 738 pivots here)
+        rng = np.random.default_rng(5)
+        pivots = []
+        for _ in range(3):
+            f_plus, f_minus = random_atoms_instance(rng, DISK, 150)
+            stats = check_against_northwest(f_plus, f_minus, EUC)
+            assert (stats.start, stats.fallback) == (
+                "lifo",
+                f"seam 0: seam {stats.seam} is cheaper; "
+                f"seam {stats.seam}: negative cycle between components",
+            )
+            pivots.append(stats.pivots)
+        assert pivots == [25, 25, 28]
