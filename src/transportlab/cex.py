@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import kernels
-from . import ot as _ot
 from .errors import InfeasibleError
 from .geom import ChordCost, Disk, EuclideanNorm, disk
-from .measures import BoundaryMeasure, quadrature_atoms
+
+# exact mode needs only the geometry; the transport layers load with the
+# first grid-mode pair
+if TYPE_CHECKING:
+    from .measures import BoundaryMeasure
+    from .ot import TransportPlan
 
 # certified upper bound on sum_{n>=1} 1/(n ln^2(1+n)); dividing by it
 # keeps every truncated arc family inside half the circle
@@ -80,6 +84,8 @@ class ArcSystem:
         self, n: int, atoms_per_arc: int = 64
     ) -> tuple[BoundaryMeasure, BoundaryMeasure]:
         """Unit-density quadrature atoms on the two arcs of pair n."""
+        from .measures import quadrature_atoms
+
         (p0, p1), (m0, m1) = self.intervals(n)
         per = self.domain.perimeter
         one = lambda s: np.ones_like(s)
@@ -159,28 +165,41 @@ def exact_pair_lp(arcs: ArcSystem, n: int, p: float) -> float:
     (1 + x)^(2-p), and the smooth rest (sin(phi)/phi)^(2-p) is
     integrated with GJ_NODES nodes.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p!r}")
     if not 0 <= n < arcs.n_pairs:
         raise IndexError(f"pair {n} outside 0..{arcs.n_pairs - 1}")
+    return _exact_pair_lps(arcs, [n], p)[0]
+
+
+def _exact_pair_lps(arcs: ArcSystem, pairs, p: float) -> list[float]:
+    """exact_pair_lp of each listed pair, from one Gauss-Jacobi rule: the
+    rule depends on p alone."""
+    if p < 1.0:
+        raise ValueError(f"p must be >= 1, got {p!r}")
     if p >= 3.0:
-        return math.inf
+        return [math.inf] * len(pairs)
     R = arcs.domain.radius
-    half_angle = float(arcs.eps[n]) / R
     beta = 2.0 - p
     x, w = _gauss_jacobi(beta)
-    phi = 0.5 * half_angle * (1.0 + x)
-    smooth = (np.sin(phi) / phi) ** beta
-    return float(2.0 * R * R * (0.5 * half_angle) ** (beta + 1.0) * np.dot(w, smooth))
+    out = []
+    for n in pairs:
+        half_angle = float(arcs.eps[n]) / R
+        phi = 0.5 * half_angle * (1.0 + x)
+        smooth = (np.sin(phi) / phi) ** beta
+        out.append(
+            float(2.0 * R * R * (0.5 * half_angle) ** (beta + 1.0) * np.dot(w, smooth))
+        )
+    return out
 
 
 def pair_plan(
     arcs: ArcSystem, n: int, atoms_per_arc: int = 64
-) -> _ot.TransportPlan:
+) -> TransportPlan:
     """Optimal plan between the discretized arcs of one pair."""
+    from . import ot
+
     f_plus, f_minus = arcs.pair_measures(n, atoms_per_arc)
     cost = ChordCost(arcs.domain, EuclideanNorm())
-    return _ot.solve_kantorovich(f_plus, f_minus, cost)
+    return ot.solve_kantorovich(f_plus, f_minus, cost)
 
 
 def _pair_grid(arcs: ArcSystem, n: int, grid_n: int) -> tuple:
@@ -235,6 +254,8 @@ def _pair_grid_lp(
     Cost grows like grid_n divided by the arc length, so deep tails
     get slow.
     """
+    from . import kernels
+
     plan = pair_plan(arcs, n, atoms_per_arc)
     a, b = plan.entry_segments()
     R = arcs.domain.radius
@@ -276,7 +297,7 @@ def run_counterexample(
     if mode == "grid":
         check_pair_grids(arcs, grid_n)
     if mode == "exact":
-        per_pair = [exact_pair_lp(arcs, n, p) for n in range(N)]
+        per_pair = _exact_pair_lps(arcs, range(N), p)
     else:
         per_pair = [
             _pair_grid_lp(arcs, n, p, grid_n, atoms_per_arc) for n in range(N)

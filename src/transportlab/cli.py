@@ -8,6 +8,14 @@ and no timestamps, so identical inputs give byte-identical output.
 
 Exit codes: 0 ok, 2 malformed problem file or flag value, 3 infeasible
 data, 4 flagged divergence in the requested quantity, 5 internal error.
+
+Each command imports only the layers it runs, since every call of the
+program is a fresh process that compiles what it imports: solve loads
+geom, measures, ot and simplex; density, lp-norm and bound add density
+and kernels; lsg adds leastgrad; exact-mode cex loads cex and geom
+alone, and grid-mode cex adds measures, ot, simplex and kernels.  The
+package root itself loads only errors and resolves its other names on
+first use.
 """
 
 from __future__ import annotations
@@ -20,16 +28,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, backend_name, cex as cex_mod, density as density_mod, leastgrad
+from . import __version__, backend_name
 from .errors import InfeasibleError, SchemaError
-from .geom import ChordCost, domain_from_config, norm_from_config
-from .measures import (
-    datum_from_config,
-    measure_from_config,
-    remove_common_mass,
-    tangential_derivative,
-)
-from .ot import solve_kantorovich
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -149,6 +149,9 @@ def _load(args):
     SchemaError; boundary data that do not close up or balance raise
     InfeasibleError.
     """
+    from .geom import domain_from_config, norm_from_config
+    from .measures import datum_from_config, measure_from_config
+
     cfg = load_problem(args.problem)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -271,8 +274,13 @@ def _write_rays_svg(path, domain, plan):
 def cmd_plan(args) -> int:
     """solve, density, lp-norm and bound: one plan, then each command's fields.
 
-    The three commands that take --tau also deposit the partial density.
+    The three commands that take --tau also deposit the partial density;
+    solve never imports the density layer.
     """
+    from .geom import ChordCost
+    from .measures import remove_common_mass, tangential_derivative
+    from .ot import solve_kantorovich
+
     command = args.command
     cfg, domain, norm, data = _load(args)
     if "g" in cfg:
@@ -287,6 +295,8 @@ def cmd_plan(args) -> int:
         report["config"] = _resolved_config(cfg, domain, norm)
         report.update(plan.config())
     else:
+        from . import density as density_mod
+
         n = _grid_n(cfg, args)
         grid = density_mod.grid_for_domain(domain, n)
         field = density_mod.deposit_partial_density(plan, args.tau, grid)
@@ -324,6 +334,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_lsg(args) -> int:
+    from . import density as density_mod, leastgrad
+
     cfg, domain, norm, datum = _load(args)
     if "g" not in cfg:
         raise SchemaError("lsg needs a problem file with a boundary datum g")
@@ -360,6 +372,8 @@ def cmd_lsg(args) -> int:
 
 def _write_arcs_svg(path, arcs, n_show):
     """Arc family layout with per-pair reflection rays."""
+    from . import cex as cex_mod
+
     domain = arcs.domain
     parts, w = _svg_view(domain, 1024, "lightgray", 0.002)
     lw = 0.006 * w
@@ -379,6 +393,8 @@ def _write_arcs_svg(path, arcs, n_show):
 
 
 def cmd_cex(args) -> int:
+    from . import cex as cex_mod
+
     if args.mode == "exact":
         for flag, value in (("--grid", args.grid), ("--atoms-per-arc", args.atoms_per_arc)):
             if value is not None:

@@ -21,8 +21,21 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Gauss-Legendre rule used for all arclength quadrature.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# 12-node Gauss-Legendre rule used for all arclength quadrature: the
+# repr of np.polynomial.legendre.leggauss(12), bit for bit, so that no
+# import of numpy.polynomial is needed
+_GL_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_GL_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
 # panels of an arclength table
 _N_PANELS = 4096
 # elements in a block of the quadratic norm's temporaries

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import kernels, simplex
+from . import simplex
 from .errors import InfeasibleError
 from .geom import ChordCost
 from .measures import BoundaryMeasure
@@ -248,6 +248,8 @@ def check_noncrossing(plan: TransportPlan) -> list[tuple[int, int]]:
     arclength (see :func:`kernels.crossing_pairs`), so shared endpoints,
     zero-length chords and coincident chords never count.
     """
+    from . import kernels
+
     i, j = kernels.crossing_pairs(plan.source.s[plan.i], plan.target.s[plan.j])
     return list(zip(i.tolist(), j.tolist()))
 

@@ -290,3 +290,9 @@ class TestConfig:
         for norm in (EuclideanNorm(), LqNorm(3.0), QUAD):
             again = norm_from_config(norm.config())
             assert again.config() == norm.config()
+
+
+def test_gauss_legendre_literals_are_exact():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(geom._GL_NODES, nodes)
+    assert np.array_equal(geom._GL_WEIGHTS, weights)
