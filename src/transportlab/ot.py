@@ -30,9 +30,9 @@ class SolverStats:
 
     ``start`` is the starting basis used: "certified" (the LIFO plan
     from the seam at s = 0, proven optimal), "certified_seam" (the same
-    from the cheapest seam), "lifo" (a LIFO walk's cells, joined by its
-    exact ties when they span and by plain joins otherwise, not
-    certified) or "northwest" (input without boundary positions); see
+    from the cheapest seam), "lifo" (a LIFO walk's tie tree, its trees
+    joined by least reduced cost, not certified) or "northwest" (input
+    without boundary positions); see
     :func:`simplex.boundary_stack_basis`.  ``seam`` is the event index
     the boundary walk starts at (-1 for northwest), ``fallback`` why a
     certified start was not used ("" when it was), ``pivots`` the
@@ -183,8 +183,9 @@ def solve_kantorovich(
     """Exact optimal transport via the transportation simplex.
 
     The simplex starts from the non-crossing LIFO matching along the
-    boundary, with joins that certify it optimal when it is, so it
-    often needs no pivot at all (see :func:`simplex.boundary_stack_basis`).
+    boundary, joined into one tree that is priced once and certified
+    optimal when it is, so it often needs no pivot at all (see
+    :func:`simplex.boundary_stack_basis`).
     The target masses are rescaled by sum(a) / sum(b), recorded in the
     plan's ``stats``, so basic solutions satisfy both marginals.
     """

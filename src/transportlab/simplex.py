@@ -12,28 +12,20 @@ The boundary start matches atoms last-in-first-out along the boundary
 (optimal rays never cross, so optimal plans pair mass at equal levels
 of the cumulative signed mass).  An exact mass tie in the walk keeps
 the emptying arrival alive with mass 0, and its zero-flow cell joins
-the matching into one spanning tree whenever the walk ends with one
-atom on its stack.  That tree is priced once and is the start when it
-certifies.  Otherwise (float dust left on the stack, or a tie tree
-that prices a cell in) the forest of positive cells is joined into a
-basis through cells that certify it optimal when it is, found by
-Bellman-Ford over the components' potential offsets.  A certified
-start makes the first pricing find no entering cell, so the solve
-makes no pivot.
+the matching, so a walk that ends with one atom on its stack leaves
+one spanning tree.  When float dust leaves more atoms on the stack,
+each further tree hangs from the first tree holding both kinds by the
+cell of least reduced cost between them.  The spanning tree is priced
+once, with the core's own potentials and tolerance: if no cell prices
+in, it is the certified start and the solve makes no pivot; else it
+starts the core.
 
 Each start search walks once.  Separated supports (sources on one
 arc, targets on the other) pair the same atoms from every seam, so
 they walk from s = 0 alone.  Any other input is first swept for the
 seam with the cheapest LIFO plan, in one pass over the levels, and
-walks from it, or from s = 0 when no seam is cheaper.  A start that
-does not certify keeps that walk's tie tree when its tie cells span,
-else plain joins of its forest; a cheaper seam's forest of several
-trees gives way to seam 0's, the one case that walks twice.  Input
-without boundary positions starts from the northwest corner.  Every
-start is priced once.  A certified single tree (a tie tree, or a
-forest of one component) is priced by its certificate, whose
-potentials and reduced costs are the core's own; every other start is
-priced by the core.
+walks from it, or from s = 0 when no seam is cheaper.  Input without
+boundary positions starts from the northwest corner.
 
 One core: numpy pricing and python tree bookkeeping.  The basis tree
 hangs from node 0 and persists across pivots.  A pivot re-hangs only
@@ -50,9 +42,6 @@ import numpy as np
 from .errors import SolverError
 
 STALL_LIMIT = 64
-# Gauss-Seidel sweeps the certificate's Bellman-Ford may take, each
-# O(K^2) in the number K of forest components, before it gives up
-CERTIFY_SWEEPS = 8
 
 
 def _solve_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
@@ -312,157 +301,34 @@ def _forest(C, ei, ej):
     return k, np.array(comp, dtype=np.int64), pot[:n], pot[n:]
 
 
-def _groups(labels):
-    """A stable order that groups equal labels, the labels present and
-    where each one's group starts in that order."""
-    order = np.argsort(labels, kind="stable")
-    ranked = labels[order]
-    start = np.flatnonzero(np.diff(ranked, prepend=-1))
-    return order, ranked[start], start
+def _joins(C, k, comp, u, v):
+    """Zero-flow cells hanging every tree of a forest from the first
+    tree that holds both kinds.
 
-
-def _first(labels, k):
-    """First index holding each label, -1 where a label is absent."""
-    order, found, start = _groups(labels)
-    first = np.full(k, -1, dtype=np.int64)
-    first[found] = order[start]
-    return first
-
-
-def _plain_joins(n, k, comp):
-    """Zero-flow cells joining the forest into a tree, the old way.
-
-    The root is the first component holding atoms of both kinds; every
-    other component joins it through its first source and the root's
-    first target, or, holding targets only, through its first target
-    and the root's first source.
+    A tree joins at the least reduced cost of its own block: its
+    sources against the root tree's targets, or, holding targets only,
+    the root tree's sources against its targets.  Each tree's reduced
+    costs are taken under its own potentials, which a join may shift by
+    an offset without changing the block's argmin; the first least
+    cell is taken.
     """
-    fs, ft = _first(comp[:n], k), _first(comp[n:], k)
-    root = int(np.flatnonzero((fs >= 0) & (ft >= 0))[0])
-    return [
-        (int(fs[c]), int(ft[root])) if fs[c] >= 0 else (int(fs[root]), int(ft[c]))
-        for c in range(k)
-        if c != root
-    ]
-
-
-def _offset_tree(W, root, dist, pred, tol):
-    """The (source component, target component) blocks of the tree
-    that Bellman-Ford's predecessors span, if its offsets certify.
-
-    A component holding targets only has no constraint from below but
-    d_T >= d_A - W_AT: it hangs from the maximiser of d_A - W_AT.  The
-    offsets are recomputed along the tree by pointer doubling, and
-    every block is checked.  Returns (blocks, ""), or (None, reason):
-    a cycle among the predecessors proves a negative cycle, a failed
-    block only that Bellman-Ford has not settled.
-    """
-    k = len(W)
-    up = pred.copy()
-    step = np.zeros(k)  # d_c - d_up[c] along each tree edge
-    has = up >= 0
-    step[has] = W[has, up[has]]
-    lone = np.flatnonzero(~np.isfinite(dist))
-    if len(lone):
-        # finite blocks pair a lone target with source components, all
-        # of which Bellman-Ford reached
-        ok = np.isfinite(W[:, lone])
-        lift = np.where(ok, dist[:, None], -np.inf) - np.where(ok, W[:, lone], 0.0)
-        up[lone] = lift.argmax(axis=0)
-        step[lone] = -W[up[lone], lone]
-    up[root] = root
-    step[root] = 0.0
-    d, top = step, up
-    for _ in range(max(k - 1, 1).bit_length()):
-        d = d + d[top]
-        top = top[top]
-    # every component holding sources is reached from the root, which
-    # holds targets, so one whose chain misses it sits on a cycle
-    if np.any(top != root):
-        return None, "negative cycle between components"
-    if not np.all(d[:, None] - d[None, :] <= W + tol):
-        return None, ""
-    up, pred = up.tolist(), pred.tolist()
-    tree = [c for c in range(k) if c != root]
-    return [(c, up[c]) if pred[c] >= 0 else (up[c], c) for c in tree], ""
-
-
-def _certify(C, k, comp, u, v, tol):
-    """Zero-flow joins under which the forest's plan is provably optimal.
-
-    Component A's potentials may shift by an offset d_A (u + d_A on its
-    sources, v - d_A on its targets) without breaking u_i + v_j = c_ij
-    on its edges.  The cells between A's sources and B's targets stay
-    priced out exactly when d_A - d_B <= W_AB, the least reduced cost
-    c_ij - u_i - v_j over the block.  Bellman-Ford over these difference
-    constraints gives the offsets; the block minima along its
-    shortest-path tree are tight, so joining the components through
-    them yields a basis whose potentials are the offset ones.  The
-    offsets are recomputed along that tree and every block is checked
-    against ``tol`` before the joins are returned.
-
-    A single tree (K = 1) has no offsets to find: its reduced costs
-    are computed as the core's first pricing computes them, and it
-    certifies when none is below ``-tol``.
-
-    Returns (joins, "") or (None, reason).
-    """
-    if k == 1:
-        R = C - u[:, None]
-        R -= v
-        if R.min() >= -tol:
-            return [], ""
-        return None, "a component's plan is not optimal on its own"
-    n, m = C.shape
-    ro, has_s, r0 = _groups(comp[:n])
-    co, has_t, c0 = _groups(comp[n:])
-    # reduced costs with rows and columns grouped by component
-    R = C[ro[:, None], co]
-    R -= u[ro, None]
-    R -= v[co]
-    W = np.full((k, k), np.inf)
-    W[has_s[:, None], has_t] = np.minimum.reduceat(
-        np.minimum.reduceat(R, r0, axis=0), c0, axis=1
-    )
-    if np.diagonal(W).min() < -tol:
-        return None, "a component's plan is not optimal on its own"
-    # Bellman-Ford from the first component holding both kinds, in
-    # Gauss-Seidel sweeps of alternating direction; a component holding
-    # sources only is reached through the root
-    root = int(np.flatnonzero(np.isfinite(np.diagonal(W)))[0])
-    off = W.copy()
-    np.fill_diagonal(off, np.inf)
-    dist = np.full(k, np.inf)
-    dist[root] = 0.0
-    pred = np.full(k, -1, dtype=np.int64)
-    for sweep in range(CERTIFY_SWEEPS):
-        for c in range(k) if sweep % 2 == 0 else range(k - 1, -1, -1):
-            row = off[c] + dist  # row[B]: reach c from B through W_cB
-            p = int(row.argmin())
-            if row[p] < dist[c] - tol and c != root:
-                dist[c] = row[p]
-                pred[c] = p
-        tree, why = _offset_tree(W, root, dist, pred, tol)
-        if tree is not None:
-            break
-        if why:
-            return None, why
-    else:
-        return None, f"no feasible offsets after {CERTIFY_SWEEPS} Bellman-Ford sweeps"
-    # the joins: the first least cell of each tree block
-    rlo = np.zeros(k, dtype=np.int64)
-    clo = np.zeros(k, dtype=np.int64)
-    rlo[has_s], clo[has_t] = r0, c0
-    rhi = np.full(k, n, dtype=np.int64)
-    chi = np.full(k, m, dtype=np.int64)
-    rhi[has_s[:-1]] = r0[1:]
-    chi[has_t[:-1]] = c0[1:]
-    rlo, rhi, clo, chi = rlo.tolist(), rhi.tolist(), clo.tolist(), chi.tolist()
+    n = len(u)
+    cs, ct = comp[:n], comp[n:]
+    both = (np.bincount(cs, minlength=k) > 0) & (np.bincount(ct, minlength=k) > 0)
+    root = int(np.argmax(both))
+    rs, rt = np.flatnonzero(cs == root), np.flatnonzero(ct == root)
     joins = []
-    for A, B in tree:
-        f, w = divmod(int(R[rlo[A] : rhi[A], clo[B] : chi[B]].argmin()), chi[B] - clo[B])
-        joins.append((int(ro[rlo[A] + f]), int(co[clo[B] + w])))
-    return joins, ""
+    for c in range(k):
+        if c == root:
+            continue
+        rows, cols = np.flatnonzero(cs == c), np.flatnonzero(ct == c)
+        rows, cols = (rows, rt) if len(rows) else (rs, cols)
+        R = C[rows[:, None], cols]
+        R -= u[rows, None]
+        R -= v[cols]
+        f, w = divmod(int(R.argmin()), len(cols))
+        joins.append((int(rows[f]), int(cols[w])))
+    return joins
 
 
 def _seam_costs(C, a, b, kinds, idxs):
@@ -511,32 +377,24 @@ def _seam_costs(C, a, b, kinds, idxs):
 
 
 def _walk_start(C, a, b, kinds, idxs, tol):
-    """The start one walk gives: (entries, joins, why, trees, pot).
+    """The start one walk gives: (entries, joins, why, pot).
 
-    When the walk's positive and tie cells form one tree, that tree is
-    priced once; if it certifies, its ties are the joins and ``pot`` its
-    potentials.  Otherwise the forest of positive cells goes to
-    :func:`_certify`.  ``why`` is "" for a certified start, else the
-    forest's reason.  The joins are then the fallback's: the tie cells
-    when they span, a tree the core leaves in few pivots, else
-    :func:`_plain_joins`; and ``trees`` counts the trees that the
-    walk's positive and tie cells leave.
+    The joins are the walk's tie cells and, when float dust leaves
+    several trees, the cells of :func:`_joins`.  The spanning tree is
+    priced once, as the core's first pricing prices it; when no reduced
+    cost is below ``-tol``, ``why`` is "" and ``pot`` its potentials,
+    else ``why`` is the reason and ``pot`` None.
     """
-    n, m = C.shape
-    ei, ej, ef, ties = _lifo(a, b, kinds, idxs)
-    if ties and len(ei) + len(ties) == n + m - 1:
-        ti, tj = zip(*ties)
-        _, comp, u, v = _forest(C, ei + list(ti), ej + list(tj))
-        if _certify(C, 1, comp, u, v, tol)[0] is not None:
-            return (ei, ej, ef), ties, "", 1, (u, v)
-    k, comp, u, v = _forest(C, ei, ej)
-    joins, why = _certify(C, k, comp, u, v, tol)
-    if joins is None:
-        # each tie joins two components: the walk leaves K - len(ties) trees
-        trees = k - len(ties)
-        joins = ties if trees == 1 else _plain_joins(n, k, comp)
-        return (ei, ej, ef), joins, why, trees, None
-    return (ei, ej, ef), joins, "", 1, (u, v) if k == 1 else None
+    ei, ej, ef, joins = _lifo(a, b, kinds, idxs)
+    k, comp, u, v = _forest(C, ei + [i for i, _ in joins], ej + [j for _, j in joins])
+    if k > 1:
+        joins = joins + _joins(C, k, comp, u, v)
+        _, _, u, v = _forest(C, ei + [i for i, _ in joins], ej + [j for _, j in joins])
+    R = C - u[:, None]
+    R -= v
+    if R.min() >= -tol:
+        return (ei, ej, ef), joins, "", (u, v)
+    return (ei, ej, ef), joins, "a component's plan is not optimal on its own", None
 
 
 def _as_basis(ei, ej, ef, joins):
@@ -552,14 +410,11 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     """Non-crossing LIFO matching along the boundary, as a certified basis.
 
     Walking the boundary from a seam, opposite-kind atoms match
-    last-in-first-out, which never produces crossing chords.  When the
-    walk ends with one atom on its stack, its positive cells and the
-    zero-flow cells of its exact ties form one spanning tree
-    (:func:`_lifo`), which is priced once and is the start when it
-    certifies.  Otherwise the forest of positive cells is joined into
-    a spanning tree by zero-flow cells chosen by :func:`_certify`, so
-    that when the LIFO plan is optimal the first pricing finds no
-    entering cell.
+    last-in-first-out, which never produces crossing chords.  Its
+    positive cells, the zero-flow cells of its exact ties (:func:`_lifo`)
+    and, when float dust leaves several trees, the joins of
+    :func:`_joins` form one spanning tree, which is priced once and is
+    the certified start when the first pricing finds no entering cell.
 
     Each start search walks once.  When the supports are separated
     (the sources fill one arc and the targets the other, so the event
@@ -569,52 +424,40 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     The walk from s = 0 is then the only one.  Any other input is swept
     first (:func:`_seam_costs`), and the walk starts at the cheapest
     seam when its LIFO plan beats seam 0's by more than the sweep's
-    rounding, else at s = 0.  A start that does not certify falls back
-    to a walk's cells with the joins of :func:`_walk_start`: the
-    cheaper seam's when its positive and tie cells form one tree (the
-    cheaper plan is then the whole basis), else seam 0's, walked only
-    now, because with several trees the joins, not the seam, set the
-    pivot count.
+    rounding, else at s = 0.
 
-    The fallback reason starts with seam 0's: the verdict of its walk
-    when it ran, else "seam 0: seam S is cheaper", since the sweep
-    found a strictly cheaper plan.  A start walked from seam 0 alone
-    adds "; no cheaper seam"; one walked from seam S after seam 0
-    adds "; seam S: " and that walk's verdict.
+    The fallback reason of a start from seam 0 is "seam 0: " and its
+    verdict, then "; no cheaper seam".  A start from a cheaper seam S
+    gives "seam 0: seam S is cheaper", since seam 0 was not walked, and
+    adds "; seam S: " and its verdict when it did not certify.
 
     Returns (bi, bj, f, start, potentials) with ``start`` the tuple
     (kind, seam, reason) that :class:`ot.SolverStats` records.
-    ``potentials`` is the tree's (u, v) when a single tree (a tie tree,
-    or a forest of one component) certified, else None.  That tree is
-    rooted at node 0 with potential 0, as the core's first walk is, so
-    these are the core's potentials and the certificate was its first
-    pricing; every other start is left to the core to price.
+    ``potentials`` is the tree's (u, v) when it certified, else None.
+    The tree is rooted at node 0 with potential 0, as the core's first
+    walk is, so these are the core's potentials and the certificate was
+    its first pricing, at its tolerance; a start that does not certify
+    is left to the core.
     """
     kinds, idxs = _events(s_a, s_b)
-    # half the pricing tolerance: across several components the core's
-    # own potentials differ from the certificate's by rounding, and must
-    # still price nothing in
-    tol = 0.5 * _price_tol(C)
-    tail = "; no cheaper seam"
+    seam = 0
     if np.count_nonzero(kinds[1:] != kinds[:-1]) > 2:
         costs = _seam_costs(C, a, b, kinds, idxs)
-        seam = int(np.argmin(costs))
+        cheapest = int(np.argmin(costs))
         # the sweep is exact to ~1e-14 relative; a seam not cheaper by
         # more than that pairs the levels as seam 0 does, up to rounding
-        if costs[seam] < costs[0] - 1e-12 * abs(costs[0]):
-            entries, joins, why, trees, pot = _walk_start(
-                C, a, b, np.roll(kinds, -seam), np.roll(idxs, -seam), tol
-            )
-            reason = f"seam 0: seam {seam} is cheaper"
-            if not why:
-                return (*_as_basis(*entries, joins), ("certified_seam", seam, reason), pot)
-            tail = f"; seam {seam}: {why}"
-            if trees == 1:
-                return (*_as_basis(*entries, joins), ("lifo", seam, reason + tail), None)
-    entries, joins, why, _, pot = _walk_start(C, a, b, kinds, idxs, tol)
-    if not why:
-        return (*_as_basis(*entries, joins), ("certified", 0, ""), pot)
-    return (*_as_basis(*entries, joins), ("lifo", 0, f"seam 0: {why}{tail}"), None)
+        if costs[cheapest] < costs[0] - 1e-12 * abs(costs[0]):
+            seam = cheapest
+            kinds, idxs = np.roll(kinds, -seam), np.roll(idxs, -seam)
+    entries, joins, why, pot = _walk_start(C, a, b, kinds, idxs, _price_tol(C))
+    basis = _as_basis(*entries, joins)
+    if not seam:
+        start = ("lifo", 0, f"seam 0: {why}; no cheaper seam") if why else ("certified", 0, "")
+    elif why:
+        start = ("lifo", seam, f"seam 0: seam {seam} is cheaper; seam {seam}: {why}")
+    else:
+        start = ("certified_seam", seam, f"seam 0: seam {seam} is cheaper")
+    return (*basis, start, pot)
 
 
 def solve_transport(C, a, b, s_a=None, s_b=None):
@@ -623,10 +466,9 @@ def solve_transport(C, a, b, s_a=None, s_b=None):
     With the boundary positions ``s_a`` and ``s_b`` the start is
     :func:`boundary_stack_basis`; without them it is
     :func:`northwest_basis`.  ``start`` is the tuple (kind, seam,
-    reason) of the start used.  A certified single tree comes with the
-    core's own potentials and has passed its first pricing at half its
-    tolerance, so it is returned after that one iteration without
-    running the core.
+    reason) of the start used.  A certified start comes with the core's
+    own potentials and has passed its first pricing at its tolerance, so
+    it is returned after that one iteration without running the core.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
     n, m = C.shape

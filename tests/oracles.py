@@ -84,12 +84,30 @@ def plain_lifo_forest(C, a, b, kinds, idxs):
     return ((ei, ej, ef), *simplex._forest(C, ei, ej))
 
 
+def plain_joins(n, k, comp):
+    """Zero-flow cells joining a forest into a tree, blind to the costs.
+
+    The root is the first component holding atoms of both kinds; every
+    other component joins it through its first source and the root's
+    first target, or, holding targets only, through its first target
+    and the root's first source.
+    """
+    fs, ft = {}, {}
+    for x, c in enumerate(comp.tolist()):
+        if x < n:
+            fs.setdefault(c, x)
+        else:
+            ft.setdefault(c, x - n)
+    root = next(c for c in range(k) if c in fs and c in ft)
+    return [(fs[c], ft[root]) if c in fs else (fs[root], ft[c]) for c in range(k) if c != root]
+
+
 def plain_lifo_basis(C, a, b, s_a, s_b):
     """The LIFO forest from the seam at s = 0 with the plain joins: the
     uncertified boundary start, from which degenerate crawls are long."""
     kinds, idxs = simplex._events(s_a, s_b)
     entries, k, comp, _, _ = plain_lifo_forest(C, a, b, kinds, idxs)
-    return simplex._as_basis(*entries, simplex._plain_joins(len(a), k, comp))
+    return simplex._as_basis(*entries, plain_joins(len(a), k, comp))
 
 
 def lifo_seam_costs(C, a, b, s_a, s_b):
@@ -101,55 +119,3 @@ def lifo_seam_costs(C, a, b, s_a, s_b):
         ei, ej, ef = plain_lifo(a, b, np.roll(kinds, -seam), np.roll(idxs, -seam))
         costs.append(float(np.dot(ef, C[ei, ej])))
     return np.array(costs)
-
-
-def grouped_certify(C, k, comp, u, v, tol):
-    """``simplex._certify`` for any number of components, one tree
-    included: reduced costs grouped by component, block minima and
-    Bellman-Ford over the offsets.  The reference for its single-tree
-    shortcut."""
-    n, m = C.shape
-    ro, has_s, r0 = simplex._groups(comp[:n])
-    co, has_t, c0 = simplex._groups(comp[n:])
-    R = C[ro[:, None], co]
-    R -= u[ro, None]
-    R -= v[co]
-    W = np.full((k, k), np.inf)
-    W[has_s[:, None], has_t] = np.minimum.reduceat(
-        np.minimum.reduceat(R, r0, axis=0), c0, axis=1
-    )
-    if np.diagonal(W).min() < -tol:
-        return None, "a component's plan is not optimal on its own"
-    root = int(np.flatnonzero(np.isfinite(np.diagonal(W)))[0])
-    off = W.copy()
-    np.fill_diagonal(off, np.inf)
-    dist = np.full(k, np.inf)
-    dist[root] = 0.0
-    pred = np.full(k, -1, dtype=np.int64)
-    for sweep in range(simplex.CERTIFY_SWEEPS):
-        for c in range(k) if sweep % 2 == 0 else range(k - 1, -1, -1):
-            row = off[c] + dist
-            p = int(row.argmin())
-            if row[p] < dist[c] - tol and c != root:
-                dist[c] = row[p]
-                pred[c] = p
-        tree, why = simplex._offset_tree(W, root, dist, pred, tol)
-        if tree is not None:
-            break
-        if why:
-            return None, why
-    else:
-        return None, f"no feasible offsets after {simplex.CERTIFY_SWEEPS} Bellman-Ford sweeps"
-    rlo = np.zeros(k, dtype=np.int64)
-    clo = np.zeros(k, dtype=np.int64)
-    rlo[has_s], clo[has_t] = r0, c0
-    rhi = np.full(k, n, dtype=np.int64)
-    chi = np.full(k, m, dtype=np.int64)
-    rhi[has_s[:-1]] = r0[1:]
-    chi[has_t[:-1]] = c0[1:]
-    rlo, rhi, clo, chi = rlo.tolist(), rhi.tolist(), clo.tolist(), chi.tolist()
-    joins = []
-    for A, B in tree:
-        f, w = divmod(int(R[rlo[A] : rhi[A], clo[B] : chi[B]].argmin()), chi[B] - clo[B])
-        joins.append((int(ro[rlo[A] + f]), int(co[clo[B] + w])))
-    return joins, ""

@@ -2,13 +2,14 @@
 
 Whenever the start says it is certified, the simplex makes no pivot and
 ends at the plan of the northwest start, which the solver uses for input
-without boundary positions.  Every seam's LIFO walk leaves a forest, the
-seam sweep agrees with one LIFO walk per seam, separated supports cost
-the same from every seam and skip the sweep, a start search walks once
-unless its fallback needs seam 0's forest, degenerate forests are
-handled, and the pivot ladder is pinned against the counts of the plain
-LIFO start the solver used before.  A certified single tree skips the
-core, which would stop at once on it with the same arrays.
+without boundary positions.  Every seam's LIFO walk leaves a forest that
+its tie cells and joins make one spanning tree, the seam sweep agrees
+with one LIFO walk per seam, separated supports cost the same from every
+seam and skip the sweep, a start search walks once, degenerate forests
+are handled, and the pivot ladder is pinned against the counts of the
+plain LIFO start the solver used before.  A certified start skips the
+core, which would stop at once on it with the same arrays; a start that
+does not certify makes at least one pivot.
 """
 
 import math
@@ -18,7 +19,6 @@ import pytest
 
 from oracles import (
     brute_force_plan,
-    grouped_certify,
     lifo_seam_costs,
     plain_lifo,
     plain_lifo_forest,
@@ -209,7 +209,8 @@ class TestTieJoins:
     def test_ties_join_the_forest(self, kind):
         # each tie cell joins two trees of the positive forest; with
         # integer masses every walk ends with one atom on its stack, and
-        # positive and tie cells span
+        # positive and tie cells span; with the joins of the trees that
+        # float dust leaves, the start's cells always span
         rng = np.random.default_rng(FOREST_KINDS.index(kind))
         spanning = 0
         for trial in range(200):
@@ -226,6 +227,9 @@ class TestTieJoins:
                 if kind == "integer":
                     assert k == 1, f"trial {trial}, seam {seam}"
                 spanning += k == 1
+                (ei, ej, _), joins = simplex._walk_start(C, a, b, *walk, simplex._price_tol(C))[:2]
+                cells = ei + [i for i, _ in joins], ej + [j for _, j in joins]
+                assert simplex._forest(C, *cells)[0] == 1, f"trial {trial}, seam {seam}"
         assert spanning > 0
 
     def test_tie_empties_the_stack(self):
@@ -254,10 +258,11 @@ class TestTieJoins:
         assert start == ("certified", 0, "") and pot is not None
         check_against_northwest(f_plus, f_minus, EUC)
 
-    def test_dust_walk_certifies_through_bellman_ford(self, monkeypatch):
+    def test_dust_walk_certifies_as_one_tree(self, monkeypatch):
         # 0.5 - 0.4 leaves float dust on the last small target, which
         # stays on the stack above the zero-mass target of the second
-        # tie: two trees, joined by Bellman-Ford and priced by the core
+        # tie: two trees, joined at their least reduced cost into one,
+        # which certifies without the core
         f_plus = BoundaryMeasure([0.3, 0.9, 3.0], [1.0, 1.0, 0.5], TWO_PI)
         f_minus = BoundaryMeasure([0.6, 1.2, 1.8, 2.4], [1.0, 1.0, 0.1, 0.4], TWO_PI)
         C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
@@ -266,10 +271,10 @@ class TestTieJoins:
         assert ties == [(1, 0)]
         assert len(ei) + len(ties) == len(a) + len(b) - 2
         start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)[3:]
-        assert start == ("certified", 0, "") and pot is None
+        assert start == ("certified", 0, "") and pot is not None
         calls = counting(monkeypatch, "_solve_core")
         stats = solve_kantorovich(f_plus, f_minus, EUC).stats
-        assert (stats.start, stats.pivots, len(calls)) == ("certified", 0, 1)
+        assert (stats.start, stats.pivots, len(calls)) == ("certified", 0, 0)
         check_against_northwest(f_plus, f_minus, EUC)
 
 
@@ -307,11 +312,14 @@ def top_level_dust():
 
 class TestDegenerateInputs:
     def test_coincident_positions(self):
-        # every source shares its position with a target of equal mass
+        # every source shares its position with a target of equal mass:
+        # the tie tree spans but prices a cell in, and the core leaves it
+        # in one pivot (remove_common_mass cancels such mass before any
+        # solve of the library's own pipelines)
         f_plus = BoundaryMeasure([0.5, 2.0, 4.0], [1.0, 2.0, 0.5], TWO_PI)
         f_minus = BoundaryMeasure([0.5, 2.0, 4.0], [1.0, 2.0, 0.5], TWO_PI)
         stats = check_against_northwest(f_plus, f_minus, EUC)
-        assert stats.start == "certified"
+        assert (stats.start, stats.pivots) == ("lifo", 1)
         assert solve_kantorovich(f_plus, f_minus, EUC).cost == 0.0
 
     def test_coincident_across_kinds(self):
@@ -331,25 +339,35 @@ class TestDegenerateInputs:
         assert (stats.start, stats.pivots) == ("certified", 0)
 
     @pytest.mark.parametrize("lone", ["source", "target"])
-    def test_one_kind_components(self, lone):
-        # a last atom far below the balance tolerance is left on the
-        # stack: a component holding one atom of one kind
-        s_a, a = [0.5, 1.5], [1.0, 1.0]
-        s_b, b = [1.0, 2.0], [1.0, 1.0]
-        if lone == "source":
-            s_a, a = s_a + [4.0], a + [1e-300]
-        else:
-            s_b, b = s_b + [4.0], b + [1e-300]
-        f_plus = BoundaryMeasure(s_a, a, TWO_PI)
-        f_minus = BoundaryMeasure(s_b, b, TWO_PI)
-        C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
-        kinds, idxs = simplex._events(s_a, s_b)
-        k, comp = plain_lifo_forest(C, a, b, kinds, idxs)[1:3]
-        assert k == 3
-        lone_comp = comp[2] if lone == "source" else comp[len(a) + 2]
-        assert np.count_nonzero(comp == lone_comp) == 1
-        stats = check_against_northwest(f_plus, f_minus, EUC)
-        assert (stats.start, stats.pivots) == ("certified", 0)
+    def test_one_kind_components(self, lone, monkeypatch):
+        # last atoms far below the balance tolerance are left on the
+        # stack: components holding one atom of one kind.  A lone source
+        # ties onto the zero-mass target below it; the other trees left
+        # on the stack hang from the first tree through _joins
+        joins = counting(monkeypatch, "_joins")
+        trees = {("source", 1): [], ("target", 1): [2], ("source", 3): [3], ("target", 3): [4]}
+        for count in (1, 3):
+            s_a, a = [0.5, 1.5], [1.0, 1.0]
+            s_b, b = [1.0, 2.0], [1.0, 1.0]
+            lone_at = [4.0, 4.5, 5.0][:count]
+            if lone == "source":
+                s_a, a = s_a + lone_at, a + [1e-300] * count
+            else:
+                s_b, b = s_b + lone_at, b + [1e-300] * count
+            f_plus = BoundaryMeasure(s_a, a, TWO_PI)
+            f_minus = BoundaryMeasure(s_b, b, TWO_PI)
+            C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
+            kinds, idxs = simplex._events(s_a, s_b)
+            k, comp = plain_lifo_forest(C, a, b, kinds, idxs)[1:3]
+            assert k == 2 + count
+            first = 2 if lone == "source" else len(a) + 2
+            for x in range(first, first + count):
+                assert np.count_nonzero(comp == comp[x]) == 1
+            joins.clear()
+            simplex.boundary_stack_basis(C, a, b, s_a, s_b)
+            assert [args[1] for args in joins] == trees[lone, count]
+            stats = check_against_northwest(f_plus, f_minus, EUC)
+            assert (stats.start, stats.pivots) == ("certified", 0)
 
     def test_float_dust_at_the_top_level(self):
         f_plus, f_minus = top_level_dust()
@@ -357,39 +375,18 @@ class TestDegenerateInputs:
         check_sweep(C, a, b, s_a, s_b)
         check_against_northwest(f_plus, f_minus, EUC)
 
-    def test_sweep_cap(self, monkeypatch):
-        # offsets the capped Bellman-Ford cannot settle on a dust walk,
-        # whose tie cells leave two trees: the plain joins are kept,
-        # seam 0 is already the cheapest, and the plan is the certified
-        # start's (the northwest start ends at another optimum here)
-        f_plus, f_minus, cost = transport_pool(TRANSPORT_DUST[0] + 1)[TRANSPORT_DUST[0]]
-        want = solve_kantorovich(f_plus, f_minus, cost)
-        assert want.stats.start == "certified"
-        monkeypatch.setattr(simplex, "CERTIFY_SWEEPS", 0)
-        plan = solve_kantorovich(f_plus, f_minus, cost)
-        stats = plan.stats
-        assert stats.start == "lifo"
-        assert stats.seam == 0
-        assert stats.fallback == (
-            "seam 0: no feasible offsets after 0 Bellman-Ford sweeps; no cheaper seam"
-        )
-        assert stats.pivots > 0
-        for x, y in zip((plan.i, plan.j, plan.mass), (want.i, want.j, want.mass)):
-            assert np.array_equal(x, y)
-        assert plan.cost == want.cost
-        assert abs(plan.gap) <= 1e-14 * plan.cost
-
     def test_negative_cycle_falls_back(self):
         # unit atoms: every LIFO match is exact, so each pair is its own
-        # component, and these components admit no feasible offsets
+        # component of the positive forest, and no offsets between them
+        # make it optimal
         f_plus, f_minus = random_atoms_instance(np.random.default_rng(0), DISK, 7)
         plan = solve_kantorovich(f_plus, f_minus, EUC)
         assert plan.stats.start == "lifo"
         assert plan.stats.fallback == (
-            "seam 0: seam 5 is cheaper; seam 5: negative cycle between components"
+            "seam 0: seam 5 is cheaper; seam 5: a component's plan is not optimal on its own"
         )
         # seam 5's exact ties join its pairs into one tree, the start
-        assert plan.stats.seam == 5
+        assert (plan.stats.seam, plan.stats.pivots) == (5, 3)
         assert plan.cost == pytest.approx(brute_force_plan(f_plus, f_minus, EUC).cost, rel=1e-12)
         check_against_northwest(f_plus, f_minus, EUC)
 
@@ -495,12 +492,13 @@ def single_tree_groups():
 
 
 def counting(monkeypatch, name):
-    """Wrap ``simplex.<name>`` so that its calls are counted."""
+    """Wrap ``simplex.<name>`` so that its calls are recorded, each as the
+    tuple of its arguments."""
     calls = []
     wrapped = getattr(simplex, name)
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args)
         return wrapped(*args)
 
     monkeypatch.setattr(simplex, name, counted)
@@ -511,13 +509,16 @@ class TestSingleTreeStart:
     def test_core_stops_at_once_with_the_same_arrays(self):
         # every start handed over with potentials: the core, run on
         # copies of it, stops after its first pricing with the very
-        # arrays that solve_transport returns without running it
+        # arrays that solve_transport returns without running it; and
+        # every start handed over without them makes a pivot
         with_pot = {}
         for group, inputs in single_tree_groups().items():
             with_pot[group] = 0
             for C, a, b, s_a, s_b in inputs:
                 bi, bj, f, start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)
                 if pot is None:
+                    assert start[0] == "lifo"
+                    assert simplex.solve_transport(C, a, b, s_a, s_b)[6] > 1
                     continue
                 with_pot[group] += 1
                 assert start[0].startswith("certified")
@@ -538,36 +539,6 @@ class TestSingleTreeStart:
                     assert np.array_equal(x, y)
         assert with_pot == {"lsg": 35, "radial": 1, "random": 104}
 
-    def test_shortcut_matches_the_grouped_certificate(self):
-        # on one-component forests and on spanning tie trees, from seam 0
-        # and from the cheapest seam, the shortcut gives the grouped
-        # certificate's answer
-        reasons = {"forest": [], "tie tree": []}
-        for inputs in single_tree_groups().values():
-            for C, a, b, s_a, s_b in inputs:
-                kinds, idxs = simplex._events(s_a, s_b)
-                tol = 0.5 * simplex._price_tol(C)
-                cheapest = int(np.argmin(simplex._seam_costs(C, a, b, kinds, idxs)))
-                for seam in {0, cheapest}:
-                    walk = np.roll(kinds, -seam), np.roll(idxs, -seam)
-                    ei, ej, _, ties = simplex._lifo(a, b, *walk)
-                    trees = {
-                        "forest": simplex._forest(C, ei, ej),
-                        "tie tree": simplex._forest(
-                            C, ei + [i for i, _ in ties], ej + [j for _, j in ties]
-                        ),
-                    }
-                    if not ties:
-                        del trees["tie tree"]
-                    for name, (k, comp, u, v) in trees.items():
-                        if k != 1:
-                            continue
-                        got = simplex._certify(C, k, comp, u, v, tol)
-                        assert got == grouped_certify(C, k, comp, u, v, tol)
-                        reasons[name].append(got[1])
-        for found in reasons.values():
-            assert set(found) == {"", "a component's plan is not optimal on its own"}
-
     def test_core_calls(self, monkeypatch):
         calls = counting(monkeypatch, "_solve_core")
         per_start = {}
@@ -584,29 +555,32 @@ class TestSingleTreeStart:
         }
         # the first transport pool input of seed 1 has one exact tie, and
         # its tie tree certifies without the core; a dust walk leaves two
-        # trees, which Bellman-Ford certifies and the core prices
+        # trees, joined into one that certifies without the core too
         pool = transport_pool(TRANSPORT_DUST[0] + 1)
-        for k, want in ((0, 0), (TRANSPORT_DUST[0], 1)):
+        for k in (0, TRANSPORT_DUST[0]):
             calls.clear()
             plan = solve_kantorovich(*pool[k])
-            assert (plan.stats.start, plan.stats.pivots, len(calls)) == ("certified", 0, want)
+            assert (plan.stats.start, plan.stats.pivots, len(calls)) == ("certified", 0, 0)
 
 
 class TestPoolStarts:
-    """Start kinds and core runs on the benchmark's separated pools: the
-    tie tree certifies without the core, and only dust walks run it."""
+    """Start kinds and core runs on the benchmark's separated pools: every
+    start certifies as one tree without the core, and only dust walks
+    need joins beside their ties."""
 
     def test_transport_pool(self, monkeypatch):
         calls = counting(monkeypatch, "_solve_core")
+        joins = counting(monkeypatch, "_joins")
         sweeps = counting(monkeypatch, "_seam_costs")
-        runs = []
-        for inputs in transport_pool(40):
-            calls.clear()
+        joined = []
+        for k, inputs in enumerate(transport_pool(40)):
+            joins.clear()
             stats = solve_kantorovich(*inputs).stats
             assert (stats.start, stats.pivots) == ("certified", 0)
-            runs.append(len(calls))
-        assert [k for k, c in enumerate(runs) if c] == list(TRANSPORT_DUST)
-        assert sum(runs) == 2
+            if joins:
+                joined.append(k)
+        assert joined == list(TRANSPORT_DUST)
+        assert not calls
         assert not sweeps  # separated supports: seam 0 is as cheap as any
 
     def test_cex_grid_pool(self, monkeypatch):
@@ -652,15 +626,13 @@ def two_runs(rng, ties):
     return rng.uniform(0.0, 3.0, (n, m)), a, b, s_a, s_b
 
 
-# the cheapest seam's walk leaves two trees of unit-tenth masses and
-# does not certify, so seam 0 is walked as well, for the fallback; its
-# start does not certify either
+# the cheapest seam's walk leaves two trees of unit-tenth masses, which
+# are joined into one tree that does not certify
 TWO_TREE_SEAM = 3155
 
 
 class TestOneWalk:
-    """Each start search walks the boundary once, except when the fallback
-    needs seam 0's forest after a cheaper seam's several trees."""
+    """Each start search walks the boundary once."""
 
     def test_separated_seams_cost_the_same(self):
         # the fact the sweep skip rests on: F is unimodal, so every seam
@@ -694,14 +666,14 @@ class TestOneWalk:
             per_start.setdefault(stats.start, []).append(len(walks))
             if stats.seam:
                 assert stats.fallback.startswith(f"seam 0: seam {stats.seam} is cheaper")
-        # the uncertified starts are all single trees at a cheaper seam
+        # certified or not, every start walks once
         assert per_start == {
             "certified": [1] * 8,
             "certified_seam": [1] * 27,
             "lifo": [1] * 5,
         }
 
-    def test_two_trees_walk_seam_zero(self, monkeypatch):
+    def test_two_trees_join_at_the_cheaper_seam(self, monkeypatch):
         rng = np.random.default_rng(TWO_TREE_SEAM)
         n, m = int(rng.integers(3, 7)), int(rng.integers(3, 7))
         a, b = rng.integers(1, 6, n) / 10, rng.integers(1, 6, m) / 10
@@ -714,14 +686,13 @@ class TestOneWalk:
         ei, ej, _, ties = simplex._lifo(a, b, *walk)
         assert seam == 3 and len(ei) + len(ties) == n + m - 2
         walks = counting(monkeypatch, "_lifo")
-        (start, _, _, cost, gap), want = solve_both(C, a, b, s_a, s_b)
+        (start, pivots, _, cost, gap), want = solve_both(C, a, b, s_a, s_b)
         assert start == (
             "lifo",
-            0,
-            "seam 0: a component's plan is not optimal on its own; "
-            "seam 3: no feasible offsets after 8 Bellman-Ford sweeps",
+            3,
+            "seam 0: seam 3 is cheaper; seam 3: a component's plan is not optimal on its own",
         )
-        assert len(walks) == 2
+        assert (len(walks), pivots) == (1, 1)
         assert abs(cost - want[3]) <= 1e-15 * want[3]
         assert abs(gap) <= 1e-14 * cost
 
@@ -737,7 +708,7 @@ class TestOneWalk:
             assert (stats.start, stats.fallback) == (
                 "lifo",
                 f"seam 0: seam {stats.seam} is cheaper; "
-                f"seam {stats.seam}: negative cycle between components",
+                f"seam {stats.seam}: a component's plan is not optimal on its own",
             )
             pivots.append(stats.pivots)
         assert pivots == [25, 25, 28]
