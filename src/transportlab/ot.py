@@ -28,16 +28,15 @@ COST_RTOL = 1e-12
 class SolverStats:
     """Deterministic record of how the simplex reached a plan.
 
-    ``start`` is the starting basis used: "certified" (the LIFO plan
-    from the seam at s = 0, proven optimal), "certified_seam" (the same
-    from the cheapest seam), "lifo" (a LIFO walk's tie tree, its trees
-    joined by least reduced cost, not certified) or "northwest" (input
-    without boundary positions); see
-    :func:`simplex.boundary_stack_basis`.  ``seam`` is the event index
-    the boundary walk starts at (-1 for northwest), ``fallback`` why a
-    certified start was not used ("" when it was), ``pivots`` the
-    simplex pivots and ``b_scale`` the factor sum(a) / sum(b) that
-    rebalanced the target masses.
+    ``start`` is the starting basis used: "certified" (the LIFO tree
+    from the seam at s = 0, at which the simplex stopped at its first
+    pricing), "certified_seam" (the same from the cheapest seam), "lifo"
+    (a LIFO tree that made pivots) or "northwest" (input without
+    boundary positions); see :func:`simplex.solve_transport`.  ``seam``
+    is the event index the boundary walk starts at (-1 for northwest),
+    ``fallback`` why a certified start was not used ("" when it was),
+    ``pivots`` the simplex pivots and ``b_scale`` the factor
+    sum(a) / sum(b) that rebalanced the target masses.
 
     ``fallback`` gives seam 0's reason first: its walk's verdict, or
     "seam 0: seam S is cheaper" when the seam sweep found a strictly
@@ -183,9 +182,9 @@ def solve_kantorovich(
     """Exact optimal transport via the transportation simplex.
 
     The simplex starts from the non-crossing LIFO matching along the
-    boundary, joined into one tree that is priced once and certified
-    optimal when it is, so it often needs no pivot at all (see
-    :func:`simplex.boundary_stack_basis`).
+    boundary, joined into one tree, which is often optimal: the simplex
+    then stops at its first pricing without a pivot (see
+    :func:`simplex.solve_transport`).
     The target masses are rescaled by sum(a) / sum(b), recorded in the
     plan's ``stats``, so basic solutions satisfy both marginals.
     """

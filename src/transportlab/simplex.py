@@ -15,10 +15,9 @@ the emptying arrival alive with mass 0, and its zero-flow cell joins
 the matching, so a walk that ends with one atom on its stack leaves
 one spanning tree.  When float dust leaves more atoms on the stack,
 each further tree hangs from the first tree holding both kinds by the
-cell of least reduced cost between them.  The spanning tree is priced
-once, with the core's own potentials and tolerance: if no cell prices
-in, it is the certified start and the solve makes no pivot; else it
-starts the core.
+cell of least reduced cost between them.  Every start runs the core,
+whose first pricing is the certificate: if no cell prices in, the
+start is certified and the solve makes no pivot.
 
 Each start search walks once.  Separated supports (sources on one
 arc, targets on the other) pair the same atoms from every seam, so
@@ -31,8 +30,9 @@ One core: numpy pricing and python tree bookkeeping.  The basis tree
 hangs from node 0 and persists across pivots.  A pivot re-hangs only
 the subtree that the leaving cell cuts off, from the entering cell's
 end outside it, and recomputes that subtree's parents, depths and
-potentials top down.  A tree rooted at 0 gives every node one path to
-the root, so the potentials are the same floats a full rebuild gives.
+potentials top down, on python lists of the basic costs and the
+potentials.  A tree rooted at 0 gives every node one path to the
+root, so the potentials are the same floats a full rebuild gives.
 """
 
 from __future__ import annotations
@@ -48,8 +48,11 @@ def _solve_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
     n, m = C.shape
     nn = n + m
     # scalar reads and writes on lists are cheaper than on arrays; the
-    # basis goes back into bi, bj, f on return
+    # basis goes back into bi, bj, f on return, and the potentials into
+    # u, v before each pricing
     ei, ej, fl = bi.tolist(), bj.tolist(), f.tolist()
+    cl = C[bi, bj].tolist()  # the basic cells' costs
+    ul, vl = [0.0] * n, [0.0] * m
     adj = [set() for _ in range(nn)]
     for e in range(nn - 1):
         adj[ei[e]].add(e)
@@ -59,7 +62,6 @@ def _solve_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
     depth = [0] * nn
     reduced = np.empty_like(C)
     flat_reduced = reduced.ravel()
-    u[0] = 0.0
     root = 0  # the whole tree hangs from node 0 at the start
     bland = False
     degen = 0
@@ -81,28 +83,30 @@ def _solve_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
             pe = parent_edge[x]
             d = depth[x] + 1
             if x < n:
-                ux = u[x]
+                ux = ul[x]
                 for e in adj[x]:
                     if e != pe:
                         j = ej[e]
                         parent_node[n + j] = x
                         parent_edge[n + j] = e
                         depth[n + j] = d
-                        v[j] = C[x, j] - ux
+                        vl[j] = cl[e] - ux
                         stack.append(n + j)
             else:
-                vx = v[x - n]
+                vx = vl[x - n]
                 for e in adj[x]:
                     if e != pe:
                         i = ei[e]
                         parent_node[i] = x
                         parent_edge[i] = e
                         depth[i] = d
-                        u[i] = C[i, x - n] - vx
+                        ul[i] = cl[e] - vx
                         stack.append(i)
         if it == 1 and walked != nn:
             status = 2  # the start basis is not a spanning tree
             break
+        u[:] = ul
+        v[:] = vl
         np.subtract(C, u[:, None], out=reduced)
         reduced -= v
         if bland:
@@ -153,14 +157,15 @@ def _solve_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
         ei[leave] = be_i
         ej[leave] = be_j
         fl[leave] = theta
+        cl[leave] = C.item(flat)
         adj[be_i].add(leave)
         adj[n + be_j].add(leave)
         if leave in path1:
             root, top = be_i, n + be_j
-            u[be_i] = C[be_i, be_j] - v[be_j]
+            ul[be_i] = cl[leave] - vl[be_j]
         else:
             root, top = n + be_j, be_i
-            v[be_j] = C[be_i, be_j] - u[be_i]
+            vl[be_j] = cl[leave] - ul[be_i]
         parent_node[root] = top
         parent_edge[root] = leave
         depth[root] = depth[top] + 1
@@ -174,9 +179,10 @@ def _solve_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
             # stays on, so termination is preserved
             degen = 0
             bland = False
-    bi[:] = ei
-    bj[:] = ej
-    f[:] = fl
+    if it > 1:  # only pivots change the basis
+        bi[:] = ei
+        bj[:] = ej
+        f[:] = fl
     return status, it
 
 
@@ -206,10 +212,6 @@ def northwest_basis(a, b):
         elif j < m - 1:
             j += 1
     return bi, bj, f
-
-
-def _price_tol(C) -> float:
-    return 1e-12 * (1.0 + float(np.abs(C).max(initial=0.0)))
 
 
 def _events(s_a, s_b):
@@ -376,27 +378,6 @@ def _seam_costs(C, a, b, kinds, idxs):
     return below[t] + above[t]
 
 
-def _walk_start(C, a, b, kinds, idxs, tol):
-    """The start one walk gives: (entries, joins, why, pot).
-
-    The joins are the walk's tie cells and, when float dust leaves
-    several trees, the cells of :func:`_joins`.  The spanning tree is
-    priced once, as the core's first pricing prices it; when no reduced
-    cost is below ``-tol``, ``why`` is "" and ``pot`` its potentials,
-    else ``why`` is the reason and ``pot`` None.
-    """
-    ei, ej, ef, joins = _lifo(a, b, kinds, idxs)
-    k, comp, u, v = _forest(C, ei + [i for i, _ in joins], ej + [j for _, j in joins])
-    if k > 1:
-        joins = joins + _joins(C, k, comp, u, v)
-        _, _, u, v = _forest(C, ei + [i for i, _ in joins], ej + [j for _, j in joins])
-    R = C - u[:, None]
-    R -= v
-    if R.min() >= -tol:
-        return (ei, ej, ef), joins, "", (u, v)
-    return (ei, ej, ef), joins, "a component's plan is not optimal on its own", None
-
-
 def _as_basis(ei, ej, ef, joins):
     n_b = len(ei) + len(joins)
     bi = np.array(ei + [j[0] for j in joins], dtype=np.int64)
@@ -407,14 +388,14 @@ def _as_basis(ei, ej, ef, joins):
 
 
 def boundary_stack_basis(C, a, b, s_a, s_b):
-    """Non-crossing LIFO matching along the boundary, as a certified basis.
+    """Non-crossing LIFO matching along the boundary, as a spanning tree.
 
     Walking the boundary from a seam, opposite-kind atoms match
     last-in-first-out, which never produces crossing chords.  Its
-    positive cells, the zero-flow cells of its exact ties (:func:`_lifo`)
-    and, when float dust leaves several trees, the joins of
-    :func:`_joins` form one spanning tree, which is priced once and is
-    the certified start when the first pricing finds no entering cell.
+    positive cells and the zero-flow cells of its exact ties
+    (:func:`_lifo`) form a forest of n + m - (number of cells) trees;
+    when float dust leaves more than one, the joins of :func:`_joins`
+    make it one spanning tree.
 
     Each start search walks once.  When the supports are separated
     (the sources fill one arc and the targets the other, so the event
@@ -426,18 +407,8 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     seam when its LIFO plan beats seam 0's by more than the sweep's
     rounding, else at s = 0.
 
-    The fallback reason of a start from seam 0 is "seam 0: " and its
-    verdict, then "; no cheaper seam".  A start from a cheaper seam S
-    gives "seam 0: seam S is cheaper", since seam 0 was not walked, and
-    adds "; seam S: " and its verdict when it did not certify.
-
-    Returns (bi, bj, f, start, potentials) with ``start`` the tuple
-    (kind, seam, reason) that :class:`ot.SolverStats` records.
-    ``potentials`` is the tree's (u, v) when it certified, else None.
-    The tree is rooted at node 0 with potential 0, as the core's first
-    walk is, so these are the core's potentials and the certificate was
-    its first pricing, at its tolerance; a start that does not certify
-    is left to the core.
+    Returns (bi, bj, f, seam), ``seam`` the event index the walk
+    started at.
     """
     kinds, idxs = _events(s_a, s_b)
     seam = 0
@@ -449,15 +420,24 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
         if costs[cheapest] < costs[0] - 1e-12 * abs(costs[0]):
             seam = cheapest
             kinds, idxs = np.roll(kinds, -seam), np.roll(idxs, -seam)
-    entries, joins, why, pot = _walk_start(C, a, b, kinds, idxs, _price_tol(C))
-    basis = _as_basis(*entries, joins)
+    ei, ej, ef, joins = _lifo(a, b, kinds, idxs)
+    if len(a) + len(b) - len(ei) - len(joins) > 1:
+        cells = ei + [i for i, _ in joins], ej + [j for _, j in joins]
+        joins = joins + _joins(C, *_forest(C, *cells))
+    return (*_as_basis(ei, ej, ef, joins), seam)
+
+
+def _start(seam, certified):
+    """The (kind, seam, reason) tuple of a start; seam -1 is northwest."""
+    if seam < 0:
+        return ("northwest", -1, "no boundary positions")
+    why = "a component's plan is not optimal on its own"
     if not seam:
-        start = ("lifo", 0, f"seam 0: {why}; no cheaper seam") if why else ("certified", 0, "")
-    elif why:
-        start = ("lifo", seam, f"seam 0: seam {seam} is cheaper; seam {seam}: {why}")
-    else:
-        start = ("certified_seam", seam, f"seam 0: seam {seam} is cheaper")
-    return (*basis, start, pot)
+        return ("certified", 0, "") if certified else ("lifo", 0, f"seam 0: {why}; no cheaper seam")
+    cheaper = f"seam 0: seam {seam} is cheaper"
+    if certified:
+        return ("certified_seam", seam, cheaper)
+    return ("lifo", seam, f"{cheaper}; seam {seam}: {why}")
 
 
 def solve_transport(C, a, b, s_a=None, s_b=None):
@@ -465,28 +445,33 @@ def solve_transport(C, a, b, s_a=None, s_b=None):
 
     With the boundary positions ``s_a`` and ``s_b`` the start is
     :func:`boundary_stack_basis`; without them it is
-    :func:`northwest_basis`.  ``start`` is the tuple (kind, seam,
-    reason) of the start used.  A certified start comes with the core's
-    own potentials and has passed its first pricing at its tolerance, so
-    it is returned after that one iteration without running the core.
+    :func:`northwest_basis`.  Every start runs the core once, and a
+    boundary start is certified when the core stops at its first
+    pricing.  ``start`` is the tuple (kind, seam, reason) that
+    :class:`ot.SolverStats` records.
+
+    The reason of a start from seam 0 is "" when it certified, else
+    "seam 0: " and its verdict, then "; no cheaper seam".  A start from
+    a cheaper seam S gives "seam 0: seam S is cheaper", since seam 0
+    was not walked, and adds "; seam S: " and its verdict when it did
+    not certify.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
     n, m = C.shape
     if s_a is None or s_b is None:
         bi, bj, f = northwest_basis(a, b)
-        start, pot = ("northwest", -1, "no boundary positions"), None
+        seam = -1
     else:
-        bi, bj, f, start, pot = boundary_stack_basis(C, a, b, s_a, s_b)
-    if pot is not None:
-        return bi, bj, f, *pot, start, 1
-    u = np.zeros(n)
-    v = np.zeros(m)
-    tol = _price_tol(C)
+        bi, bj, f, seam = boundary_stack_basis(C, a, b, s_a, s_b)
+    u, v = np.zeros(n), np.zeros(m)
+    tol = 1e-12 * (1.0 + float(np.abs(C).max(initial=0.0)))
     theta_tol = 1e-14 * (1.0 + float(max(np.max(a), np.max(b))))
     max_iter = 400 * (n + m) + 200000
     status, iters = _solve_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter)
     if status == 1:
         raise SolverError(f"simplex hit the iteration cap after {iters} pivots")
-    if status != 0:
-        raise SolverError(f"simplex failed with internal status {status}")
-    return bi, bj, f, u, v, start, iters
+    if status == 2:
+        raise SolverError("the start basis is not a spanning tree")
+    if status == 3:
+        raise SolverError("no leaving cell: the transportation problem is unbounded")
+    return bi, bj, f, u, v, _start(seam, iters == 1), iters

@@ -248,9 +248,8 @@ class TestDeterminism:
 
 
 def plain_start(C, a, b, s_a, s_b):
-    """boundary_stack_basis without the certificate or the seam search."""
-    basis = plain_lifo_basis(C, a, b, s_a, s_b)
-    return (*basis, ("lifo", 0, "plain start"), None)
+    """boundary_stack_basis without the tie cells or the seam search."""
+    return (*plain_lifo_basis(C, a, b, s_a, s_b), 0)
 
 
 class TestDegenerateEscape:

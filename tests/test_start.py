@@ -7,9 +7,9 @@ its tie cells and joins make one spanning tree, the seam sweep agrees
 with one LIFO walk per seam, separated supports cost the same from every
 seam and skip the sweep, a start search walks once, degenerate forests
 are handled, and the pivot ladder is pinned against the counts of the
-plain LIFO start the solver used before.  A certified start skips the
-core, which would stop at once on it with the same arrays; a start that
-does not certify makes at least one pivot.
+plain LIFO start the solver used before.  Every solve runs the core
+once: a start is certified when the core stops at its first pricing,
+and a start that does not certify makes at least one pivot.
 """
 
 import math
@@ -222,13 +222,15 @@ class TestTieJoins:
                 assert not set(ties) & set(zip(ei, ej))
                 k_plain = simplex._forest(C, ei, ej)[0]
                 # _forest raises SolverError on a cycle
-                k = simplex._forest(C, ei + [i for i, _ in ties], ej + [j for _, j in ties])[0]
+                cells = ei + [i for i, _ in ties], ej + [j for _, j in ties]
+                k, comp, u, v = simplex._forest(C, *cells)
                 assert k == k_plain - len(ties), f"trial {trial}, seam {seam}"
                 if kind == "integer":
                     assert k == 1, f"trial {trial}, seam {seam}"
                 spanning += k == 1
-                (ei, ej, _), joins = simplex._walk_start(C, a, b, *walk, simplex._price_tol(C))[:2]
-                cells = ei + [i for i, _ in joins], ej + [j for _, j in joins]
+                if k > 1:
+                    joins = simplex._joins(C, k, comp, u, v)
+                    cells = cells[0] + [i for i, _ in joins], cells[1] + [j for _, j in joins]
                 assert simplex._forest(C, *cells)[0] == 1, f"trial {trial}, seam {seam}"
         assert spanning > 0
 
@@ -240,9 +242,11 @@ class TestTieJoins:
         C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
         kinds, idxs = simplex._events(s_a, s_b)
         assert simplex._lifo(a, b, kinds, idxs) == ([0, 1], [0, 1], [1.0, 1.0], [(1, 0)])
-        bi, bj, f, start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)
-        assert (bi.tolist(), bj.tolist(), f.tolist()) == ([0, 1, 1], [0, 1, 0], [1.0, 1.0, 0.0])
-        assert start == ("certified", 0, "") and pot is not None
+        bi, bj, f, seam = simplex.boundary_stack_basis(C, a, b, s_a, s_b)
+        assert (bi.tolist(), bj.tolist(), f.tolist(), seam) == (
+            [0, 1, 1], [0, 1, 0], [1.0, 1.0, 0.0], 0
+        )
+        assert simplex.solve_transport(C, a, b, s_a, s_b)[5:] == (("certified", 0, ""), 1)
         check_against_northwest(f_plus, f_minus, EUC)
 
     def test_tie_at_the_last_atom(self):
@@ -254,15 +258,14 @@ class TestTieJoins:
         C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
         kinds, idxs = simplex._events(s_a, s_b)
         assert simplex._lifo(a, b, kinds, idxs) == ([1, 0], [0, 1], [1.0, 1.0], [(0, 0)])
-        start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)[3:]
-        assert start == ("certified", 0, "") and pot is not None
+        assert simplex.solve_transport(C, a, b, s_a, s_b)[5:] == (("certified", 0, ""), 1)
         check_against_northwest(f_plus, f_minus, EUC)
 
     def test_dust_walk_certifies_as_one_tree(self, monkeypatch):
         # 0.5 - 0.4 leaves float dust on the last small target, which
         # stays on the stack above the zero-mass target of the second
         # tie: two trees, joined at their least reduced cost into one,
-        # which certifies without the core
+        # which certifies at the core's first pricing
         f_plus = BoundaryMeasure([0.3, 0.9, 3.0], [1.0, 1.0, 0.5], TWO_PI)
         f_minus = BoundaryMeasure([0.6, 1.2, 1.8, 2.4], [1.0, 1.0, 0.1, 0.4], TWO_PI)
         C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
@@ -270,11 +273,10 @@ class TestTieJoins:
         ei, ej, _, ties = simplex._lifo(a, b, kinds, idxs)
         assert ties == [(1, 0)]
         assert len(ei) + len(ties) == len(a) + len(b) - 2
-        start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)[3:]
-        assert start == ("certified", 0, "") and pot is not None
         calls = counting(monkeypatch, "_solve_core")
+        forests = counting(monkeypatch, "_forest")
         stats = solve_kantorovich(f_plus, f_minus, EUC).stats
-        assert (stats.start, stats.pivots, len(calls)) == ("certified", 0, 0)
+        assert (stats.start, stats.pivots, len(calls), len(forests)) == ("certified", 0, 1, 1)
         check_against_northwest(f_plus, f_minus, EUC)
 
 
@@ -412,12 +414,25 @@ class TestSolverStats:
 
     def test_solver_error_propagates(self, monkeypatch):
         # a failed boundary start is an error, not a silent northwest start
+        basis = simplex.boundary_stack_basis
+
         def broken(*args):
             raise SolverError("boundary matching produced a cycle")
 
         monkeypatch.setattr(simplex, "boundary_stack_basis", broken)
         f_plus, f_minus = mirror_cosine_measures(20)
         with pytest.raises(SolverError, match="cycle"):
+            solve_kantorovich(f_plus, f_minus, EUC)
+
+        # a start that is not a spanning tree is the core's first walk's
+        # error: here the first cell is listed twice
+        def duplicated(*args):
+            bi, bj, f, seam = basis(*args)
+            bi[1], bj[1] = bi[0], bj[0]
+            return bi, bj, f, seam
+
+        monkeypatch.setattr(simplex, "boundary_stack_basis", duplicated)
+        with pytest.raises(SolverError, match="^the start basis is not a spanning tree$"):
             solve_kantorovich(f_plus, f_minus, EUC)
 
     def test_rescale_factor_recorded(self):
@@ -506,86 +521,78 @@ def counting(monkeypatch, name):
 
 
 class TestSingleTreeStart:
-    def test_core_stops_at_once_with_the_same_arrays(self):
-        # every start handed over with potentials: the core, run on
-        # copies of it, stops after its first pricing with the very
-        # arrays that solve_transport returns without running it; and
-        # every start handed over without them makes a pivot
-        with_pot = {}
+    def test_certified_starts_stop_at_the_first_pricing(self, monkeypatch):
+        # every solve runs the core once; a certified start is one that
+        # stops at its first pricing, and every other start pivots.  No
+        # lsg walk leaves more than one tree
+        calls = counting(monkeypatch, "_solve_core")
+        forests = counting(monkeypatch, "_forest")
+        certified = {}
         for group, inputs in single_tree_groups().items():
-            with_pot[group] = 0
+            certified[group] = 0
             for C, a, b, s_a, s_b in inputs:
-                bi, bj, f, start, pot = simplex.boundary_stack_basis(C, a, b, s_a, s_b)
-                if pot is None:
-                    assert start[0] == "lifo"
-                    assert simplex.solve_transport(C, a, b, s_a, s_b)[6] > 1
-                    continue
-                with_pot[group] += 1
-                assert start[0].startswith("certified")
-                n, m = C.shape
-                got = (bi.copy(), bj.copy(), f.copy(), np.zeros(n), np.zeros(m))
-                theta_tol = 1e-14 * (1.0 + float(max(a.max(), b.max())))
-                cap = 400 * (n + m) + 200000
-                status, iters = simplex._solve_core(
-                    C, *got, simplex._price_tol(C), theta_tol, cap
-                )
-                assert (status, iters) == (0, 1)
-                want = (bi, bj, f, *pot)
-                for x, y in zip(got, want):
-                    assert np.array_equal(x, y)
-                out = simplex.solve_transport(C, a, b, s_a, s_b)
-                assert out[5:] == (start, 1)
-                for x, y in zip(out[:5], want):
-                    assert np.array_equal(x, y)
-        assert with_pot == {"lsg": 35, "radial": 1, "random": 104}
+                calls.clear()
+                start, iters = simplex.solve_transport(C, a, b, s_a, s_b)[5:]
+                assert len(calls) == 1
+                if start[0].startswith("certified"):
+                    assert iters == 1
+                    certified[group] += 1
+                else:
+                    assert start[0] == "lifo" and iters > 1
+            if group == "lsg":
+                assert not forests
+        assert certified == {"lsg": 35, "radial": 1, "random": 104}
 
     def test_core_calls(self, monkeypatch):
         calls = counting(monkeypatch, "_solve_core")
         per_start = {}
         for inputs in lsg_pool(40):
             calls.clear()
-            kind = solve_kantorovich(*inputs).stats.start
-            per_start.setdefault(kind, []).append(len(calls))
-        # every certified lsg start is one tree and skips the core; an
-        # uncertified one is priced by it
+            stats = solve_kantorovich(*inputs).stats
+            per_start.setdefault(stats.start, []).append((len(calls), stats.pivots > 0))
+        # every lsg start runs the core once, and only uncertified ones pivot
         assert per_start == {
-            "certified": [0] * 8,
-            "certified_seam": [0] * 27,
-            "lifo": [1] * 5,
+            "certified": [(1, False)] * 8,
+            "certified_seam": [(1, False)] * 27,
+            "lifo": [(1, True)] * 5,
         }
         # the first transport pool input of seed 1 has one exact tie, and
-        # its tie tree certifies without the core; a dust walk leaves two
-        # trees, joined into one that certifies without the core too
+        # its tie tree certifies; a dust walk leaves two trees, joined
+        # into one that certifies too
         pool = transport_pool(TRANSPORT_DUST[0] + 1)
         for k in (0, TRANSPORT_DUST[0]):
             calls.clear()
             plan = solve_kantorovich(*pool[k])
-            assert (plan.stats.start, plan.stats.pivots, len(calls)) == ("certified", 0, 0)
+            assert (plan.stats.start, plan.stats.pivots, len(calls)) == ("certified", 0, 1)
 
 
 class TestPoolStarts:
     """Start kinds and core runs on the benchmark's separated pools: every
-    start certifies as one tree without the core, and only dust walks
-    need joins beside their ties."""
+    start certifies at the core's first pricing, and only dust walks
+    leave more than one tree and need joins beside their ties."""
 
     def test_transport_pool(self, monkeypatch):
         calls = counting(monkeypatch, "_solve_core")
+        forests = counting(monkeypatch, "_forest")
         joins = counting(monkeypatch, "_joins")
         sweeps = counting(monkeypatch, "_seam_costs")
         joined = []
         for k, inputs in enumerate(transport_pool(40)):
+            forests.clear()
             joins.clear()
             stats = solve_kantorovich(*inputs).stats
             assert (stats.start, stats.pivots) == ("certified", 0)
-            if joins:
+            if forests:
+                assert (len(forests), len(joins)) == (1, 1)
                 joined.append(k)
         assert joined == list(TRANSPORT_DUST)
-        assert not calls
+        assert len(calls) == 40
         assert not sweeps  # separated supports: seam 0 is as cheap as any
 
     def test_cex_grid_pool(self, monkeypatch):
         # the pair plans of the first 20 cex_grid ops of seed 1
         calls = counting(monkeypatch, "_solve_core")
+        forests = counting(monkeypatch, "_forest")
         sweeps = counting(monkeypatch, "_seam_costs")
         rng = np.random.default_rng([1, 3])
         base = build_arcs(8).eps
@@ -596,7 +603,8 @@ class TestPoolStarts:
             arcs = build_arcs(8, eps=list(eps))
             starts += [cex.pair_plan(arcs, n, 24).stats.start for n in range(8)]
         assert starts == ["certified"] * 160
-        assert len(calls) == 0
+        assert len(calls) == 160
+        assert not forests
         assert not sweeps
 
     def test_mirror_cosine(self, monkeypatch):
@@ -652,7 +660,7 @@ class TestOneWalk:
         for trial in range(50):
             C, a, b, s_a, s_b = two_runs(rng, ties=trial % 2 == 1)
             walks.clear()
-            start = simplex.boundary_stack_basis(C, a, b, s_a, s_b)[3]
+            start = simplex.solve_transport(C, a, b, s_a, s_b)[5]
             assert start[1] == 0 and len(walks) == 1
             assert start[2] == "" or start[2].endswith("; no cheaper seam")
         assert not sweeps
