@@ -75,35 +75,5 @@ def __dir__():
     return sorted(set(globals()) | set(_MODULE_OF))
 
 
-__all__ = [
-    "BoundaryDatum",
-    "BoundaryMeasure",
-    "ChordCost",
-    "Disk",
-    "Domain",
-    "DualPotentials",
-    "Ellipse",
-    "EuclideanNorm",
-    "InfeasibleError",
-    "LqNorm",
-    "Norm",
-    "QuadraticNorm",
-    "RadialDomain",
-    "SchemaError",
-    "SolverError",
-    "SolverStats",
-    "TransportPlan",
-    "backend_name",
-    "check_noncrossing",
-    "disk",
-    "displacement_lengths",
-    "domain_from_config",
-    "dual_potentials",
-    "ellipse",
-    "norm_from_config",
-    "quadrature_atoms",
-    "radial",
-    "remove_common_mass",
-    "solve_kantorovich",
-    "tangential_derivative",
-]
+# the lazy names, the errors imported above and backend_name
+__all__ = sorted([*_MODULE_OF, "InfeasibleError", "SchemaError", "SolverError", "backend_name"])

@@ -121,13 +121,12 @@ class Domain:
     """Base class for uniformly convex planar domains.
 
     Arclength is inverted to the domain's own curve parameter in one
-    place, ``_at``; each domain gives its point, its point with the
-    inward normal, and its curvature as functions of that parameter.
+    place, ``_at``; each domain gives its point, and its point with the
+    inward normal, as functions of that parameter.
     """
 
     perimeter: float
     diameter: float
-    curvature_min: float
 
     def _param_of_s(self, s) -> np.ndarray:
         return self._table.param_of_arclength(s)
@@ -145,9 +144,6 @@ class Domain:
         shape (k, 2), from one inversion."""
         x, y, nx, ny = self._at(s, self._frame)
         return np.stack([x, y], axis=-1), np.stack([nx, ny], axis=-1)
-
-    def curvature(self, s) -> np.ndarray:
-        return self._at(s, self._curvature)
 
     @cached_property
     def trace_ring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,7 +184,6 @@ class Disk(Domain):
             raise ValueError(f"disk radius must be positive, got {self.radius}")
         self.perimeter = TWO_PI * self.radius
         self.diameter = 2.0 * self.radius
-        self.curvature_min = 1.0 / self.radius
 
     def _param_of_s(self, s):
         return np.atleast_1d(np.asarray(s, dtype=float)) / self.radius
@@ -199,9 +194,6 @@ class Disk(Domain):
     def _frame(self, th):
         cos, sin = np.cos(th), np.sin(th)
         return self.radius * cos, self.radius * sin, -cos, -sin
-
-    def _curvature(self, th):
-        return np.full_like(th, 1.0 / self.radius)
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
@@ -226,7 +218,6 @@ class Ellipse(Domain):
         self._table = _ArclengthTable(self._speed)
         self.perimeter = self._table.total
         self.diameter = 2.0 * max(self.a, self.b)
-        self.curvature_min = min(self.a / self.b**2, self.b / self.a**2)
 
     def _speed(self, t):
         return np.sqrt((self.a * np.sin(t)) ** 2 + (self.b * np.cos(t)) ** 2)
@@ -239,9 +230,6 @@ class Ellipse(Domain):
         speed = self._speed(t)
         # tangent (-a sin, b cos)/speed rotated by +pi/2
         return self.a * cos, self.b * sin, -self.b * cos / speed, -self.a * sin / speed
-
-    def _curvature(self, t):
-        return self.a * self.b / self._speed(t) ** 3
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
@@ -278,7 +266,6 @@ class RadialDomain(Domain):
                 f"radial profile is not uniformly convex: curvature "
                 f"{kappa.min():.3e} at theta={worst:.6f}"
             )
-        self.curvature_min = float(kappa.min())
         self._table = _ArclengthTable(self._speed)
         self.perimeter = self._table.total
         pts = self.boundary_point(np.linspace(0, self.perimeter, 4096, endpoint=False))

@@ -30,13 +30,13 @@ class SolverStats:
 
     ``start`` is the starting basis used: "certified" (the LIFO tree
     from the seam at s = 0, at which the simplex stopped at its first
-    pricing), "certified_seam" (the same from the cheapest seam), "lifo"
-    (a LIFO tree that made pivots) or "northwest" (input without
-    boundary positions); see :func:`simplex.solve_transport`.  ``seam``
-    is the event index the boundary walk starts at (-1 for northwest),
-    ``fallback`` why a certified start was not used ("" when it was),
-    ``pivots`` the simplex pivots and ``b_scale`` the factor
-    sum(a) / sum(b) that rebalanced the target masses.
+    pricing), "certified_seam" (the same from the cheapest seam) or
+    "lifo" (a LIFO tree that made pivots); see
+    :func:`simplex.solve_transport`.  ``seam`` is the event index the
+    boundary walk starts at, ``fallback`` why a certified start was not
+    used ("" when it was), ``pivots`` the simplex pivots and
+    ``b_scale`` the factor sum(a) / sum(b) that rebalanced the target
+    masses.
 
     ``fallback`` gives seam 0's reason first: its walk's verdict, or
     "seam 0: seam S is cheaper" when the seam sweep found a strictly

@@ -47,6 +47,34 @@ def brute_force_plan(
     return plan
 
 
+# the start tuple solve_transport gave input without boundary
+# positions before it required them
+NORTHWEST = ("northwest", -1, "no boundary positions")
+
+
+def simplex_limits(C, a, b):
+    """solve_transport's pricing tolerance, degenerate-pivot tolerance
+    and iteration cap, as (tol, theta_tol, max_iter)."""
+    n, m = C.shape
+    tol = 1e-12 * (1.0 + float(np.abs(C).max(initial=0.0)))
+    theta_tol = 1e-14 * (1.0 + float(max(np.max(a), np.max(b))))
+    return tol, theta_tol, 400 * (n + m) + 200000
+
+
+def northwest_solve(C, a, b):
+    """The positionless reference solve: ``simplex._solve_core`` from
+    ``simplex.northwest_basis`` under solve_transport's limits.  Returns
+    solve_transport's tuple (bi, bj, f, u, v, NORTHWEST, iterations)."""
+    C = np.ascontiguousarray(C, dtype=np.float64)
+    n, m = C.shape
+    bi, bj, f = simplex.northwest_basis(a, b)
+    u, v = np.zeros(n), np.zeros(m)
+    tol, _, cap = simplex_limits(C, a, b)
+    status, iters = simplex._solve_core(C, a, b, bi, bj, f, u, v, tol, cap)
+    assert status == 0, f"the northwest solve ended with status {status}"
+    return bi, bj, f, u, v, NORTHWEST, iters
+
+
 def plain_lifo(a, b, kinds, idxs):
     """The LIFO walk without tie cells: an arrival that exactly empties
     the stack top is finished with it.  Returns the matched (i, j, mass)

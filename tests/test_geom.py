@@ -28,7 +28,6 @@ class TestDisk:
         d = disk(2.0)
         assert d.perimeter == pytest.approx(4 * math.pi)
         assert d.diameter == 4.0
-        assert d.curvature_min == pytest.approx(0.5)
         p = d.boundary_point([0.0, math.pi])  # s = R*theta, so theta = 0, pi/2
         assert np.allclose(p[0], [2.0, 0.0])
         assert np.allclose(p[1], [0.0, 2.0])
@@ -74,11 +73,12 @@ class TestEllipse:
 
     def test_vertex_curvatures(self):
         e = ellipse(2.0, 1.0)
+        # the inward normal turns at the rate kappa per unit arclength:
         # kappa = a/b^2 at (a, 0) and b/a^2 at (0, b)
-        assert e.curvature(0.0)[0] == pytest.approx(2.0, rel=1e-9)
-        quarter = e.perimeter / 4
-        assert e.curvature(quarter)[0] == pytest.approx(0.25, rel=1e-6)
-        assert e.curvature_min == pytest.approx(0.25)
+        h = 1e-4
+        for s, kappa in ((0.0, 2.0), (e.perimeter / 4, 0.25)):
+            n = e.frame([s - h, s + h])[1]
+            assert np.linalg.norm(n[1] - n[0]) / (2 * h) == pytest.approx(kappa, rel=1e-6)
 
     def test_arclength_roundtrip(self):
         # the inverted parameters, integrated back by adaptive quadrature
@@ -140,18 +140,20 @@ class TestRadial:
         assert _rel(p, ref_p) <= 1e-13
         assert _rel(n, ref_n) <= 1e-12
         # second differences at h = 2 pi / 4096 carry ~1e-10 of roundoff
-        # in either spline, so curvature agrees only to that level
-        assert _rel(dom.curvature(s), ref.curvature(s)) <= 1e-9
-        assert dom.curvature_min == pytest.approx(ref.curvature_min, rel=1e-9, abs=0)
+        # in either spline, so the convexity check's curvature agrees
+        # only to that level
+        th = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+        assert _rel(dom._curvature(th), ref._curvature(th)) <= 1e-9
 
     def test_circle_profile(self):
         r = radial(lambda t: 1.0)
         assert r.perimeter == pytest.approx(2 * math.pi, rel=1e-8)
-        assert abs(r.curvature_min - 1.0) < 1e-6
+        th = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+        assert np.max(np.abs(r._curvature(th) - 1.0)) < 1e-6
 
     def test_flower_profile_convex(self):
         r = radial(lambda t: 1.0 + 0.05 * math.cos(3 * t))
-        assert r.curvature_min > 0
+        assert r._curvature(np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)).min() > 0
         s = np.linspace(0, r.perimeter, 50, endpoint=False)
         p, n = r.frame(s)
         assert np.array_equal(p, r.boundary_point(s))

@@ -10,7 +10,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from oracles import plain_lifo_basis
+from oracles import northwest_solve, plain_lifo_basis, simplex_limits
 from transportlab import kernels, simplex
 from transportlab.cex import build_arcs, run_counterexample
 from transportlab.density import grid_for_domain
@@ -671,8 +671,9 @@ class TestCrossingPairs:
             assert pair_list(*kernels.crossing_pairs(s_a, s_b)) == want
 
 
-def reference_simplex_core(C, bi, bj, f, u, v, tol, theta_tol, max_iter):
+def reference_simplex_core(C, a, b, bi, bj, f, u, v, tol, max_iter):
     """The core that rebuilt the basis tree by BFS on every pivot."""
+    theta_tol = simplex_limits(C, a, b)[1]
     n, m = C.shape
     nn = n + m
     nb = nn - 1
@@ -804,10 +805,8 @@ def run_core(core, C, a, b, s_a=None, s_b=None):
     else:
         bi, bj, f = plain_lifo_basis(C, a, b, s_a, s_b)
     u, v = np.zeros(n), np.zeros(m)
-    tol = 1e-12 * (1.0 + float(np.abs(C).max()))
-    theta_tol = 1e-14 * (1.0 + float(max(a.max(), b.max())))
-    cap = 400 * (n + m) + 200000
-    status, iters = core(C, bi, bj, f, u, v, tol, theta_tol, cap)
+    tol, _, cap = simplex_limits(C, a, b)
+    status, iters = core(C, a, b, bi, bj, f, u, v, tol, cap)
     return status, iters, bi, bj, f, u, v
 
 
@@ -876,14 +875,14 @@ class TestSimplexCores:
         C = np.ones((2, 3))
         for core in (reference_simplex_core, simplex._solve_core):
             bi, bj = np.array(cells).T
-            status, _ = core(C, bi, bj, np.ones(4), np.zeros(2), np.zeros(3), 1e-12, 1e-14, 10)
+            a, b, f = np.ones(2), np.ones(3), np.ones(4)
+            status, _ = core(C, a, b, bi, bj, f, np.zeros(2), np.zeros(3), 1e-12, 10)
             assert status == 2
 
     def test_wrapper_matches_cores(self):
         rng = np.random.default_rng(5)
         C, a, b = self._instance(rng, 12, 17)
-        bi, bj, f, u, v, start, iters = simplex.solve_transport(C, a, b)
-        assert start == ("northwest", -1, "no boundary positions")
+        bi, bj, f, u, v, _, iters = northwest_solve(C, a, b)
         flows = np.zeros_like(C)
         flows[bi, bj] = f
         assert np.allclose(flows.sum(axis=1), a, rtol=1e-12)

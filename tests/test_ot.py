@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import brute_force_plan, plain_lifo_basis
+from oracles import brute_force_plan, northwest_solve, plain_lifo_basis
 from transportlab import simplex
 from transportlab.errors import InfeasibleError
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse
@@ -83,9 +83,9 @@ class TestAgainstBruteForce:
             if start == "boundary":
                 got = solve_kantorovich(f_plus, f_minus, cost).cost
             else:
-                # without positions solve_transport starts at the corner
+                # the positionless reference: the core from the corner
                 C = cost.matrix(f_plus.s, f_minus.s)
-                bi, bj, f = simplex.solve_transport(C, np.ones(n), np.ones(n))[:3]
+                bi, bj, f = northwest_solve(C, np.ones(n), np.ones(n))[:3]
                 got = float(np.dot(f, C[bi, bj]))
             ref = brute_force_plan(f_plus, f_minus, cost)
             assert got == pytest.approx(ref.cost, rel=1e-10), f"trial {trial}"

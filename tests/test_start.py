@@ -1,15 +1,16 @@
 """The certified boundary start.
 
 Whenever the start says it is certified, the simplex makes no pivot and
-ends at the plan of the northwest start, which the solver uses for input
-without boundary positions.  Every seam's LIFO walk leaves a forest that
-its tie cells and joins make one spanning tree, the seam sweep agrees
-with one LIFO walk per seam, separated supports cost the same from every
-seam and skip the sweep, a start search walks once, degenerate forests
-are handled, and the pivot ladder is pinned against the counts of the
-plain LIFO start the solver used before.  Every solve runs the core
-once: a start is certified when the core stops at its first pricing,
-and a start that does not certify makes at least one pivot.
+ends at the plan of the positionless reference solve from the northwest
+corner (``oracles.northwest_solve``).  Every seam's LIFO walk leaves a
+forest that its tie cells and joins make one spanning tree, the seam
+sweep agrees with one LIFO walk per seam, separated supports cost the
+same from every seam and skip the sweep, a start search walks once,
+degenerate forests are handled, and the pivot ladder is pinned against
+the counts of the plain LIFO start the solver used before.  Every solve
+runs the core once: a start is certified when the core stops at its
+first pricing, and a start that does not certify makes at least one
+pivot.
 """
 
 import math
@@ -20,6 +21,7 @@ import pytest
 from oracles import (
     brute_force_plan,
     lifo_seam_costs,
+    northwest_solve,
     plain_lifo,
     plain_lifo_forest,
 )
@@ -77,12 +79,12 @@ TRANSPORT_DUST = (21, 38)
 
 
 def solve_both(C, a, b, s_a, s_b):
-    """solve_transport with the boundary positions and without them (the
-    northwest start), as (start, pivots, positive cells, cost, gap) each;
+    """solve_transport and the positionless reference solve from the
+    northwest corner, as (start, pivots, positive cells, cost, gap) each;
     the cost sums the cells in (i, j) order, as solve_kantorovich does."""
     out = []
-    for positions in ((s_a, s_b), (None, None)):
-        bi, bj, f, u, v, start, iters = simplex.solve_transport(C, a, b, *positions)
+    for solved in (simplex.solve_transport(C, a, b, s_a, s_b), northwest_solve(C, a, b)):
+        bi, bj, f, u, v, start, iters = solved
         keep = np.flatnonzero(f > 0)
         keep = keep[np.lexsort((bj[keep], bi[keep]))]
         cost = float(np.dot(f[keep], C[bi[keep], bj[keep]]))
@@ -385,7 +387,7 @@ class TestDegenerateInputs:
         plan = solve_kantorovich(f_plus, f_minus, EUC)
         assert plan.stats.start == "lifo"
         assert plan.stats.fallback == (
-            "seam 0: seam 5 is cheaper; seam 5: a component's plan is not optimal on its own"
+            "seam 0: seam 5 is cheaper; seam 5: its first pricing finds a negative reduced cost"
         )
         # seam 5's exact ties join its pairs into one tree, the start
         assert (plan.stats.seam, plan.stats.pivots) == (5, 3)
@@ -408,12 +410,8 @@ class TestSolverStats:
         assert (stats.start, stats.seam, stats.pivots) == ("certified_seam", 75, 0)
         assert stats.fallback == "seam 0: seam 75 is cheaper"
 
-    def test_no_positions_fall_back_to_northwest(self):
-        start = simplex.solve_transport(np.ones((2, 2)), np.ones(2), np.ones(2))[5]
-        assert start == ("northwest", -1, "no boundary positions")
-
     def test_solver_error_propagates(self, monkeypatch):
-        # a failed boundary start is an error, not a silent northwest start
+        # a failed boundary start is an error, not a silent fallback
         basis = simplex.boundary_stack_basis
 
         def broken(*args):
@@ -698,7 +696,7 @@ class TestOneWalk:
         assert start == (
             "lifo",
             3,
-            "seam 0: seam 3 is cheaper; seam 3: a component's plan is not optimal on its own",
+            "seam 0: seam 3 is cheaper; seam 3: its first pricing finds a negative reduced cost",
         )
         assert (len(walks), pivots) == (1, 1)
         assert abs(cost - want[3]) <= 1e-15 * want[3]
@@ -716,7 +714,7 @@ class TestOneWalk:
             assert (stats.start, stats.fallback) == (
                 "lifo",
                 f"seam 0: seam {stats.seam} is cheaper; "
-                f"seam {stats.seam}: a component's plan is not optimal on its own",
+                f"seam {stats.seam}: its first pricing finds a negative reduced cost",
             )
             pivots.append(stats.pivots)
         assert pivots == [25, 25, 28]
