@@ -280,7 +280,7 @@ def run_counterexample(
     p: float,
     mode: str = "exact",
     eps: list = None,
-    grid_n: int = 96,
+    grid_n: int = 16,
     atoms_per_arc: int = 64,
 ) -> dict:
     """Per-pair p-th power integrals on the unit disk and their partial sum.

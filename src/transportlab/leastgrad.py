@@ -118,8 +118,8 @@ def trace_error(u: GridField, g: BoundaryDatum, domain: Domain) -> float:
     read 2h inside along the normal."""
     s, p, normal = domain.trace_ring
     p = p + 2.0 * u.cell * normal
-    ix = np.clip(((p[:, 0] - u.origin[0]) / u.cell).astype(int), 0, u.nx - 1)
-    iy = np.clip(((p[:, 1] - u.origin[1]) / u.cell).astype(int), 0, u.ny - 1)
+    ix = kernels._cell_index(p[:, 0], u.origin[0], u.cell, u.nx)
+    iy = kernels._cell_index(p[:, 1], u.origin[1], u.cell, u.ny)
     return float(np.max(np.abs(u.values[iy, ix] - g.eval(s))))
 
 

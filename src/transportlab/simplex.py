@@ -25,22 +25,62 @@ they walk from s = 0 alone.  Any other input is first swept for the
 seam with the cheapest LIFO plan, in one pass over the levels, and
 walks from it, or from s = 0 when no seam is cheaper.
 
-One core: numpy pricing and python tree bookkeeping.  The basis tree
-hangs from node 0 and persists across pivots.  A pivot re-hangs only
-the subtree that the leaving cell cuts off, from the entering cell's
-end outside it, and recomputes that subtree's parents, depths and
-potentials top down, on python lists of the basic costs and the
-potentials.  A tree rooted at 0 gives every node one path to the
+One core: numpy pricing and python tree bookkeeping.  A basis tree is
+one adjacency list, each node's edges mapped to their other ends
+(sources 0..n-1, then targets), and one python list of potentials, u
+then v.  One walk, :func:`_hang`, sets parents, depths and potentials
+top down under a root.  The core's first walk hangs the whole tree
+from node 0, and the tree persists across pivots: a pivot re-hangs
+only the subtree that the leaving cell cuts off, from the entering
+cell's end outside it.  The start's forest is hung by the same walk,
+once per tree.  A tree rooted at 0 gives every node one path to the
 root, so the potentials are the same floats a full rebuild gives.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
 from .errors import SolverError
 
 STALL_LIMIT = 64
+
+
+def _adjacency(n, nn, ei, ej):
+    """The graph of cells (ei[e], ej[e]) on nodes 0..nn-1: ``adj[x]``
+    maps each edge at node x to its other end, target j being node
+    n + j."""
+    adj = [{} for _ in range(nn)]
+    for e, (i, j) in enumerate(zip(ei, ej)):
+        adj[i][e] = n + j
+        adj[n + j][e] = i
+    return adj
+
+
+def _hang(root, adj, cl, pot, parent_node, parent_edge, depth):
+    """Hang the tree under ``root`` top down: each node y reached from x
+    over edge e gets parent x, edge e, depth one more than x's, and the
+    potential ``pot[y] = cl[e] - pot[x]``, so u_i + v_j = c_ij holds on
+    every edge walked.  The walk never goes back over a node's parent
+    edge, root's included.  Returns the nodes reached in walk order,
+    root first.  A cycle makes the walk endless, so it walks on from at
+    most as many nodes as ``adj`` has: reaching more means a cycle.
+    """
+    order = [root]  # the walk's queue: it walks on from what it appends
+    for x in islice(order, len(adj)):
+        pe = parent_edge[x]
+        d = depth[x] + 1
+        px = pot[x]
+        for e, y in adj[x].items():
+            if e != pe:
+                parent_node[y] = x
+                parent_edge[y] = e
+                depth[y] = d
+                pot[y] = cl[e] - px
+                order.append(y)
+    return order
 
 
 def _solve_core(C, a, b, bi, bj, f, u, v, tol, max_iter):
@@ -51,11 +91,8 @@ def _solve_core(C, a, b, bi, bj, f, u, v, tol, max_iter):
     # u, v before each pricing
     ei, ej, fl = bi.tolist(), bj.tolist(), f.tolist()
     cl = C[bi, bj].tolist()  # the basic cells' costs
-    ul, vl = [0.0] * n, [0.0] * m
-    adj = [set() for _ in range(nn)]
-    for e in range(nn - 1):
-        adj[ei[e]].add(e)
-        adj[n + ej[e]].add(e)
+    pot = [0.0] * nn  # u, then v
+    adj = _adjacency(n, nn, ei, ej)
     parent_node = [-1] * nn
     parent_edge = [-1] * nn
     depth = [0] * nn
@@ -70,42 +107,12 @@ def _solve_core(C, a, b, bi, bj, f, u, v, tol, max_iter):
         if it > max_iter:
             status = 1
             break
-        # walk the subtree under root top down: parents, depths and the
-        # potentials u_i + v_j = c_ij along its tree edges
-        walked = 0
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            walked += 1
-            if walked > nn:
-                break  # a cycle in the start basis
-            pe = parent_edge[x]
-            d = depth[x] + 1
-            if x < n:
-                ux = ul[x]
-                for e in adj[x]:
-                    if e != pe:
-                        j = ej[e]
-                        parent_node[n + j] = x
-                        parent_edge[n + j] = e
-                        depth[n + j] = d
-                        vl[j] = cl[e] - ux
-                        stack.append(n + j)
-            else:
-                vx = vl[x - n]
-                for e in adj[x]:
-                    if e != pe:
-                        i = ei[e]
-                        parent_node[i] = x
-                        parent_edge[i] = e
-                        depth[i] = d
-                        ul[i] = cl[e] - vx
-                        stack.append(i)
-        if it == 1 and walked != nn:
+        walked = _hang(root, adj, cl, pot, parent_node, parent_edge, depth)
+        if it == 1 and len(walked) != nn:
             status = 2  # the start basis is not a spanning tree
             break
-        u[:] = ul
-        v[:] = vl
+        u[:] = pot[:n]
+        v[:] = pot[n:]
         np.subtract(C, u[:, None], out=reduced)
         reduced -= v
         if bland:
@@ -153,20 +160,16 @@ def _solve_core(C, a, b, bi, bj, f, u, v, tol, max_iter):
             fl[e] += theta
         # re-hang the subtree cut off by the leaving edge from the end
         # of the entering edge outside it; the next walk starts there
-        adj[ei[leave]].remove(leave)
-        adj[n + ej[leave]].remove(leave)
+        del adj[ei[leave]][leave]
+        del adj[n + ej[leave]][leave]
         ei[leave] = be_i
         ej[leave] = be_j
         fl[leave] = theta
         cl[leave] = C.item(flat)
-        adj[be_i].add(leave)
-        adj[n + be_j].add(leave)
-        if leave in path1:
-            root, top = be_i, n + be_j
-            ul[be_i] = cl[leave] - vl[be_j]
-        else:
-            root, top = n + be_j, be_i
-            vl[be_j] = cl[leave] - ul[be_i]
+        adj[be_i][leave] = n + be_j
+        adj[n + be_j][leave] = be_i
+        root, top = (be_i, n + be_j) if leave in path1 else (n + be_j, be_i)
+        pot[root] = cl[leave] - pot[top]
         parent_node[root] = top
         parent_edge[root] = leave
         depth[root] = depth[top] + 1
@@ -281,29 +284,21 @@ def _forest(C, ei, ej):
     u_i + v_j = c_ij holds on its edges.  Returns (K, comp, u, v).
     """
     n, m = C.shape
-    adj = [[] for _ in range(n + m)]
-    for i, j, c in zip(ei, ej, C[ei, ej].tolist()):
-        adj[i].append((n + j, c))
-        adj[n + j].append((i, c))
-    comp = [-1] * (n + m)
-    pot = [0.0] * (n + m)
+    nn = n + m
+    adj = _adjacency(n, nn, ei, ej)
+    cl = C[ei, ej].tolist()
+    pot = [0.0] * nn
+    parent_node, parent_edge, depth = [-1] * nn, [-1] * nn, [0] * nn
+    comp = [-1] * nn
     k = 0
-    for r in range(n + m):
-        if comp[r] >= 0:
-            continue
-        comp[r] = k
-        stack = [r]
-        while stack:
-            x = stack.pop()
-            for y, c in adj[x]:
-                if comp[y] < 0:
-                    comp[y] = k
-                    pot[y] = c - pot[x]
-                    stack.append(y)
-        k += 1
+    for r in range(nn):
+        if comp[r] < 0:
+            for y in _hang(r, adj, cl, pot, parent_node, parent_edge, depth):
+                comp[y] = k
+            k += 1
     # a LIFO walk cannot trip this: each of its cells finishes one atom
     # and joins it to one that is finished later or never
-    if len(ei) != n + m - k:
+    if len(ei) != nn - k:
         raise SolverError("boundary matching produced a cycle")
     pot = np.array(pot)
     return k, np.array(comp, dtype=np.int64), pot[:n], pot[n:]

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from transportlab.cex import run_counterexample
 from transportlab.cli import main
 
 
@@ -526,6 +527,9 @@ class TestCounterexample:
         assert code == 0
         rep = json.loads(out)
         assert (rep["grid_n"], rep["atoms_per_arc"]) == (16, 64)
+        # the library's defaults are the CLI's
+        lib = run_counterexample(1, 2.0, mode="grid")
+        assert (lib["grid_n"], lib["atoms_per_arc"]) == (16, 64)
 
     def test_cex_reruns_identical(self, capsys):
         _, a, _ = run(capsys, "cex", "--pairs", "6", "--p", "2.5")

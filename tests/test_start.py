@@ -190,6 +190,19 @@ class TestLifoForest:
                 k = simplex._forest(C, ei, ej)[0]
                 assert len(ei) == len(a) + len(b) - k, f"trial {trial}, seam {seam}"
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0, 0), (1, 0), (1, 1), (0, 1)],  # a cycle through node 0
+            [(0, 0), (1, 1), (1, 2), (1, 1)],  # a duplicated cell
+        ],
+        ids=["cycle", "duplicated-cell"],
+    )
+    def test_cycle_raises(self, cells):
+        ei, ej = (list(x) for x in zip(*cells))
+        with pytest.raises(SolverError, match="^boundary matching produced a cycle$"):
+            simplex._forest(np.ones((2, 3)), ei, ej)
+
 
 class TestTieJoins:
     """An arrival that exactly empties the stack top stays alive with
