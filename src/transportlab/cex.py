@@ -81,7 +81,7 @@ class ArcSystem:
         return (mid, hi), (s0, mid)
 
     def pair_measures(
-        self, n: int, atoms_per_arc: int = 64
+        self, n: int, atoms_per_arc: int
     ) -> tuple[BoundaryMeasure, BoundaryMeasure]:
         """Unit-density quadrature atoms on the two arcs of pair n."""
         from .measures import quadrature_atoms
@@ -191,9 +191,7 @@ def _exact_pair_lps(arcs: ArcSystem, pairs, p: float) -> list[float]:
     return out
 
 
-def pair_plan(
-    arcs: ArcSystem, n: int, atoms_per_arc: int = 64
-) -> TransportPlan:
+def pair_plan(arcs: ArcSystem, n: int, atoms_per_arc: int) -> TransportPlan:
     """Optimal plan between the discretized arcs of one pair."""
     from . import ot
 
@@ -287,8 +285,12 @@ def run_counterexample(
 
     exact mode evaluates the chart integral per pair by Gauss-Jacobi
     quadrature (infinite for p >= 3); grid mode solves the per-pair
-    transport on quadrature atoms and sums cell powers on pair-local
-    grids.  The report compares the partial sum against the model sum
+    transport on atoms_per_arc quadrature atoms per arc and sums cell
+    powers on pair-local grids of grid_n cells across the sag.  The
+    signature's grid_n and atoms_per_arc are the one home of these
+    defaults, the CLI's included; exact mode ignores both.  Grid mode
+    raises ValueError from ``check_pair_grids`` before any pair is
+    solved.  The report compares the partial sum against the model sum
     of eps^(3-p) over the pair arc lengths.
     """
     if mode not in ("exact", "grid"):

@@ -145,7 +145,8 @@ def _load(args):
     """The --problem file, its domain, norm and boundary data: the datum
     g, or the pair (f_plus, f_minus).
 
-    A --seed flag replaces the file's seed.  Malformed values raise
+    A --seed flag replaces the file's seed, and a file without quadrature
+    gets 1 derivative atom per linear piece.  Malformed values raise
     SchemaError; boundary data that do not close up or balance raise
     InfeasibleError.
     """
@@ -153,6 +154,7 @@ def _load(args):
     from .measures import datum_from_config, measure_from_config
 
     cfg = load_problem(args.problem)
+    cfg.setdefault("quadrature", 1)
     if args.seed is not None:
         cfg["seed"] = args.seed
     try:
@@ -186,7 +188,7 @@ def _resolved_config(cfg: dict, domain, norm, grid_n: int = None) -> dict:
     out = {
         "domain": domain.config(),
         "norm": norm.config(),
-        "quadrature": cfg.get("quadrature", 1),
+        "quadrature": cfg["quadrature"],
         "seed": cfg.get("seed"),
     }
     if "g" in cfg:
@@ -237,12 +239,12 @@ def _base_report(command: str, seed) -> dict:
     }
 
 
-def _svg_path(points, stroke, width, fill="none"):
+def _svg_path(points, stroke, width):
     d = "M " + " L ".join(f"{x:.6g} {-y:.6g}" for x, y in points)
-    return f'<path d="{d}" stroke="{stroke}" stroke-width="{width}" fill="{fill}"/>\n'
+    return f'<path d="{d}" stroke="{stroke}" stroke-width="{width}" fill="none"/>\n'
 
 
-def _svg_view(domain, n_ring, stroke, rel_width, size=640):
+def _svg_view(domain, n_ring, stroke, rel_width):
     """The opening tag of a padded view of the domain and its boundary
     outline through n_ring points; returns those parts and the view width."""
     x0, y0, x1, y1 = domain.bbox()
@@ -252,8 +254,8 @@ def _svg_view(domain, n_ring, stroke, rel_width, size=640):
     w = hi[0] - lo[0]
     h = hi[1] - lo[1]
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{int(size * h / w)}" viewBox="{lo[0]} {-hi[1]} {w} {h}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+        f'height="{int(640 * h / w)}" viewBox="{lo[0]} {-hi[1]} {w} {h}">\n'
     )
     ring = domain.boundary_point(np.linspace(0.0, domain.perimeter, n_ring))
     return [head, _svg_path(ring, stroke, rel_width * w)], w
@@ -285,7 +287,7 @@ def cmd_plan(args) -> int:
     cfg, domain, norm, data = _load(args)
     if "g" in cfg:
         data = remove_common_mass(
-            *tangential_derivative(data, n_quad=cfg.get("quadrature", 1))
+            *tangential_derivative(data, n_quad=cfg["quadrature"])
         )
     plan = solve_kantorovich(*data, ChordCost(domain, norm))
     report = _base_report(command, cfg.get("seed"))
@@ -344,8 +346,8 @@ def cmd_lsg(args) -> int:
         datum,
         domain,
         norm,
-        grid_n=n,
-        n_quad=cfg.get("quadrature", 1),
+        density_mod.grid_for_domain(domain, n),
+        n_quad=cfg["quadrature"],
     )
     gfield = leastgrad.gradient_norm_field(res.u, norm, domain)
     report = _base_report("lsg", cfg.get("seed"))
@@ -370,14 +372,15 @@ def cmd_lsg(args) -> int:
     return EXIT_OK
 
 
-def _write_arcs_svg(path, arcs, n_show):
-    """Arc family layout with per-pair reflection rays."""
+def _write_arcs_svg(path, n_pairs):
+    """Arc family layout, with the reflection rays of the first six pairs."""
     from . import cex as cex_mod
 
+    arcs = cex_mod.build_arcs(n_pairs)
     domain = arcs.domain
     parts, w = _svg_view(domain, 1024, "lightgray", 0.002)
     lw = 0.006 * w
-    for k in range(min(n_show, arcs.n_pairs)):
+    for k in range(min(6, arcs.n_pairs)):
         (p0, p1), (m0, m1) = arcs.intervals(k)
         sp = np.linspace(p0, p1, 64)
         sm = np.linspace(m0, m1, 64)
@@ -399,28 +402,22 @@ def cmd_cex(args) -> int:
         for flag, value in (("--grid", args.grid), ("--atoms-per-arc", args.atoms_per_arc)):
             if value is not None:
                 raise SchemaError(f"{flag} applies only to --mode grid")
+    # run_counterexample owns the grid-mode defaults, so only the flags
+    # given reach it; it checks the pair grids before any pair is solved
+    given = {"grid_n": args.grid, "atoms_per_arc": args.atoms_per_arc}
+    given = {key: value for key, value in given.items() if value is not None}
+    try:
+        result = cex_mod.run_counterexample(args.pairs, args.p, mode=args.mode, **given)
+    except InfeasibleError:  # a ValueError too, but not a flag fault
+        raise
+    except ValueError as e:
+        raise SchemaError(f"--grid: {e}") from None
     report = _base_report("cex", args.seed)
-    arcs = cex_mod.build_arcs(args.pairs)
-    grid_n = args.grid or 16
-    if args.mode == "grid":
-        try:
-            cex_mod.check_pair_grids(arcs, grid_n)
-        except ValueError as e:
-            raise SchemaError(f"--grid: {e}") from None
-    result = cex_mod.run_counterexample(
-        args.pairs,
-        args.p,
-        mode=args.mode,
-        grid_n=grid_n,
-        atoms_per_arc=args.atoms_per_arc or 64,
-    )
     report.update(result)
     _emit(report, args.out)
     if args.svg:
         os.makedirs(args.out or ".", exist_ok=True)
-        _write_arcs_svg(
-            os.path.join(args.out or ".", "arcs.svg"), arcs, min(args.pairs, 6)
-        )
+        _write_arcs_svg(os.path.join(args.out or ".", "arcs.svg"), args.pairs)
     if args.mode == "exact" and any(result["diverged"]):
         return EXIT_DIVERGED
     return EXIT_OK
@@ -494,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--atoms-per-arc",
         type=_count,
         default=None,
-        help="quadrature atoms per arc (grid mode; default 64)",
+        help="quadrature atoms per arc (grid mode; default: run_counterexample's)",
     )
     return ap
 

@@ -68,10 +68,11 @@ class GridField:
         )
 
 
-def grid_for_domain(domain: Domain, n: int = 512) -> GridField:
+def grid_for_domain(domain: Domain, n: int) -> GridField:
     """Empty density grid of square cells covering the domain's box.
 
-    n counts cells along the longer box side.
+    n counts cells along the longer box side; the CLI takes its n from
+    ``cli._grid_n``.
     """
     if n < 1:
         raise ValueError("grid needs at least one cell")
@@ -162,7 +163,7 @@ def lp_bound_factors(plan: TransportPlan, p: float, tau: float) -> tuple[float, 
         raise ValueError(f"p must exceed 1, got {p!r}")
     ti = time_factor(p, tau)
     src = plan.source
-    D, _ = displacement_lengths(plan)
+    D = displacement_lengths(plan)
     m = src.mass
     sub = src.sublength
     if np.any(sub <= 0):

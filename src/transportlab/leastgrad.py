@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .density import GridField, grid_for_domain
+from .density import GridField
 from .geom import ChordCost, Domain, Norm
 from .measures import BoundaryDatum, remove_common_mass, tangential_derivative
 from .ot import TransportPlan, solve_kantorovich
@@ -138,12 +138,13 @@ def solve_least_gradient(
     g: BoundaryDatum,
     domain: Domain,
     phi: Norm,
-    grid: GridField = None,
-    grid_n: int = 512,
+    grid: GridField,
     n_quad: int = 1,
 ) -> LeastGradientResult:
     """Full pipeline: datum -> derivative -> transport -> u.
 
+    u, its TV and its trace error are computed on the given grid's cell
+    centers; ``density.grid_for_domain`` builds one over the domain.
     The transport cost is phi turned by a quarter, so the plan cost
     equals the anisotropic TV of the minimizer.  n_quad is the number
     of derivative atoms per linear piece of g; finely sampled data
@@ -152,8 +153,6 @@ def solve_least_gradient(
     """
     f_plus, f_minus = tangential_derivative(g, n_quad=n_quad)
     f_plus, f_minus = remove_common_mass(f_plus, f_minus)
-    if grid is None:
-        grid = grid_for_domain(domain, grid_n)
     if len(f_plus) == 0:
         # constant datum: nothing moves
         plan, cost = None, 0.0

@@ -254,17 +254,13 @@ def check_noncrossing(plan: TransportPlan) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
-def displacement_lengths(plan: TransportPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Per-source euclidean displacement D and a multiplicity flag.
+def displacement_lengths(plan: TransportPlan) -> np.ndarray:
+    """Per-source euclidean displacement D.
 
-    Sources split across several targets report the largest displacement
-    among their positive-mass entries and are flagged.
+    A source split across several targets reports the largest
+    displacement among its positive-mass entries.
     """
-    n = len(plan.source)
     a, b = plan.entry_segments()
-    lengths = np.hypot(*(b - a).T)
-    D = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
-    np.maximum.at(D, plan.i, lengths)
-    np.add.at(counts, plan.i, 1)
-    return D, counts > 1
+    D = np.zeros(len(plan.source))
+    np.maximum.at(D, plan.i, np.hypot(*(b - a).T))
+    return D

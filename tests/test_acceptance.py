@@ -228,7 +228,9 @@ def test_criterion_08_counterexample_scaling():
 
 
 def test_criterion_09_least_gradient_benchmark():
-    res = solve_least_gradient(cosine_datum(2000), DISK, EuclideanNorm(), grid_n=512)
+    res = solve_least_gradient(
+        cosine_datum(2000), DISK, EuclideanNorm(), grid_for_domain(DISK, 512)
+    )
     mask = interior_mask(res.u, DISK)
     centers = res.u.centers()
     err = np.abs(res.u.values - centers[..., 0])[mask].max()

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from transportlab import geom
+from transportlab.density import grid_for_domain
 from transportlab.geom import (
     ChordCost,
     EuclideanNorm,
@@ -71,11 +72,11 @@ class TestInversionCounts:
         dom = ellipse(1.5, 1.0)
         g = smooth_datum(dom, 120)
         inversions.clear()
-        solve_least_gradient(g, dom, EuclideanNorm(), grid_n=32)
+        solve_least_gradient(g, dom, EuclideanNorm(), grid_for_domain(dom, 32))
         # sources, targets, the anchor and the trace ring
         assert len(inversions) == 4
         inversions.clear()
-        solve_least_gradient(g, dom, EuclideanNorm(), grid_n=32)
+        solve_least_gradient(g, dom, EuclideanNorm(), grid_for_domain(dom, 32))
         # the ring is the domain's, built by the first solve
         assert len(inversions) == 3
 

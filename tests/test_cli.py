@@ -531,6 +531,33 @@ class TestCounterexample:
         lib = run_counterexample(1, 2.0, mode="grid")
         assert (lib["grid_n"], lib["atoms_per_arc"]) == (16, 64)
 
+    @pytest.mark.parametrize("svg, builds", [(False, 1), (True, 2)])
+    def test_grid_mode_builds_and_checks_once(
+        self, tmp_path, capsys, monkeypatch, svg, builds
+    ):
+        from transportlab import cex
+
+        calls = {"build_arcs": 0, "check_pair_grids": 0}
+
+        def counted(name):
+            original = getattr(cex, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cex, name, counted(name))
+        argv = ["cex", "--pairs", "3", "--p", "2", "--mode", "grid"]
+        if svg:
+            argv += ["--svg", "--out", str(tmp_path)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        # the SVG lays out its own arcs, and only the report checks grids
+        assert calls == {"build_arcs": builds, "check_pair_grids": 1}
+
     def test_cex_reruns_identical(self, capsys):
         _, a, _ = run(capsys, "cex", "--pairs", "6", "--p", "2.5")
         _, b, _ = run(capsys, "cex", "--pairs", "6", "--p", "2.5")

@@ -463,7 +463,9 @@ class TestCrossingField:
         per = domain.perimeter
         jumps = np.array([[0.1 * per, 0.8], [0.55 * per, -0.8]])
         for g in (smooth_datum(domain, 160), smooth_datum(domain, 160, jumps)):
-            plan = solve_least_gradient(g, domain, EuclideanNorm(), grid_n=8).plan
+            plan = solve_least_gradient(
+                g, domain, EuclideanNorm(), grid_for_domain(domain, 8)
+            ).plan
             assert plan.n_entries > 50
             a, b = plan.entry_segments()
             ends = np.concatenate([a, b])

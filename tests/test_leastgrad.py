@@ -66,7 +66,7 @@ class TestFlow:
 class TestReconstruction:
     def test_single_jump_indicator(self):
         res = solve_least_gradient(
-            step_datum(), DISK, EuclideanNorm(), grid_n=64
+            step_datum(), DISK, EuclideanNorm(), grid_for_domain(DISK, 64)
         )
         g = res.u
         c = g.centers()
@@ -79,7 +79,9 @@ class TestReconstruction:
         assert res.cost == pytest.approx(2.0, rel=1e-12)
 
     def test_scaled_jump(self):
-        res = solve_least_gradient(step_datum(2.5), DISK, EuclideanNorm(), grid_n=48)
+        res = solve_least_gradient(
+            step_datum(2.5), DISK, EuclideanNorm(), grid_for_domain(DISK, 48)
+        )
         assert res.cost == pytest.approx(5.0, rel=1e-12)
         vals = res.u.values[interior_mask(res.u, DISK)]
         assert vals.max() == pytest.approx(2.5)
@@ -88,14 +90,16 @@ class TestReconstruction:
         g = BoundaryDatum(
             samples=np.array([[0.0, 7.0], [3.0, 7.0]]), jumps=None, perimeter=TWO_PI
         )
-        res = solve_least_gradient(g, DISK, EuclideanNorm(), grid_n=32)
+        res = solve_least_gradient(g, DISK, EuclideanNorm(), grid_for_domain(DISK, 32))
         assert res.plan is None
         assert res.cost == 0.0
         assert np.allclose(res.u.values, 7.0)
         assert res.tv == pytest.approx(0.0, abs=1e-12)
 
     def test_anchor_choice_irrelevant(self):
-        plan = solve_least_gradient(step_datum(), DISK, EuclideanNorm(), grid_n=48).plan
+        plan = solve_least_gradient(
+            step_datum(), DISK, EuclideanNorm(), grid_for_domain(DISK, 48)
+        ).plan
         rays = (*plan.entry_segments(), plan.mass)
         grid = grid_for_domain(DISK, 48)
         u0 = reconstruct_u(*rays, step_datum(), grid, DISK, anchor_s=0.5)
@@ -105,7 +109,7 @@ class TestReconstruction:
     def test_cosine_matches_linear_function(self):
         # boundary values cos(s) = x extend to u(x, y) = x
         res = solve_least_gradient(
-            cosine_datum(800), DISK, EuclideanNorm(), grid_n=256
+            cosine_datum(800), DISK, EuclideanNorm(), grid_for_domain(DISK, 256)
         )
         mask = interior_mask(res.u, DISK)
         c = res.u.centers()
@@ -116,32 +120,38 @@ class TestReconstruction:
 
 class TestVariation:
     def test_tv_of_linear_function(self):
-        res = solve_least_gradient(cosine_datum(800), DISK, EuclideanNorm(), grid_n=512)
+        res = solve_least_gradient(
+            cosine_datum(800), DISK, EuclideanNorm(), grid_for_domain(DISK, 512)
+        )
         # |grad u| = 1 on the disk, area pi
         assert res.tv == pytest.approx(math.pi, rel=0.02)
         assert res.trace_err <= 0.05
 
     def test_tv_of_step(self):
-        res = solve_least_gradient(step_datum(1.5), DISK, EuclideanNorm(), grid_n=256)
+        res = solve_least_gradient(
+            step_datum(1.5), DISK, EuclideanNorm(), grid_for_domain(DISK, 256)
+        )
         # jump of height 1.5 across a chord of length 2
         assert res.tv == pytest.approx(3.0, rel=0.05)
 
     def test_tv_close_to_transport_cost(self):
-        res = solve_least_gradient(cosine_datum(800), DISK, EuclideanNorm(), grid_n=512)
+        res = solve_least_gradient(
+            cosine_datum(800), DISK, EuclideanNorm(), grid_for_domain(DISK, 512)
+        )
         assert res.tv == pytest.approx(res.cost, rel=0.02)
 
     def test_anisotropic_norm_changes_cost(self):
         from transportlab.geom import QuadraticNorm
 
-        iso = solve_least_gradient(step_datum(), DISK, EuclideanNorm(), grid_n=32)
+        iso = solve_least_gradient(step_datum(), DISK, EuclideanNorm(), grid_for_domain(DISK, 32))
         phi = QuadraticNorm(np.array([[1.0, 0.0], [0.0, 4.0]]))
-        aniso = solve_least_gradient(step_datum(), DISK, phi, grid_n=32)
+        aniso = solve_least_gradient(step_datum(), DISK, phi, grid_for_domain(DISK, 32))
         # rotation maps the horizontal chord onto the doubled axis
         assert iso.cost == pytest.approx(2.0, rel=1e-12)
         assert aniso.cost == pytest.approx(4.0, rel=1e-12)
 
     def test_gradient_field_kind_checks(self):
-        res = solve_least_gradient(step_datum(), DISK, EuclideanNorm(), grid_n=32)
+        res = solve_least_gradient(step_datum(), DISK, EuclideanNorm(), grid_for_domain(DISK, 32))
         gf = gradient_norm_field(res.u, EuclideanNorm(), DISK)
         assert gf.kind == "density"
         with pytest.raises(ValueError):
@@ -161,7 +171,7 @@ class TestTrace:
         g = BoundaryDatum(
             samples=np.array([[0.0, 3.0], [1.0, 3.0]]), jumps=None, perimeter=TWO_PI
         )
-        res = solve_least_gradient(g, DISK, EuclideanNorm(), grid_n=32)
+        res = solve_least_gradient(g, DISK, EuclideanNorm(), grid_for_domain(DISK, 32))
         assert trace_error(res.u, g, DISK) == pytest.approx(0.0, abs=1e-12)
 
     def test_interior_mask_excludes_outside(self):

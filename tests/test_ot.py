@@ -202,17 +202,17 @@ class TestPlanMethods:
         f_plus = measure([0.0, math.pi / 2])
         f_minus = measure([math.pi, 3 * math.pi / 2])
         plan = solve_kantorovich(f_plus, f_minus, EUC)
-        D, multi = displacement_lengths(plan)
+        D = displacement_lengths(plan)
         assert np.allclose(D, math.sqrt(2.0))
-        assert not multi.any()
 
-    def test_displacement_multiplicity_flag(self):
-        # one source split across two targets gets flagged
+    def test_displacement_split_source(self):
+        # one source split across two targets reports one displacement
         f_plus = measure([0.0], [2.0])
         f_minus = measure([math.pi / 2, 3 * math.pi / 2])
         plan = solve_kantorovich(f_plus, f_minus, EUC)
-        D, multi = displacement_lengths(plan)
-        assert multi[0]
+        assert plan.n_entries == 2
+        D = displacement_lengths(plan)
+        assert D.shape == (1,)
         assert D[0] == pytest.approx(math.sqrt(2.0))
 
     def test_validate_rejects_bad_marginals(self):
