@@ -298,12 +298,9 @@ def run_counterexample(
     arcs = build_arcs(N, eps=eps)
     if mode == "grid":
         check_pair_grids(arcs, grid_n)
-    if mode == "exact":
-        per_pair = _exact_pair_lps(arcs, range(N), p)
+        per_pair = [_pair_grid_lp(arcs, n, p, grid_n, atoms_per_arc) for n in range(N)]
     else:
-        per_pair = [
-            _pair_grid_lp(arcs, n, p, grid_n, atoms_per_arc) for n in range(N)
-        ]
+        per_pair = _exact_pair_lps(arcs, range(N), p)
     diverged = [not math.isfinite(v) for v in per_pair]
     partial = math.inf if any(diverged) else float(sum(per_pair))
     reference = float(np.sum(arcs.eps ** (3.0 - p)))
@@ -319,12 +316,12 @@ def run_counterexample(
         "reference_sum": reference,
         "ratio": (partial / reference) if math.isfinite(partial) else math.inf,
     }
-    if p >= 3.0 and mode == "grid":
-        report["warning"] = (
-            "exact per-pair integrals are infinite for p >= 3; "
-            "grid values are finite only through resolution smoothing"
-        )
     if mode == "grid":
+        if p >= 3.0:
+            report["warning"] = (
+                "exact per-pair integrals are infinite for p >= 3; "
+                "grid values are finite only through resolution smoothing"
+            )
         report["grid_n"] = grid_n
         report["atoms_per_arc"] = atoms_per_arc
     return report

@@ -128,7 +128,7 @@ def lp_norm(field: GridField, p) -> float:
     if p == math.inf:
         return float(field.values.max(initial=0.0))
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # NaN fails too
         raise ValueError(f"p must be >= 1, got {p!r}")
     return float((kernels.power_sum(field.values, p) * field.cell**2) ** (1.0 / p))
 
@@ -138,7 +138,7 @@ def time_factor(p: float, tau: float) -> float:
 
     Diverges (returns inf) when tau = 1 and p >= 2.
     """
-    if p <= 1.0:
+    if not p > 1.0:  # NaN fails too
         raise ValueError(f"p must exceed 1, got {p!r}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
@@ -159,7 +159,7 @@ def lp_bound_factors(plan: TransportPlan, p: float, tau: float) -> tuple[float, 
     sublength (explicit jumps) have no density in L^p, making the
     factor a flagged infinity rather than an error.
     """
-    if p <= 1.0:
+    if not p > 1.0:  # NaN fails too
         raise ValueError(f"p must exceed 1, got {p!r}")
     ti = time_factor(p, tau)
     src = plan.source

@@ -180,8 +180,8 @@ class Disk(Domain):
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"disk radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
         self.perimeter = TWO_PI * self.radius
         self.diameter = 2.0 * self.radius
 
@@ -213,8 +213,10 @@ class Ellipse(Domain):
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"ellipse semi-axes must be positive, got {self.a}, {self.b}")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError(
+                f"ellipse semi-axes must be positive and finite, got {self.a}, {self.b}"
+            )
         self._table = _ArclengthTable(self._speed)
         self.perimeter = self._table.total
         self.diameter = 2.0 * max(self.a, self.b)
@@ -256,8 +258,13 @@ class RadialDomain(Domain):
     def __post_init__(self):
         check = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         vals = np.asarray([float(self.rho(t)) for t in check])
-        if np.any(vals <= 0):
-            raise ValueError("radial profile must be strictly positive")
+        bad = ~((vals > 0) & (vals < math.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"radial profile must be positive and finite, got {vals[k]} "
+                f"at theta={check[k]:.6f}"
+            )
         self._spline = _PeriodicCubic(vals, TWO_PI)
         kappa = self._curvature(check)
         if np.any(kappa <= 0):

@@ -25,16 +25,21 @@ they walk from s = 0 alone.  Any other input is first swept for the
 seam with the cheapest LIFO plan, in one pass over the levels, and
 walks from it, or from s = 0 when no seam is cheaper.
 
-One core: numpy pricing and python tree bookkeeping.  A basis tree is
-one adjacency list, each node's edges mapped to their other ends
-(sources 0..n-1, then targets), and one python list of potentials, u
-then v.  One walk, :func:`_hang`, sets parents, depths and potentials
-top down under a root.  The core's first walk hangs the whole tree
-from node 0, and the tree persists across pivots: a pivot re-hangs
-only the subtree that the leaving cell cuts off, from the entering
-cell's end outside it.  The start's forest is hung by the same walk,
-once per tree.  A tree rooted at 0 gives every node one path to the
-root, so the potentials are the same floats a full rebuild gives.
+One core: numpy pricing and python bookkeeping, since scalar reads
+and writes are cheaper on lists than on arrays.  Every start hands the
+core its basis as lists of sources, targets and flows; the core pivots
+them in place under its own limits and raises :class:`SolverError` on
+failure, and :func:`solve_transport` returns them as arrays.  A basis
+tree is one adjacency list, each node's edges mapped to their other
+ends (sources 0..n-1, then targets), and one python list of
+potentials, u then v.  One walk, :func:`_hang`, sets parents, depths
+and potentials top down under a root.  The core's first walk hangs the
+whole tree from node 0, and the tree persists across pivots: a pivot
+re-hangs only the subtree that the leaving cell cuts off, from the
+entering cell's end outside it.  The start's forest is hung by the
+same walk, once per tree.  A tree rooted at 0 gives every node one
+path to the root, so the potentials are the same floats a full
+rebuild gives.
 """
 
 from __future__ import annotations
@@ -83,34 +88,37 @@ def _hang(root, adj, cl, pot, parent_node, parent_edge, depth):
     return order
 
 
-def _solve_core(C, a, b, bi, bj, f, u, v, tol, max_iter):
+def _solve_core(C, a, b, bi, bj, f):
+    """Pivot the basis lists (bi, bj, f), n + m - 1 cells, in place to an
+    optimal spanning tree; returns (u, v, iterations): the last
+    pricing's potentials as arrays and the number of pricings, 1 when
+    the start prices out.  The pricing tolerance scales with the largest
+    cost, the iteration cap with n + m and the degenerate-pivot
+    tolerance with the largest mass.  Raises :class:`SolverError` when
+    the start is not a spanning tree, when a cycle has no leaving cell,
+    or at the iteration cap.
+    """
     n, m = C.shape
     nn = n + m
-    # scalar reads and writes on lists are cheaper than on arrays; the
-    # basis goes back into bi, bj, f on return, and the potentials into
-    # u, v before each pricing
-    ei, ej, fl = bi.tolist(), bj.tolist(), f.tolist()
-    cl = C[bi, bj].tolist()  # the basic cells' costs
+    tol = 1e-12 * (1.0 + float(np.abs(C).max(initial=0.0)))
+    max_iter = 400 * nn + 200000
+    # the basic cells' costs; fromiter converts lists faster than np.array
+    cl = C[np.fromiter(bi, np.int64), np.fromiter(bj, np.int64)].tolist()
     pot = [0.0] * nn  # u, then v
-    adj = _adjacency(n, nn, ei, ej)
+    adj = _adjacency(n, nn, bi, bj)
     parent_node = [-1] * nn
     parent_edge = [-1] * nn
     depth = [0] * nn
+    u, v = np.zeros(n), np.zeros(m)
     reduced = np.empty_like(C)
     flat_reduced = reduced.ravel()
     root = 0  # the whole tree hangs from node 0 at the start
     bland = False
     degen = 0
-    it = 0
-    while True:
-        it += 1
-        if it > max_iter:
-            status = 1
-            break
+    for it in range(1, max_iter + 1):
         walked = _hang(root, adj, cl, pot, parent_node, parent_edge, depth)
         if it == 1 and len(walked) != nn:
-            status = 2  # the start basis is not a spanning tree
-            break
+            raise SolverError("the start basis is not a spanning tree")
         u[:] = pot[:n]
         v[:] = pot[n:]
         np.subtract(C, u[:, None], out=reduced)
@@ -118,14 +126,12 @@ def _solve_core(C, a, b, bi, bj, f, u, v, tol, max_iter):
         if bland:
             mask = flat_reduced < -tol
             if not mask.any():
-                status = 0
-                break
+                return u, v, it
             flat = int(np.argmax(mask))
         else:
             flat = int(np.argmin(flat_reduced))
             if flat_reduced[flat] >= -tol:
-                status = 0
-                break
+                return u, v, it
         be_i, be_j = divmod(flat, m)
         # cycle: tree path between source be_i and target node n + be_j
         x, y = be_i, n + be_j
@@ -146,25 +152,24 @@ def _solve_core(C, a, b, bi, bj, f, u, v, tol, max_iter):
         odd = (len(path1) + len(path2) - 1) % 2
         minus = path2[0::2] + path1[odd::2]
         plus = path2[1::2] + path1[1 - odd :: 2]
-        if not minus:
-            status = 3  # unbounded; cannot happen on balanced instances
-            break
+        if not minus:  # cannot happen on balanced instances
+            raise SolverError("no leaving cell: the transportation problem is unbounded")
         if it == 1:  # the first pivot; no pricing reads theta_tol
             theta_tol = 1e-14 * (1.0 + float(max(np.max(a), np.max(b))))
         # cells of a tree are distinct, so (flow, cell) has one minimum
-        leave = min(minus, key=lambda e: (fl[e], ei[e], ej[e]))
-        theta = fl[leave]
+        leave = min(minus, key=lambda e: (f[e], bi[e], bj[e]))
+        theta = f[leave]
         for e in minus:
-            fl[e] -= theta
+            f[e] -= theta
         for e in plus:
-            fl[e] += theta
+            f[e] += theta
         # re-hang the subtree cut off by the leaving edge from the end
         # of the entering edge outside it; the next walk starts there
-        del adj[ei[leave]][leave]
-        del adj[n + ej[leave]][leave]
-        ei[leave] = be_i
-        ej[leave] = be_j
-        fl[leave] = theta
+        del adj[bi[leave]][leave]
+        del adj[n + bj[leave]][leave]
+        bi[leave] = be_i
+        bj[leave] = be_j
+        f[leave] = theta
         cl[leave] = C.item(flat)
         adj[be_i][leave] = n + be_j
         adj[n + be_j][leave] = be_i
@@ -183,33 +188,27 @@ def _solve_core(C, a, b, bi, bj, f, u, v, tol, max_iter):
             # stays on, so termination is preserved
             degen = 0
             bland = False
-    if it > 1:  # only pivots change the basis
-        bi[:] = ei
-        bj[:] = ej
-        f[:] = fl
-    return status, it
+    raise SolverError(f"simplex hit the iteration cap after {max_iter + 1} pivots")
 
 
 def northwest_basis(a, b):
-    """Northwest-corner starting basis: n + m - 1 cells, staircase tree.
+    """Northwest-corner starting basis: n + m - 1 cells, staircase tree,
+    as the (bi, bj, f) lists that :func:`_solve_core` takes.
 
     No solve starts here: every plan pairs atoms at known boundary
     positions.  It is the tests' positionless reference start, and the
     benchmark's tracer still times it by name.
     """
     n, m = len(a), len(b)
-    nb = n + m - 1
-    bi = np.zeros(nb, dtype=np.int64)
-    bj = np.zeros(nb, dtype=np.int64)
-    f = np.zeros(nb)
-    ar = np.array(a, dtype=float)
-    br = np.array(b, dtype=float)
+    ar = np.array(a, dtype=float).tolist()
+    br = np.array(b, dtype=float).tolist()
+    bi, bj, f = [], [], []
     i = j = 0
-    for e in range(nb):
-        bi[e] = i
-        bj[e] = j
+    for _ in range(n + m - 1):
+        bi.append(i)
+        bj.append(j)
         t = min(ar[i], br[j])
-        f[e] = t
+        f.append(t)
         ar[i] -= t
         br[j] -= t
         if ar[i] <= 0.0 and i < n - 1:
@@ -379,15 +378,6 @@ def _seam_costs(C, a, b, kinds, idxs):
     return below[t] + above[t]
 
 
-def _as_basis(ei, ej, ef, joins):
-    n_b = len(ei) + len(joins)
-    bi = np.array(ei + [j[0] for j in joins], dtype=np.int64)
-    bj = np.array(ej + [j[1] for j in joins], dtype=np.int64)
-    f = np.zeros(n_b)
-    f[: len(ef)] = ef
-    return bi, bj, f
-
-
 def boundary_stack_basis(C, a, b, s_a, s_b):
     """Non-crossing LIFO matching along the boundary, as a spanning tree.
 
@@ -408,8 +398,8 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     seam when its LIFO plan beats seam 0's by more than the sweep's
     rounding, else at s = 0.
 
-    Returns (bi, bj, f, seam), ``seam`` the event index the walk
-    started at.
+    Returns (bi, bj, f, seam): the basis lists, zero-flow cells last,
+    and ``seam`` the event index the walk started at.
     """
     kinds, idxs = _events(s_a, s_b)
     seam = 0
@@ -421,11 +411,14 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
         if costs[cheapest] < costs[0] - 1e-12 * abs(costs[0]):
             seam = cheapest
             kinds, idxs = np.roll(kinds, -seam), np.roll(idxs, -seam)
-    ei, ej, ef, joins = _lifo(a, b, kinds, idxs)
-    if len(a) + len(b) - len(ei) - len(joins) > 1:
-        cells = ei + [i for i, _ in joins], ej + [j for _, j in joins]
-        joins = joins + _joins(C, *_forest(C, *cells))
-    return (*_as_basis(ei, ej, ef, joins), seam)
+    bi, bj, f, joins = _lifo(a, b, kinds, idxs)
+    if len(a) + len(b) - len(bi) - len(joins) > 1:
+        cells = bi + [i for i, _ in joins], bj + [j for _, j in joins]
+        joins += _joins(C, *_forest(C, *cells))
+    bi += [i for i, _ in joins]
+    bj += [j for _, j in joins]
+    f += [0.0] * len(joins)
+    return bi, bj, f, seam
 
 
 def _start(seam, certified):
@@ -443,8 +436,9 @@ def solve_transport(C, a, b, s_a, s_b):
     """Run the simplex; returns (bi, bj, f, u, v, start, iterations).
 
     The start is :func:`boundary_stack_basis` on the boundary positions
-    ``s_a`` and ``s_b``.  It is certified when the core stops at its
-    first pricing.  ``start`` is the tuple (kind, seam, reason) that
+    ``s_a`` and ``s_b``, certified when the core stops at its first
+    pricing; the core's lists come back as int64 cells and float64
+    flows.  ``start`` is the tuple (kind, seam, reason) that
     :class:`ot.SolverStats` records.
 
     The reason of a start from seam 0 is "" when it certified, else
@@ -454,16 +448,7 @@ def solve_transport(C, a, b, s_a, s_b):
     not certify.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
-    n, m = C.shape
     bi, bj, f, seam = boundary_stack_basis(C, a, b, s_a, s_b)
-    u, v = np.zeros(n), np.zeros(m)
-    tol = 1e-12 * (1.0 + float(np.abs(C).max(initial=0.0)))
-    max_iter = 400 * (n + m) + 200000
-    status, iters = _solve_core(C, a, b, bi, bj, f, u, v, tol, max_iter)
-    if status == 1:
-        raise SolverError(f"simplex hit the iteration cap after {iters} pivots")
-    if status == 2:
-        raise SolverError("the start basis is not a spanning tree")
-    if status == 3:
-        raise SolverError("no leaving cell: the transportation problem is unbounded")
-    return bi, bj, f, u, v, _start(seam, iters == 1), iters
+    u, v, iters = _solve_core(C, a, b, bi, bj, f)
+    bi, bj = np.fromiter(bi, np.int64), np.fromiter(bj, np.int64)
+    return bi, bj, np.fromiter(f, float), u, v, _start(seam, iters == 1), iters

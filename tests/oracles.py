@@ -53,8 +53,10 @@ NORTHWEST = ("northwest", -1, "no boundary positions")
 
 
 def simplex_limits(C, a, b):
-    """solve_transport's pricing tolerance, degenerate-pivot tolerance
-    and iteration cap, as (tol, theta_tol, max_iter)."""
+    """The pricing tolerance, degenerate-pivot tolerance and iteration
+    cap that ``simplex._solve_core`` sets itself, as (tol, theta_tol,
+    max_iter): the copy that ``test_kernels.reference_simplex_core``,
+    which takes its limits as arguments, is run under."""
     n, m = C.shape
     tol = 1e-12 * (1.0 + float(np.abs(C).max(initial=0.0)))
     theta_tol = 1e-14 * (1.0 + float(max(np.max(a), np.max(b))))
@@ -62,17 +64,16 @@ def simplex_limits(C, a, b):
 
 
 def northwest_solve(C, a, b):
-    """The positionless reference solve: ``simplex._solve_core`` from
-    ``simplex.northwest_basis`` under solve_transport's limits.  Returns
-    solve_transport's tuple (bi, bj, f, u, v, NORTHWEST, iterations)."""
+    """The positionless reference solve: ``simplex._solve_core``, under
+    its own limits, pivots the lists of ``simplex.northwest_basis``.
+    Returns solve_transport's tuple (bi, bj, f, u, v, NORTHWEST,
+    iterations), the basis as int64 and float64 arrays; a failed solve
+    raises the core's SolverError."""
     C = np.ascontiguousarray(C, dtype=np.float64)
-    n, m = C.shape
     bi, bj, f = simplex.northwest_basis(a, b)
-    u, v = np.zeros(n), np.zeros(m)
-    tol, _, cap = simplex_limits(C, a, b)
-    status, iters = simplex._solve_core(C, a, b, bi, bj, f, u, v, tol, cap)
-    assert status == 0, f"the northwest solve ended with status {status}"
-    return bi, bj, f, u, v, NORTHWEST, iters
+    u, v, iters = simplex._solve_core(C, a, b, bi, bj, f)
+    bi, bj = np.array(bi, dtype=np.int64), np.array(bj, dtype=np.int64)
+    return bi, bj, np.array(f), u, v, NORTHWEST, iters
 
 
 def plain_lifo(a, b, kinds, idxs):
@@ -132,10 +133,12 @@ def plain_joins(n, k, comp):
 
 def plain_lifo_basis(C, a, b, s_a, s_b):
     """The LIFO forest from the seam at s = 0 with the plain joins: the
-    uncertified boundary start, from which degenerate crawls are long."""
+    uncertified boundary start, from which degenerate crawls are long.
+    Returns the (bi, bj, f) lists, the zero-flow joins last."""
     kinds, idxs = simplex._events(s_a, s_b)
-    entries, k, comp, _, _ = plain_lifo_forest(C, a, b, kinds, idxs)
-    return simplex._as_basis(*entries, plain_joins(len(a), k, comp))
+    (bi, bj, f), k, comp, _, _ = plain_lifo_forest(C, a, b, kinds, idxs)
+    joins = plain_joins(len(a), k, comp)
+    return bi + [i for i, _ in joins], bj + [j for _, j in joins], f + [0.0] * len(joins)
 
 
 def lifo_seam_costs(C, a, b, s_a, s_b):

@@ -211,6 +211,20 @@ class TestBoundFactors:
         assert 0.1 < ratio < 10.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lp_norm(GridField((0.0, 0.0), 1.0, 2, 2, np.ones((2, 2))), math.nan), "be >= 1"),
+        (lambda: time_factor(math.nan, 0.5), "exceed 1"),
+        (lambda: lp_bound_factors(diameter_plan(), math.nan, 0.5), "exceed 1"),
+    ],
+    ids=["lp_norm", "time_factor", "lp_bound_factors"],
+)
+def test_nan_exponent_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^p must {message}, got nan$"):
+        call()
+
+
 class TestSerialization:
     def test_csv_roundtrip_exact(self, tmp_path):
         plan = random_plan(6, 7)

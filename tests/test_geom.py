@@ -23,6 +23,17 @@ from transportlab.geom import (
 from transportlab.instances import mirror_cosine_measures
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build",
+    [disk, lambda x: ellipse(x, 1.0), lambda x: ellipse(1.0, x), lambda x: radial(lambda t: x)],
+    ids=["disk", "ellipse-a", "ellipse-b", "radial"],
+)
+def test_non_finite_size_rejected(build, bad):
+    with pytest.raises(ValueError, match=f"positive and finite, got .*{bad}"):
+        build(bad)
+
+
 class TestDisk:
     def test_basics(self):
         d = disk(2.0)

@@ -14,6 +14,7 @@ from oracles import northwest_solve, plain_lifo_basis, simplex_limits
 from transportlab import kernels, simplex
 from transportlab.cex import build_arcs, run_counterexample
 from transportlab.density import grid_for_domain
+from transportlab.errors import SolverError
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse, radial
 from transportlab.instances import smooth_arc_instance
 from transportlab.leastgrad import _generic_anchor, interior_mask, solve_least_gradient
@@ -800,16 +801,22 @@ def cex_inputs(atoms_per_arc):
 
 def run_core(core, C, a, b, s_a=None, s_b=None):
     """One core from the northwest start (s_a None) or the plain LIFO
-    start, with solve_transport's tolerances and cap."""
-    n, m = C.shape
-    if s_a is None:
-        bi, bj, f = simplex.northwest_basis(a, b)
+    start, as (status, iterations, bi, bj, f, u, v) with the basis in
+    arrays.  The library core takes the start's lists and sets its own
+    limits, and raises where the reference core returns a status, so it
+    reads status 0; the reference core takes the start as arrays and
+    the limits of ``oracles.simplex_limits``."""
+    start = simplex.northwest_basis(a, b) if s_a is None else plain_lifo_basis(C, a, b, s_a, s_b)
+    if core is simplex._solve_core:
+        u, v, iters = core(C, a, b, *start)
+        status = 0
     else:
-        bi, bj, f = plain_lifo_basis(C, a, b, s_a, s_b)
-    u, v = np.zeros(n), np.zeros(m)
-    tol, _, cap = simplex_limits(C, a, b)
-    status, iters = core(C, a, b, bi, bj, f, u, v, tol, cap)
-    return status, iters, bi, bj, f, u, v
+        n, m = C.shape
+        start = [np.array(x) for x in start]
+        u, v = np.zeros(n), np.zeros(m)
+        tol, _, cap = simplex_limits(C, a, b)
+        status, iters = core(C, a, b, *start, u, v, tol, cap)
+    return (status, iters, *(np.array(x) for x in start), u, v)
 
 
 class TestSimplexCores:
@@ -874,12 +881,22 @@ class TestSimplexCores:
         ids=["cycle-through-root", "disconnected"],
     )
     def test_non_tree_basis_reported(self, cells):
-        C = np.ones((2, 3))
-        for core in (reference_simplex_core, simplex._solve_core):
-            bi, bj = np.array(cells).T
-            a, b, f = np.ones(2), np.ones(3), np.ones(4)
-            status, _ = core(C, a, b, bi, bj, f, np.zeros(2), np.zeros(3), 1e-12, 10)
-            assert status == 2
+        C, a, b = np.ones((2, 3)), np.ones(2), np.ones(3)
+        bi, bj = np.array(cells).T
+        args = (bi, bj, np.ones(4), np.zeros(2), np.zeros(3), 1e-12, 10)
+        assert reference_simplex_core(C, a, b, *args)[0] == 2
+        bi, bj = map(list, zip(*cells))
+        with pytest.raises(SolverError, match="^the start basis is not a spanning tree$"):
+            simplex._solve_core(C, a, b, bi, bj, [1.0] * 4)
+
+    def test_solve_transport_returns_arrays(self):
+        rng = np.random.default_rng(5)
+        C, a, b = self._instance(rng, 12, 17)
+        s_a, s_b = rng.uniform(0.0, 2 * math.pi, 12), rng.uniform(0.0, 2 * math.pi, 17)
+        bi, bj, f, u, v = simplex.solve_transport(C, a, b, s_a, s_b)[:5]
+        assert (bi.dtype, bj.dtype, f.dtype) == (np.int64, np.int64, np.float64)
+        assert bi.shape == bj.shape == f.shape == (12 + 17 - 1,)
+        assert (u.shape, v.shape) == ((12,), (17,))
 
     def test_wrapper_matches_cores(self):
         rng = np.random.default_rng(5)

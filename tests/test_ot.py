@@ -248,7 +248,8 @@ class TestDeterminism:
 
 
 def plain_start(C, a, b, s_a, s_b):
-    """boundary_stack_basis without the tie cells or the seam search."""
+    """boundary_stack_basis's lists without the tie cells or the seam
+    search."""
     return (*plain_lifo_basis(C, a, b, s_a, s_b), 0)
 
 
