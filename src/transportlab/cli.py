@@ -318,7 +318,10 @@ def cmd_plan(args) -> int:
     elif command == "lp-norm":
         report.update(p=args.p, lp_norm=density_mod.lp_norm(field, args.p))
     elif command == "bound":
-        lp_power = density_mod.lp_norm(field, args.p) ** args.p
+        try:
+            lp_power = density_mod.lp_norm(field, args.p) ** args.p
+        except OverflowError:  # beyond the float range
+            lp_power = math.inf
         ti, da = density_mod.lp_bound_factors(plan, args.p, args.tau)
         product = ti * da if math.isfinite(ti) and math.isfinite(da) else math.inf
         ratio = lp_power / product if math.isfinite(product) and product > 0 else math.inf

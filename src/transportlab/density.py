@@ -136,17 +136,21 @@ def lp_norm(field: GridField, p) -> float:
 def time_factor(p: float, tau: float) -> float:
     """Closed form of the trip-time integral of (1-t)^(1-p) over [0, tau].
 
-    Diverges (returns inf) when tau = 1 and p >= 2.
+    Diverges (returns inf) when tau = 1 and p >= 2, and when p is
+    infinite; returns inf too where the value is beyond the float range.
     """
     if not p > 1.0:  # NaN fails too
         raise ValueError(f"p must exceed 1, got {p!r}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
-    if tau == 1.0 and p >= 2.0:
+    if p == math.inf or (tau == 1.0 and p >= 2.0):
         return math.inf
     if p == 2.0:
         return -math.log1p(-tau)
-    return ((1.0 - tau) ** (2.0 - p) - 1.0) / (p - 2.0)
+    try:
+        return ((1.0 - tau) ** (2.0 - p) - 1.0) / (p - 2.0)
+    except OverflowError:  # python float powers raise where numpy's give inf
+        return math.inf
 
 
 def lp_bound_factors(plan: TransportPlan, p: float, tau: float) -> tuple[float, float]:
@@ -169,9 +173,17 @@ def lp_bound_factors(plan: TransportPlan, p: float, tau: float) -> tuple[float, 
     if np.any(sub <= 0):
         return ti, math.inf
     dens = m / sub
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dpow = np.where(D > 0, D ** (2.0 - p), np.where(p <= 2.0, 0.0, math.inf))
-    data = float(np.sum(dens**p * sub * dpow))
+        terms = dens**p * sub * dpow
+        # at large p a power leaves the float range (0 * inf gives nan):
+        # such terms are taken from their logarithms
+        big = ~np.isfinite(terms)
+        if big.any():
+            terms[big] = np.exp(
+                p * np.log(dens[big]) + np.log(sub[big]) + (2.0 - p) * np.log(D[big])
+            )
+    data = float(np.sum(terms))
     return ti, data
 
 

@@ -249,8 +249,10 @@ def crossing_pairs(s_a, s_b):
     closes come before opens, closes go innermost first, opens
     outermost first, and identical chords nest by index, so a chord
     below the top of the stack when it closes crosses exactly the
-    chords above it.  Returns int64 arrays (i, j) with i < j, in
-    lexicographic order.
+    chords above it.  A chord that closes on top of the stack crosses
+    nothing and pops in O(1); optimal rays never cross, so on the chords
+    of an optimal plan every close is such a pop.  Returns int64 arrays
+    (i, j) with i < j, in lexicographic order.
     """
     s_a = np.asarray(s_a, dtype=np.float64)
     s_b = np.asarray(s_b, dtype=np.float64)
@@ -270,12 +272,14 @@ def crossing_pairs(s_a, s_b):
     for e in events.tolist():
         if e >= n:
             stack.append(e - n)
-            continue
-        at = len(stack) - 1
-        while stack[at] != e:
-            at -= 1
-        pairs.extend((e, c) for c in stack[at + 1:])
-        del stack[at]
+        elif stack[-1] == e:
+            stack.pop()
+        else:
+            at = len(stack) - 2
+            while stack[at] != e:
+                at -= 1
+            pairs.extend((e, c) for c in stack[at + 1:])
+            del stack[at]
     ij = idx[np.array(pairs, dtype=np.int64).reshape(-1, 2)]
     i, j = ij.min(axis=1), ij.max(axis=1)
     order = np.lexsort((j, i))

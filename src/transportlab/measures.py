@@ -53,6 +53,11 @@ class BoundaryMeasure:
     Positions are reduced to [0, perimeter) and sorted; positions within
     ``1e-12 * perimeter`` of each other, also across the seam at 0, are
     merged (masses and sublengths add); zero-mass atoms are dropped.
+    Each step runs only when it has work to do: the filter when a mass
+    is zero, the sort when positions are out of order, the merge when
+    two neighbours lie within the tolerance.  A merge sums every
+    sublength onto 0.0, so a caller's sublength of -0.0 stays -0.0
+    only when nothing merges.
     """
 
     s: np.ndarray
@@ -62,13 +67,14 @@ class BoundaryMeasure:
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float).ravel()
-        mass = np.asarray(self.mass, dtype=float).ravel()
+        # copies: a measure shares no array with its caller
+        mass = np.array(self.mass, dtype=float).ravel()
         if s.shape != mass.shape:
             raise ValueError(f"positions and masses differ in length: {s.shape} vs {mass.shape}")
         if self.sublength is None:
             sub = np.zeros_like(mass)
         else:
-            sub = np.asarray(self.sublength, dtype=float).ravel()
+            sub = np.array(self.sublength, dtype=float).ravel()
             if sub.shape != mass.shape:
                 raise ValueError("sublengths must match masses in length")
         if not (np.isfinite(s).all() and np.isfinite(mass).all() and np.isfinite(sub).all()):
@@ -76,13 +82,16 @@ class BoundaryMeasure:
         if np.any(mass < 0):
             raise ValueError("atom masses must be nonnegative")
         s = _wrap(s, self.perimeter)
-        keep = mass > 0
-        s, mass, sub = s[keep], mass[keep], sub[keep]
-        order = np.argsort(s, kind="stable")
-        s, mass, sub = s[order], mass[order], sub[order]
-        if len(s) > 1:
-            tol = MERGE_TOL * self.perimeter
-            group = np.concatenate([[0], np.cumsum(np.diff(s) > tol)])
+        if not np.all(mass > 0):
+            keep = mass > 0
+            s, mass, sub = s[keep], mass[keep], sub[keep]
+        if np.any(s[1:] < s[:-1]):
+            order = np.argsort(s, kind="stable")
+            s, mass, sub = s[order], mass[order], sub[order]
+        tol = MERGE_TOL * self.perimeter
+        gap = np.diff(s)
+        if len(s) > 1 and (np.any(gap <= tol) or s[0] + self.perimeter - s[-1] <= tol):
+            group = np.concatenate([[0], np.cumsum(gap > tol)])
             first = np.concatenate([[0], np.flatnonzero(np.diff(group)) + 1])
             s0 = s[first]
             n = group[-1] + 1

@@ -249,29 +249,44 @@ def _lifo(a, b, kinds, idxs):
     are the same.  The stack's leftover float dust at the end of the
     walk is dropped; it is bounded by the balance tolerance enforced
     before solving.
+
+    The stack never holds both kinds, since an arrival of the other
+    kind is matched against it before anything is pushed, so it is one
+    kind and parallel lists of indices and remaining masses; the masses
+    are read from python lists.
     """
-    stack = []  # [kind, idx, remaining]
+    mass = (np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist())
+    held = -1  # the kind of every atom on the stack
+    at, left = [], []  # the stack: atom indices and remaining masses
     ei, ej, ef, ties = [], [], [], []
     for kind, idx in zip(kinds.tolist(), idxs.tolist()):
-        rem = float(a[idx] if kind == 0 else b[idx])
-        while stack and stack[-1][0] != kind:
-            top = stack[-1]
-            c = min(rem, top[2])
-            i, j = (idx, top[1]) if kind == 0 else (top[1], idx)
+        rem = mass[kind][idx]
+        if kind == held:
+            at.append(idx)
+            left.append(rem)
+            continue
+        while at:
+            top = left[-1]
+            c = min(rem, top)
+            i, j = (idx, at[-1]) if kind == 0 else (at[-1], idx)
             if c > 0:
                 ei.append(i)
                 ej.append(j)
                 ef.append(c)
             else:
                 ties.append((i, j))
-            if top[2] - c <= 0:
-                stack.pop()
+            top -= c
+            if top <= 0:
+                at.pop()
+                left.pop()
                 rem -= c
             else:
-                top[2] -= c
+                left[-1] = top
                 break
         else:
-            stack.append([kind, idx, rem])
+            held = kind
+            at.append(idx)
+            left.append(rem)
     return ei, ej, ef, ties
 
 

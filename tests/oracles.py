@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from transportlab import simplex
+from transportlab import measures, simplex
 from transportlab.geom import ChordCost
 from transportlab.measures import BoundaryMeasure
 from transportlab.ot import TransportPlan
@@ -150,3 +150,105 @@ def lifo_seam_costs(C, a, b, s_a, s_b):
         ei, ej, ef = plain_lifo(a, b, np.roll(kinds, -seam), np.roll(idxs, -seam))
         costs.append(float(np.dot(ef, C[ei, ej])))
     return np.array(costs)
+
+
+def stack_lifo(a, b, kinds, idxs):
+    """``simplex._lifo`` as it was written with one stack of
+    [kind, index, remaining] items and masses read from the arrays: the
+    reference for the walk that keeps a one-kind stack of parallel
+    lists.  Returns the same (i, j, mass) lists and tie cells."""
+    stack = []  # [kind, idx, remaining]
+    ei, ej, ef, ties = [], [], [], []
+    for kind, idx in zip(kinds.tolist(), idxs.tolist()):
+        rem = float(a[idx] if kind == 0 else b[idx])
+        while stack and stack[-1][0] != kind:
+            top = stack[-1]
+            c = min(rem, top[2])
+            i, j = (idx, top[1]) if kind == 0 else (top[1], idx)
+            if c > 0:
+                ei.append(i)
+                ej.append(j)
+                ef.append(c)
+            else:
+                ties.append((i, j))
+            if top[2] - c <= 0:
+                stack.pop()
+                rem -= c
+            else:
+                top[2] -= c
+                break
+        else:
+            stack.append([kind, idx, rem])
+    return ei, ej, ef, ties
+
+
+def newton_param_of_arclength(table, s):
+    """``geom._ArclengthTable.param_of_arclength`` with 4 Newton steps
+    for every point: the reference for the inversion that stops a point
+    at its fixed point."""
+    s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), table.total)
+    t = np.interp(s, table.cumulative, table.knots)
+    for _ in range(4):
+        k = np.clip(
+            np.searchsorted(table.knots, t, side="right") - 1, 0, len(table.knots) - 2
+        )
+        resid = table.cumulative[k] + table._length_from_knot(k, t) - s
+        t = t - resid / table.speed(t)
+    return t
+
+
+def dense_cost_matrix(cost, sources, targets):
+    """``ChordCost.matrix`` from one (n, m) difference array per axis:
+    the reference for the matrix written in row blocks."""
+    p, q = (
+        x if x.ndim == 2 else cost.domain.boundary_point(x)
+        for x in (np.asarray(sources, dtype=float), np.asarray(targets, dtype=float))
+    )
+    dx = p[:, 0, None] - q[None, :, 0]
+    dy = p[:, 1, None] - q[None, :, 1]
+    return cost.norm._in_place(dx, dy)
+
+
+def interleaved_pairs(s_a, s_b):
+    """Pairs (p, q), p < q, of chords whose ends strictly interleave in
+    arclength order, by testing every pair: the definition that
+    ``kernels.crossing_pairs`` sweeps for, in O(k**2) time."""
+    lo, hi = np.minimum(s_a, s_b).tolist(), np.maximum(s_a, s_b).tolist()
+    k = len(lo)
+    return [
+        (p, q)
+        for p in range(k)
+        for q in range(p + 1, k)
+        if lo[p] < lo[q] < hi[p] < hi[q] or lo[q] < lo[p] < hi[q] < hi[p]
+    ]
+
+
+def merged_atoms(s, mass, perimeter, sublength):
+    """The (s, mass, sublength) arrays of a ``BoundaryMeasure`` from a
+    pass that always filters, sorts and merges, as the constructor did
+    before it skipped the steps with no work: its reference.  Takes
+    finite float arrays of one length, masses nonnegative."""
+    s = measures._wrap(np.array(s, dtype=float), perimeter)
+    keep = mass > 0
+    s, mass, sub = s[keep], mass[keep], sublength[keep]
+    order = np.argsort(s, kind="stable")
+    s, mass, sub = s[order], mass[order], sub[order]
+    if len(s) > 1:
+        tol = measures.MERGE_TOL * perimeter
+        group = np.concatenate([[0], np.cumsum(np.diff(s) > tol)])
+        first = np.concatenate([[0], np.flatnonzero(np.diff(group)) + 1])
+        s0 = s[first]
+        n = group[-1] + 1
+        if n > 1 and s[0] + perimeter - s[-1] <= tol:
+            seam = group == n - 1
+            s = np.where(seam, s - perimeter, s)
+            group[seam] = 0
+            n -= 1
+        mass_merged = np.bincount(group, weights=mass, minlength=n)
+        off = np.bincount(group, weights=(s - s0[group]) * mass, minlength=n)
+        s = measures._wrap(s0[:n] + off / mass_merged, perimeter)
+        sub = np.bincount(group, weights=sub, minlength=n)
+        mass = mass_merged
+        order = np.argsort(s, kind="stable")
+        s, mass, sub = s[order], mass[order], sub[order]
+    return s, mass, sub

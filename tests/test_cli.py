@@ -430,6 +430,44 @@ class TestDensityAndNorms:
         assert rep["data_integral"] == "inf"
 
 
+    def test_bound_at_large_p(self, tmp_path, capsys):
+        # (1 - tau)**(2 - p) leaves the float range at p = 2000: the time
+        # factor is inf and the bound diverges; at p = 200 every factor
+        # is finite
+        cfg = {
+            "domain": {"kind": "disk", "radius": 1.0},
+            "norm": {"kind": "euclidean"},
+            "g": cos_cfg(400)["g"],
+            "quadrature": 4,
+        }
+        prob = write_problem(tmp_path, cfg)
+        reps = {}
+        for p, want in (("2000", 4), ("200", 0)):
+            code, out, err = run(
+                capsys, "bound", "--problem", prob, "--p", p, "--tau", "0.5", "--grid", "32"
+            )
+            assert (code, err) == (want, "")
+            reps[p] = json.loads(out)
+        assert reps["2000"]["time_integral"] == "inf"
+        assert reps["2000"]["product"] == reps["2000"]["ratio"] == "inf"
+        assert all(
+            isinstance(reps["200"][key], float)
+            for key in ("time_integral", "data_integral", "product", "ratio")
+        )
+
+    def test_bound_lp_power_overflow(self, tmp_path, capsys, monkeypatch):
+        # a finite L^p norm whose p-th power leaves the float range
+        from transportlab import density
+
+        monkeypatch.setattr(density, "lp_norm", lambda field, p: 2.0)
+        prob = write_problem(tmp_path, pair_cfg())
+        code, out, err = run(
+            capsys, "bound", "--problem", prob, "--p", "2000", "--tau", "0.5", "--grid", "8"
+        )
+        assert (code, err) == (4, "")
+        assert json.loads(out)["lp_norm_power"] == "inf"
+
+
 class TestLeastGradient:
     def test_lsg_report_and_field(self, tmp_path, capsys):
         prob = write_problem(tmp_path, cos_cfg())

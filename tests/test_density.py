@@ -160,6 +160,14 @@ class TestTimeFactor:
         assert time_factor(2.0, 1.0) == math.inf
         assert time_factor(4.0, 1.0) == math.inf
 
+    def test_large_and_infinite_p(self):
+        # (1 - tau)**(2 - p) leaves the float range at p = 2000, and the
+        # integral diverges for an infinite p
+        assert time_factor(200.0, 0.5) == pytest.approx((2.0**198 - 1.0) / 198.0, rel=1e-12)
+        assert time_factor(2000.0, 0.5) == math.inf
+        assert time_factor(math.inf, 0.5) == math.inf
+        assert time_factor(math.inf, 1.0) == math.inf
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             time_factor(1.0, 0.5)
@@ -189,6 +197,18 @@ class TestBoundFactors:
         _, da = lp_bound_factors(plan, 2.0, 0.5)
         # at p=2 the data term is the integral of the squared density
         assert da == pytest.approx(math.pi / 2, rel=1e-4)
+
+    def test_large_p_data_term(self):
+        # a short chord of low density: at p = 200 its density power
+        # underflows to 0 and its displacement power overflows to inf,
+        # and its term, about 8e-145, comes from logarithms; the
+        # diameter's term is (1/0.5)^p * 0.5 * 2^(2-p) = 2, and at
+        # p = 2000 its powers leave the float range too
+        f_plus = measure([0.0, 1.0], mass=[1.0, 1e-3], sub=[0.5, 0.5])
+        f_minus = measure([math.pi, 1.01], mass=[1.0, 1e-3], sub=[0.5, 0.5])
+        plan = solve_kantorovich(f_plus, f_minus, EUC)
+        for p in (200.0, 2000.0):
+            assert lp_bound_factors(plan, p, 0.5)[1] == pytest.approx(2.0, rel=1e-12)
 
     def test_atoms_without_sublength_diverge(self):
         ti, da = lp_bound_factors(diameter_plan(), 2.0, 0.5)

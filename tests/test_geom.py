@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from oracles import dense_cost_matrix, newton_param_of_arclength
 from transportlab import geom
 from transportlab.geom import (
     ChordCost,
@@ -112,6 +113,29 @@ class TestEllipse:
         assert np.array_equal(p, e.boundary_point(s))
         assert np.allclose(np.hypot(n[:, 0], n[:, 1]), 1.0)
         assert e.contains(p + 1e-4 * n).all()
+
+
+class TestNewtonStop:
+    """A point stops at its Newton fixed point and keeps the t that all
+    4 steps give (``oracles.newton_param_of_arclength``), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dom",
+        [ellipse(2.0, 1.0), ellipse(1.5, 1.0), radial(lambda t: 1.0 + 0.05 * math.cos(3 * t))],
+        ids=["ellipse-2", "ellipse-1.5", "radial"],
+    )
+    def test_matches_four_steps(self, dom):
+        table = dom._table
+        total = table.total
+        rng = np.random.default_rng(5)
+        s = np.concatenate([
+            [0.0, -0.0, total, -total, 2.5 * total, -1.0, -1e-300, np.nextafter(total, 0.0)],
+            table.cumulative[::97],  # knots
+            rng.uniform(-total, 2.0 * total, 3000),
+        ])
+        assert np.array_equal(table.param_of_arclength(s), newton_param_of_arclength(table, s))
+        for x in s[:8]:
+            assert np.array_equal(table.param_of_arclength(x), newton_param_of_arclength(table, x))
 
 
 class _CubicSplineProfile:
@@ -283,6 +307,45 @@ class TestChordCost:
                 for j in range(len(sb)):
                     dx, dy = p[i] - q[j]
                     assert M[i, j] == pytest.approx(float(norm(dx, dy)), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "norm", [EuclideanNorm(), LqNorm(3.0), LqNorm(1.7), QUAD],
+        ids=["euclid", "l3", "l1.7", "quad"],
+    )
+    @pytest.mark.parametrize(
+        "shape",
+        # one entry; one row wider than a block; 3 full blocks of 54 rows
+        # and a block of 7; no rows
+        [(1, 1), (1, geom._BLOCK + 3), (3 * (geom._BLOCK // 300) + 7, 300), (0, 4)],
+        ids=str,
+    )
+    def test_row_blocks_match_dense(self, norm, shape):
+        dom = ellipse(2.0, 1.0)
+        rng = np.random.default_rng(6)
+        sa, sb = (rng.uniform(0.0, dom.perimeter, k) for k in shape)
+        cost = ChordCost(dom, norm)
+        got = cost.matrix(sa, sb)
+        assert got.shape == shape
+        assert np.array_equal(got, dense_cost_matrix(cost, sa, sb))
+        points = dom.boundary_point(sa), dom.boundary_point(sb)
+        assert np.array_equal(cost.matrix(*points), got)
+
+    @pytest.mark.parametrize(
+        "norm", [EuclideanNorm(), LqNorm(3.0), QUAD], ids=["euclid", "l3", "quad"]
+    )
+    def test_matrix_is_the_one_large_array(self, norm):
+        # from points, the matrix is the only n x m array allocated: the
+        # differences live in row blocks of about geom._BLOCK elements
+        f_plus, f_minus = mirror_cosine_measures(1000)
+        cost = ChordCost(disk(1.0), norm)
+        p, q = cost.domain.boundary_point(f_plus.s), cost.domain.boundary_point(f_minus.s)
+        tracemalloc.start()
+        try:
+            C = cost.matrix(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= C.nbytes + (1 << 20)
 
 
 class TestConfig:

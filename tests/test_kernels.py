@@ -9,8 +9,10 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import northwest_solve, plain_lifo_basis, simplex_limits
+from oracles import interleaved_pairs, northwest_solve, plain_lifo_basis, simplex_limits
 from transportlab import kernels, simplex
 from transportlab.cex import build_arcs, run_counterexample
 from transportlab.density import grid_for_domain
@@ -596,6 +598,33 @@ CHORD_NORMS = pytest.mark.parametrize(
 )
 
 
+@st.composite
+def nested_chords(draw):
+    """Chords (s_a, s_b) on lattice positions: a random nested family,
+    bracketed last-in-first-out, with up to three ends swapped between
+    chords (a few crossings), positions divided down so that some ends
+    are shared and some chords have length zero, and each chord's
+    orientation drawn."""
+    k = draw(st.integers(0, 16))
+    moves = draw(st.lists(st.booleans(), min_size=2 * k, max_size=2 * k))
+    ends, stack = [], []
+    for pos, push in enumerate(moves):
+        if len(ends) < k and (push or not stack):
+            stack.append(len(ends))
+            ends.append([pos, None])
+        else:
+            ends[stack.pop()][1] = pos
+    if k:
+        chord, side = st.integers(0, k - 1), st.integers(0, 1)
+        for c, e, d, f in draw(st.lists(st.tuples(chord, side, chord, side), max_size=3)):
+            ends[c][e], ends[d][f] = ends[d][f], ends[c][e]
+    coarse = draw(st.integers(1, 3))
+    flips = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    pairs = [(y, x) if flip else (x, y) for (x, y), flip in zip(ends, flips)]
+    s = np.array(pairs, dtype=float).reshape(-1, 2) // coarse
+    return s[:, 0], s[:, 1]
+
+
 class TestCrossingPairs:
     """The arclength sweep against the geometric reference on real plans,
     and pinned on the degenerate configurations it defines."""
@@ -664,14 +693,16 @@ class TestCrossingPairs:
         for _ in range(300):
             k = int(rng.integers(0, 12))
             s_a, s_b = rng.integers(0, 6, (2, k)).astype(float)
-            lo, hi = np.minimum(s_a, s_b), np.maximum(s_a, s_b)
-            want = [
-                (p, q)
-                for p in range(k)
-                for q in range(p + 1, k)
-                if lo[p] < lo[q] < hi[p] < hi[q] or lo[q] < lo[p] < hi[q] < hi[p]
-            ]
+            want = interleaved_pairs(s_a, s_b)
             assert pair_list(*kernels.crossing_pairs(s_a, s_b)) == want
+
+    @given(nested_chords())
+    @settings(max_examples=300, deadline=None)
+    def test_nested_families_match_interleave_definition(self, chords):
+        # the chords of an optimal plan nest, so nearly every close pops
+        # the top of the stack; a few swapped ends cross
+        s_a, s_b = chords
+        assert pair_list(*kernels.crossing_pairs(s_a, s_b)) == interleaved_pairs(s_a, s_b)
 
 
 def reference_simplex_core(C, a, b, bi, bj, f, u, v, tol, max_iter):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import merged_atoms
 from test_kernels import harmonic_datum
 from transportlab import measures
 from transportlab.errors import InfeasibleError
@@ -103,6 +104,44 @@ class TestBoundaryMeasure:
         m = BoundaryMeasure(s, w, TWO_PI)
         assert m.total_mass == pytest.approx(sum(w), rel=1e-12, abs=1e-12)
         assert np.all(np.diff(m.s) > 0)
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    # lattice positions repeat; the perimeter's ends and
+                    # their neighbours merge across the seam
+                    st.integers(-2, 8).map(float),
+                    st.sampled_from([0.0, 1e-14, TWO_PI - 1e-14, TWO_PI, -1e-300]),
+                    st.floats(-1.0, 7.0),
+                ),
+                st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 10),
+                st.floats(0, 1),
+            ),
+            max_size=30,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_skipped_steps_match_the_full_pass(self, atoms, presort):
+        # the filter, the sort and the merge run only when they have work
+        # to do, with the arrays of a pass that always runs all three
+        if presort:
+            atoms = sorted(atoms)
+        s, mass, sub = np.array(atoms, dtype=float).reshape(-1, 3).T.copy()
+        m = BoundaryMeasure(s, mass, TWO_PI, sub)
+        for got, want in zip((m.s, m.mass, m.sublength), merged_atoms(s, mass, TWO_PI, sub)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the measure holds copies, not the caller's arrays
+        held = m.s, m.mass, m.sublength
+        assert not any(np.shares_memory(x, y) for x in held for y in (s, mass, sub))
+
+    def test_negative_zero_sublength_kept_without_a_merge(self):
+        m = BoundaryMeasure([1.0, 2.0], [1.0, 1.0], TWO_PI, [-0.0, 0.5])
+        assert math.copysign(1.0, m.sublength[0]) == -1.0
+        m = BoundaryMeasure([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], TWO_PI, [-0.0, -0.0, 0.5])
+        assert math.copysign(1.0, m.sublength[0]) == 1.0
 
 
 class TestMeasureFromConfig:

@@ -24,6 +24,7 @@ from oracles import (
     northwest_solve,
     plain_lifo,
     plain_lifo_forest,
+    stack_lifo,
 )
 from test_kernels import cex_inputs, core_inputs, harmonic_datum
 from transportlab import cex, simplex
@@ -70,6 +71,20 @@ def transport_pool(count, seed=1):
         f_plus, f_minus = smooth_arc_instance(rng, domain, 350)
         rng.uniform(0.25, 1.0)
         out.append((f_plus, f_minus, cost))
+    return out
+
+
+def cex_grid_pool(count, seed=1):
+    """The alternating arcs of the benchmark's first cex_grid ops for a
+    seed; each op plans its 8 pairs with 24 atoms per arc and draws an
+    exponent after its arcs."""
+    rng = np.random.default_rng([seed, 3])
+    base = build_arcs(8).eps
+    out = []
+    for _ in range(count):
+        eps = base * rng.uniform(0.8, 1.2, 8)
+        rng.uniform(2.0, 3.0)
+        out.append(build_arcs(8, eps=list(eps)))
     return out
 
 
@@ -292,6 +307,39 @@ class TestTieJoins:
         stats = solve_kantorovich(f_plus, f_minus, EUC).stats
         assert (stats.start, stats.pivots, len(calls), len(forests)) == ("certified", 0, 1, 1)
         check_against_northwest(f_plus, f_minus, EUC)
+
+
+class TestLifoOracle:
+    """The walk that keeps a one-kind stack of parallel lists gives the
+    cells, flows and ties of the walk with one stack of items
+    (``oracles.stack_lifo``) under ==."""
+
+    def test_captured_pools(self, monkeypatch):
+        lifo = simplex._lifo
+        walks = counting(monkeypatch, "_lifo")
+        for inputs in lsg_pool(40) + transport_pool(TRANSPORT_DUST[0] + 1):
+            solve_kantorovich(*inputs)
+        for arcs in cex_grid_pool(5):
+            for n in range(8):
+                cex.pair_plan(arcs, n, 24)
+        assert len(walks) == 40 + TRANSPORT_DUST[0] + 1 + 40
+        for args in walks:
+            assert lifo(*args) == stack_lifo(*args)
+
+    @pytest.mark.parametrize("kind", FOREST_KINDS)
+    def test_every_seam_of_random_walks(self, kind):
+        rng = np.random.default_rng(10 + FOREST_KINDS.index(kind))
+        ties = 0
+        for trial in range(200):
+            _, a, b, s_a, s_b = forest_instance(rng, kind)
+            kinds, idxs = simplex._events(s_a, s_b)
+            for seam in range(len(kinds)):
+                walk = a, b, np.roll(kinds, -seam), np.roll(idxs, -seam)
+                got = simplex._lifo(*walk)
+                assert got == stack_lifo(*walk), f"trial {trial}, seam {seam}"
+                ties += len(got[3])
+        # integer masses tie exactly in nearly every walk
+        assert kind != "integer" or ties > 1000
 
 
 def check_sweep(C, a, b, s_a, s_b):
@@ -604,13 +652,8 @@ class TestPoolStarts:
         calls = counting(monkeypatch, "_solve_core")
         forests = counting(monkeypatch, "_forest")
         sweeps = counting(monkeypatch, "_seam_costs")
-        rng = np.random.default_rng([1, 3])
-        base = build_arcs(8).eps
         starts = []
-        for _ in range(20):
-            eps = base * rng.uniform(0.8, 1.2, 8)
-            rng.uniform(2.0, 3.0)
-            arcs = build_arcs(8, eps=list(eps))
+        for arcs in cex_grid_pool(20):
             starts += [cex.pair_plan(arcs, n, 24).stats.start for n in range(8)]
         assert starts == ["certified"] * 160
         assert len(calls) == 160
