@@ -11,7 +11,9 @@ down to its last bit, fails ``test_corpus.py``.
   ``tv`` and ``trace_err``.
 - CLI commands, run in-process through ``cli.main``, store digests of
   stdout and of every file written under ``--out``, and the report's
-  top-level numbers.
+  top-level numbers.  Beside the benchmark's commands, ``solve`` (and
+  ``lsg`` where a ``g`` is given) runs on a problem file of each domain
+  and norm kind.
 - Grid-mode alternating-arc reports store a digest of ``per_pair`` and
   the plain ``partial_sum`` and ``ratio``.
 
@@ -296,6 +298,43 @@ def _run_cli(argv) -> dict:
     }
 
 
+def _kind_problems() -> dict:
+    """Problem files of the domain and norm kinds that the benchmark's
+    disk and lq file leaves out, written with the literals a hand-made
+    file may hold: ints for floats, no norm key, jumps, quadrature."""
+    ell = geom.ellipse(1.5, 1.0)
+    f_plus, f_minus = smooth_arc_instance(np.random.default_rng(11), ell, 40)
+    samples = [[0, 1], [1, 0], [2, -1], [3, 0], [4, 1], [5, 2]]
+    jumps = [[0.5, 1], [3.5, -1]]
+    return {
+        "ellipse_quadratic": {
+            "domain": {"kind": "ellipse", "a": 1.5, "b": 1.0},
+            "norm": {"kind": "quadratic", "a": QUADRATIC},
+            "f_plus": np.stack([f_plus.s, f_plus.mass], axis=1).tolist(),
+            "f_minus": np.stack([f_minus.s, f_minus.mass], axis=1).tolist(),
+        },
+        "ellipse_default_norm": {
+            "domain": {"kind": "ellipse", "a": 1.0, "b": 1.5},
+            "g": harmonic_datum(np.random.default_rng(12), geom.ellipse(1.0, 1.5), 120).config(),
+            "grid": {"n": 32},
+        },
+        "disk_int_lq": {
+            "domain": {"kind": "disk", "radius": 1},
+            "norm": {"kind": "lq", "q": 3},
+            "g": {"samples": samples, "jumps": jumps},
+            "grid": {"n": 32},
+            "quadrature": 2,
+        },
+        "disk_int_quadratic": {
+            "domain": {"kind": "disk", "radius": 2},
+            "norm": {"kind": "quadratic", "a": [[2, 1], [1, 3]]},
+            "g": {"samples": samples, "jumps": jumps},
+            "grid": {"n": 32},
+            "quadrature": 2,
+        },
+    }
+
+
 def cli_runs() -> dict:
     out = {}
     here = os.getcwd()
@@ -309,6 +348,14 @@ def cli_runs() -> dict:
                 os.chdir(str(seed))
                 for name, argv in _cli_commands(seed).items():
                     out[f"cli/seed{seed}/{name}"] = _run_cli(argv)
+            os.chdir(work)
+            for name, problem in _kind_problems().items():
+                path = f"{name}.json"
+                with open(path, "w") as fh:
+                    json.dump(problem, fh)
+                commands = ["solve", "lsg"] if "g" in problem else ["solve"]
+                for command in commands:
+                    out[f"cli/kinds/{name}/{command}"] = _run_cli([command, "--problem", path])
         finally:
             os.chdir(here)
     return out
