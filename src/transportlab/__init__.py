@@ -27,9 +27,7 @@ _LAZY = {
         "QuadraticNorm",
         "RadialDomain",
         "disk",
-        "domain_from_config",
         "ellipse",
-        "norm_from_config",
         "radial",
     ),
     "measures": (

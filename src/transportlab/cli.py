@@ -42,6 +42,21 @@ MAX_GRID = 4096
 
 _PROBLEM_KEYS = {"domain", "norm", "g", "f_plus", "f_minus", "grid", "quadrature", "seed"}
 
+# every kind a problem file may name for its domain and its norm: the
+# geom class that builds it and the keys it takes, in order; the reports
+# echo each key as the built object holds it
+_KINDS = {
+    "domain": {
+        "disk": ("Disk", ("radius",)),
+        "ellipse": ("Ellipse", ("a", "b")),
+    },
+    "norm": {
+        "euclidean": ("EuclideanNorm", ()),
+        "lq": ("LqNorm", ("q",)),
+        "quadratic": ("QuadraticNorm", ("a",)),
+    },
+}
+
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
     if not isinstance(obj, dict):
@@ -49,6 +64,22 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _check_kind(cfg: dict, section: str) -> None:
+    """The domain or norm section names a kind and holds its keys alone."""
+    obj = cfg[section]
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{section} must be an object")
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS[section]:
+        code_only = " (radial domains are code-only)" if section == "domain" else ""
+        raise SchemaError(f"unknown {section} kind {kind!r}{code_only}")
+    keys = _KINDS[section][kind][1]
+    _check_keys(obj, {"kind", *keys}, f"{section} of kind {kind!r}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise SchemaError(f"{section} of kind {kind!r} needs {missing}")
 
 
 def _finite(convert):
@@ -109,9 +140,9 @@ def load_problem(path: str) -> dict:
     _check_keys(cfg, _PROBLEM_KEYS, "problem")
     if "domain" not in cfg:
         raise SchemaError("problem file needs a domain")
-    _check_keys(cfg["domain"], {"kind", "radius", "a", "b"}, "domain")
+    _check_kind(cfg, "domain")
     if "norm" in cfg:
-        _check_keys(cfg["norm"], {"kind", "q", "a"}, "norm")
+        _check_kind(cfg, "norm")
     if "g" in cfg and ("f_plus" in cfg or "f_minus" in cfg):
         raise SchemaError("problem file carries either g or f_plus/f_minus, not both")
     if "g" in cfg:
@@ -141,35 +172,49 @@ def load_problem(path: str) -> dict:
     return cfg
 
 
+def _build(geom, section: str, obj: dict):
+    """The domain or norm of a checked section, from its kind's class.
+
+    Scalars go to the class as floats, so that an int literal echoes as
+    a float; a matrix goes as the nested list it is.
+    """
+    name, keys = _KINDS[section][obj["kind"]]
+    values = (obj[key] for key in keys)
+    return getattr(geom, name)(*(v if isinstance(v, list) else float(v) for v in values))
+
+
 def _load(args):
     """The --problem file, its domain, norm and boundary data: the datum
     g, or the pair (f_plus, f_minus).
 
-    A --seed flag replaces the file's seed, and a file without quadrature
-    gets 1 derivative atom per linear piece.  Malformed values raise
-    SchemaError; boundary data that do not close up or balance raise
-    InfeasibleError.
+    A --seed flag replaces the file's seed, a file without quadrature
+    gets 1 derivative atom per linear piece, and one without a norm the
+    euclidean norm.  Malformed values raise SchemaError; boundary data
+    that do not close up or balance raise InfeasibleError.
     """
-    from .geom import domain_from_config, norm_from_config
-    from .measures import datum_from_config, measure_from_config
+    from . import geom
+    from .measures import BoundaryDatum, BoundaryMeasure
 
     cfg = load_problem(args.problem)
     cfg.setdefault("quadrature", 1)
+    cfg.setdefault("norm", {"kind": "euclidean"})
     if args.seed is not None:
         cfg["seed"] = args.seed
     try:
-        domain = domain_from_config(cfg["domain"])
-        norm = norm_from_config(cfg.get("norm", {"kind": "euclidean"}))
-    except (KeyError, TypeError, ValueError) as e:
+        domain, norm = (_build(geom, section, cfg[section]) for section in ("domain", "norm"))
+    except (TypeError, ValueError) as e:
         raise SchemaError(f"bad domain or norm: {e}")
     if "g" not in cfg and "f_plus" not in cfg:
         raise SchemaError("problem file needs g or f_plus/f_minus")
     try:
         if "g" in cfg:
-            data = datum_from_config(cfg["g"], domain.perimeter)
+            data = BoundaryDatum(cfg["g"]["samples"], cfg["g"].get("jumps"), domain.perimeter)
         else:
+            # load_problem has checked them to be lists of pairs
             data = tuple(
-                measure_from_config(cfg[key], domain.perimeter)
+                BoundaryMeasure(
+                    *np.array(cfg[key], dtype=float).reshape(-1, 2).T, domain.perimeter
+                )
                 for key in ("f_plus", "f_minus")
             )
     except InfeasibleError:  # a ValueError too, but not a schema fault
@@ -185,12 +230,11 @@ def _grid_n(cfg: dict, args) -> int:
 
 
 def _resolved_config(cfg: dict, domain, norm, grid_n: int = None) -> dict:
-    out = {
-        "domain": domain.config(),
-        "norm": norm.config(),
-        "quadrature": cfg["quadrature"],
-        "seed": cfg.get("seed"),
-    }
+    out = {"quadrature": cfg["quadrature"], "seed": cfg.get("seed")}
+    for section, obj in (("domain", domain), ("norm", norm)):
+        kind = cfg[section]["kind"]
+        keys = _KINDS[section][kind][1]
+        out[section] = {"kind": kind, **{key: getattr(obj, key) for key in keys}}
     if "g" in cfg:
         out["g"] = cfg["g"]
     if "f_plus" in cfg:

@@ -182,9 +182,6 @@ class Domain:
         """(xmin, ymin, xmax, ymax) of the closed domain."""
         raise NotImplementedError
 
-    def config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass
 class Disk(Domain):
@@ -213,9 +210,6 @@ class Disk(Domain):
     def bbox(self):
         r = self.radius
         return (-r, -r, r, r)
-
-    def config(self):
-        return {"kind": "disk", "radius": self.radius}
 
 
 @dataclass
@@ -250,9 +244,6 @@ class Ellipse(Domain):
 
     def bbox(self):
         return (-self.a, -self.b, self.a, self.b)
-
-    def config(self):
-        return {"kind": "ellipse", "a": self.a, "b": self.b}
 
 
 @dataclass
@@ -325,9 +316,6 @@ class RadialDomain(Domain):
     def bbox(self):
         return self._bbox
 
-    def config(self):
-        raise ValueError("radial domains are code-only and have no config")
-
 
 def disk(radius: float) -> Disk:
     return Disk(float(radius))
@@ -364,9 +352,6 @@ class Norm:
         """
         raise NotImplementedError
 
-    def config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass
 class EuclideanNorm(Norm):
@@ -375,9 +360,6 @@ class EuclideanNorm(Norm):
 
     def rotated(self):
         return self
-
-    def config(self):
-        return {"kind": "euclidean"}
 
 
 @dataclass
@@ -401,9 +383,6 @@ class LqNorm(Norm):
     def rotated(self):
         # l^q balls are invariant under quarter turns
         return self
-
-    def config(self):
-        return {"kind": "lq", "q": self.q}
 
 
 @dataclass
@@ -435,9 +414,6 @@ class QuadraticNorm(Norm):
 
     def rotated(self):
         return QuadraticNorm(_ROT_MINUS_90.T @ self.a @ _ROT_MINUS_90)
-
-    def config(self):
-        return {"kind": "quadratic", "a": self.a.tolist()}
 
 
 @dataclass
@@ -471,22 +447,3 @@ class ChordCost:
             self.norm._in_place(dx, p[lo : lo + rows, 1, None] - qy)
         return out
 
-
-def domain_from_config(cfg: dict) -> Domain:
-    kind = cfg.get("kind")
-    if kind == "disk":
-        return disk(cfg["radius"])
-    if kind == "ellipse":
-        return ellipse(cfg["a"], cfg["b"])
-    raise ValueError(f"unknown domain kind {kind!r} (radial domains are code-only)")
-
-
-def norm_from_config(cfg: dict) -> Norm:
-    kind = cfg.get("kind")
-    if kind == "euclidean":
-        return EuclideanNorm()
-    if kind == "lq":
-        return LqNorm(float(cfg["q"]))
-    if kind == "quadratic":
-        return QuadraticNorm(cfg["a"])
-    raise ValueError(f"unknown norm kind {kind!r}")

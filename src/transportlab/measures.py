@@ -125,9 +125,6 @@ class BoundaryMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.mass))
 
-    def config(self) -> list:
-        return [[float(a), float(m)] for a, m in zip(self.s, self.mass)]
-
 
 @dataclass
 class BoundaryDatum:
@@ -326,11 +323,3 @@ def quadrature_atoms(
         raise ValueError(f"density is negative ({vals[k]:.3e}) at s={mids[k]:.6f}")
     return BoundaryMeasure(mids, vals * sub, perimeter, np.full(n, sub))
 
-
-def measure_from_config(atoms: list, perimeter: float) -> BoundaryMeasure:
-    arr = _pairs(atoms, "atoms")
-    return BoundaryMeasure(arr[:, 0], arr[:, 1], perimeter)
-
-
-def datum_from_config(cfg: dict, perimeter: float) -> BoundaryDatum:
-    return BoundaryDatum(cfg["samples"], cfg.get("jumps"), perimeter)

@@ -214,6 +214,116 @@ class TestSchemaErrors:
         assert "bad boundary data" in err
 
 
+DOMAINS = {
+    "disk": {"kind": "disk", "radius": 1.5},
+    "ellipse": {"kind": "ellipse", "a": 2.0, "b": 1.0},
+}
+NORMS = {
+    "euclidean": {"kind": "euclidean"},
+    "lq": {"kind": "lq", "q": 3.0},
+    "quadratic": {"kind": "quadratic", "a": [[2.0, 0.3], [0.3, 1.0]]},
+}
+
+
+class TestProblemKinds:
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_echo_round_trip(self, tmp_path, capsys, domain, norm):
+        # the echoed domain and norm, fed back, give the same report
+        cfg = {**pair_cfg(), "domain": DOMAINS[domain], "norm": NORMS[norm]}
+        code, first, _ = run(capsys, "solve", "--problem", write_problem(tmp_path, cfg))
+        echo = json.loads(first)["config"]
+        assert (echo["domain"], echo["norm"]) == (cfg["domain"], cfg["norm"])
+        again = {**cfg, "domain": echo["domain"], "norm": echo["norm"]}
+        again = write_problem(tmp_path, again, "again.json")
+        assert run(capsys, "solve", "--problem", again) == (0, first, "")
+        assert code == 0
+
+    def test_int_literals_echo_as_floats(self, tmp_path, capsys):
+        cfg = {**pair_cfg(), "domain": {"kind": "disk", "radius": 1},
+               "norm": {"kind": "lq", "q": 3}}
+        code, out, _ = run(capsys, "solve", "--problem", write_problem(tmp_path, cfg))
+        assert code == 0
+        assert '"domain": {"kind": "disk", "radius": 1.0}' in out
+        assert '"norm": {"kind": "lq", "q": 3.0}' in out
+
+    def test_radial_is_code_only(self, tmp_path, capsys):
+        prob = write_problem(tmp_path, {**pair_cfg(), "domain": {"kind": "radial"}})
+        code, out, err = run(capsys, "solve", "--problem", prob)
+        assert (code, out) == (2, "")
+        assert "radial domains are code-only" in err
+
+    @pytest.mark.parametrize(
+        "section, value, kind, key",
+        [
+            ("domain", {"kind": "disk", "radius": 1.0, "a": 5.0}, "disk", "a"),
+            ("norm", {"kind": "euclidean", "q": 3.0}, "euclidean", "q"),
+            ("norm", {"kind": "lq", "q": 3.0, "a": [[1.0, 0.0], [0.0, 1.0]]}, "lq", "a"),
+        ],
+        ids=["a-on-disk", "q-on-euclidean", "a-on-lq"],
+    )
+    def test_key_of_another_kind_refused(self, tmp_path, capsys, section, value, kind, key):
+        prob = write_problem(tmp_path, {**pair_cfg(), section: value})
+        code, out, err = run(capsys, "solve", "--problem", prob)
+        assert (code, out) == (2, "")
+        assert err == f"schema error: unknown keys in {section} of kind '{kind}': ['{key}']\n"
+
+    def test_missing_key_named(self, tmp_path, capsys):
+        prob = write_problem(tmp_path, {**pair_cfg(), "domain": {"kind": "ellipse", "a": 2.0}})
+        code, out, err = run(capsys, "solve", "--problem", prob)
+        assert (code, out) == (2, "")
+        assert "domain of kind 'ellipse' needs ['b']" in err
+
+    def test_atom_pairs_are_position_and_mass(self, tmp_path, capsys):
+        cfg = {**pair_cfg(), "f_plus": [[0.5, 1.0], [1.0, 2.0]], "f_minus": [[3.0, 3.0]]}
+        code, out, _ = run(capsys, "solve", "--problem", write_problem(tmp_path, cfg))
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["entries"] == [[0, 0, 1.0], [1, 0, 2.0]]
+        # chords of the unit disk: 2 sin(half the arc)
+        assert rep["cost"] == pytest.approx(2 * math.sin(1.25) + 4 * math.sin(1.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "atoms", [[0.5, 1.0, 1.0, 1.0], [[0.5, 1.0, 1.0]]], ids=["flat", "three-columns"]
+    )
+    def test_atoms_need_pairs(self, tmp_path, capsys, atoms):
+        prob = write_problem(tmp_path, {**pair_cfg(), "f_plus": atoms})
+        code, out, err = run(capsys, "solve", "--problem", prob)
+        assert (code, out) == (2, "")
+        assert "f_plus[0] is not a [number, number] pair" in err
+
+    def test_empty_atom_list_is_infeasible(self, tmp_path, capsys):
+        prob = write_problem(tmp_path, {**pair_cfg(), "f_plus": [], "f_minus": []})
+        code, out, err = run(capsys, "solve", "--problem", prob)
+        assert (code, out) == (3, "")
+        assert "at least one atom" in err
+
+    def test_datum_without_jumps(self, tmp_path, capsys):
+        # g falls by 2 over [0, 3] and rises back across the seam: one
+        # atom of mass 2 at each piece's midpoint
+        cfg = {"domain": {"kind": "disk", "radius": 1.0},
+               "g": {"samples": [[0.0, 1.0], [3.0, -1.0]]}}
+        code, out, _ = run(capsys, "solve", "--problem", write_problem(tmp_path, cfg))
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["config"]["g"] == cfg["g"]
+        arc = (3.0 + 2 * math.pi) / 2 - 1.5
+        assert rep["cost"] == pytest.approx(4 * math.sin(arc / 2), rel=1e-12)
+
+
+def test_readme_problem_file_solves(tmp_path, capsys):
+    # the example problem file in the README
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    head = "Problem files are JSON:\n\n```json\n"
+    start = text.index(head) + len(head)
+    cfg = json.loads(text[start : text.index("```", start)])
+    code, out, err = run(capsys, "solve", "--problem", write_problem(tmp_path, cfg))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["domain"] == cfg["domain"]
+
+
 BAD_FLAGS = [
     (["density", "--grid", "0"], "--grid"),
     (["lsg", "--grid", "-5"], "--grid"),

@@ -16,9 +16,7 @@ from transportlab.geom import (
     LqNorm,
     QuadraticNorm,
     disk,
-    domain_from_config,
     ellipse,
-    norm_from_config,
     radial,
 )
 from transportlab.instances import mirror_cosine_measures
@@ -346,26 +344,6 @@ class TestChordCost:
         finally:
             tracemalloc.stop()
         assert peak <= C.nbytes + (1 << 20)
-
-
-class TestConfig:
-    def test_domain_roundtrip(self):
-        for dom in (disk(1.5), ellipse(2.0, 1.0)):
-            again = domain_from_config(dom.config())
-            assert again.config() == dom.config()
-
-    def test_radial_not_serializable(self):
-        with pytest.raises(ValueError):
-            domain_from_config({"kind": "radial"})
-
-    def test_radial_config_refused(self):
-        with pytest.raises(ValueError, match="code-only"):
-            radial(lambda t: 1.0).config()
-
-    def test_norm_roundtrip(self):
-        for norm in (EuclideanNorm(), LqNorm(3.0), QUAD):
-            again = norm_from_config(norm.config())
-            assert again.config() == norm.config()
 
 
 def test_gauss_legendre_literals_are_exact():

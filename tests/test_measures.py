@@ -13,8 +13,6 @@ from transportlab.geom import ChordCost, EuclideanNorm, disk, ellipse
 from transportlab.measures import (
     BoundaryDatum,
     BoundaryMeasure,
-    datum_from_config,
-    measure_from_config,
     quadrature_atoms,
     remove_common_mass,
     tangential_derivative,
@@ -22,6 +20,11 @@ from transportlab.measures import (
 from transportlab.ot import solve_kantorovich
 
 TWO_PI = 2 * math.pi
+
+
+def atom_list(m: BoundaryMeasure) -> list:
+    """[position, mass] of each atom, in order."""
+    return np.stack([m.s, m.mass], axis=1).tolist()
 
 
 class TestBoundaryMeasure:
@@ -144,23 +147,6 @@ class TestBoundaryMeasure:
         assert math.copysign(1.0, m.sublength[0]) == 1.0
 
 
-class TestMeasureFromConfig:
-    def test_pairs(self):
-        m = measure_from_config([[0.5, 1.0], [1.0, 2.0]], TWO_PI)
-        assert m.s.tolist() == [0.5, 1.0]
-        assert m.mass.tolist() == [1.0, 2.0]
-
-    def test_empty_list_is_no_atoms(self):
-        assert len(measure_from_config([], TWO_PI)) == 0
-
-    @pytest.mark.parametrize(
-        "atoms", [[0.5, 1.0, 1.0, 1.0], [[0.5, 1.0, 1.0]]], ids=["flat", "three-columns"]
-    )
-    def test_atoms_need_shape_k_2(self, atoms):
-        with pytest.raises(ValueError, match=r"atoms must have shape \(k, 2\)"):
-            measure_from_config(atoms, TWO_PI)
-
-
 class TestBoundaryDatum:
     def test_eval_linear_and_jumps(self):
         # continuous part 0, unit step up at 0 and down at pi
@@ -259,13 +245,6 @@ class TestBoundaryDatum:
     def test_no_jumps(self, jumps):
         g = BoundaryDatum([[0.0, 1.0], [3.0, -1.0]], jumps, TWO_PI)
         assert g.jumps.shape == (0, 2)
-
-    def test_from_config(self):
-        g = datum_from_config({"samples": [[0.0, 1.0], [3.0, -1.0]]}, TWO_PI)
-        assert g.samples.tolist() == [[0.0, 1.0], [3.0, -1.0]]
-        assert g.jumps.shape == (0, 2)
-        with pytest.raises(ValueError, match="samples must have shape"):
-            datum_from_config({"samples": [0.0, 1.0, 3.0, -1.0]}, TWO_PI)
 
     def test_duplicate_across_the_seam_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -371,8 +350,8 @@ class TestRemoveCommonMass:
         f_plus = BoundaryMeasure([1.0], [2.0], TWO_PI)
         f_minus = BoundaryMeasure([2.0], [2.0], TWO_PI)
         a, b = remove_common_mass(f_plus, f_minus)
-        assert a.config() == f_plus.config()
-        assert b.config() == f_minus.config()
+        assert atom_list(a) == atom_list(f_plus)
+        assert atom_list(b) == atom_list(f_minus)
 
     def test_full_cancellation(self):
         f = BoundaryMeasure([1.0, 2.0], [1.0, 3.0], TWO_PI)
@@ -388,8 +367,8 @@ class TestRemoveCommonMass:
         )
         a1, b1 = remove_common_mass(f_plus, f_minus)
         a2, b2 = remove_common_mass(a1, b1)
-        assert a1.config() == a2.config()
-        assert b1.config() == b2.config()
+        assert atom_list(a1) == atom_list(a2)
+        assert atom_list(b1) == atom_list(b2)
 
     @pytest.mark.parametrize("plus_at_zero", [True, False])
     def test_cancellation_across_the_seam(self, plus_at_zero):
@@ -400,8 +379,8 @@ class TestRemoveCommonMass:
         a, b = remove_common_mass(
             BoundaryMeasure(near, [1.0, 1.0], TWO_PI), BoundaryMeasure(far, [1.5, 1.0], TWO_PI)
         )
-        assert a.config() == [[near[1], 1.0]]
-        assert b.config() == sorted([[far[0], 0.5], [far[1], 1.0]])
+        assert atom_list(a) == [[near[1], 1.0]]
+        assert atom_list(b) == sorted([[far[0], 0.5], [far[1], 1.0]])
 
     def test_seam_jumps_cancel(self):
         # jumps +h at 0 and -h just below 2 pi leave no derivative mass
