@@ -38,8 +38,8 @@ _GL_WEIGHTS = np.array([
 ])
 # panels of an arclength table
 _N_PANELS = 4096
-# elements in a row block of the cost matrix and of the quadratic norm's
-# temporaries
+# elements in a row block of the cost matrix, which bounds the
+# temporaries of every norm's evaluation of a block
 _BLOCK = 1 << 14
 
 
@@ -403,14 +403,8 @@ class QuadraticNorm(Norm):
     def _in_place(self, dx, dy):
         (a00, a01), (a10, a11) = self.a
         # v' A v term by term in einsum's order (the two agree bit for
-        # bit), over blocks of rows written into dx, so that each
-        # temporary holds one block
-        out, dy = np.atleast_1d(dx, dy)
-        rows = max(1, _BLOCK * len(out) // max(out.size, 1))
-        for lo in range(0, len(out), rows):
-            x, y = out[lo : lo + rows], dy[lo : lo + rows]
-            np.sqrt(a00 * x * x + a01 * x * y + a10 * y * x + a11 * y * y, out=x)
-        return dx
+        # bit); ChordCost.matrix hands over one row block at a time
+        return np.sqrt(a00 * dx * dx + a01 * dx * dy + a10 * dy * dx + a11 * dy * dy, out=dx)
 
     def rotated(self):
         return QuadraticNorm(_ROT_MINUS_90.T @ self.a @ _ROT_MINUS_90)

@@ -215,8 +215,9 @@ class TestNorms:
         assert np.array_equal(QUAD(v[..., 0], v[..., 1]), ref)
 
     def test_quadratic_matrix_peak(self):
-        # the quadratic norm writes into the difference arrays a block
-        # of rows at a time, so its cost matrix peaks as the euclidean one
+        # the cost matrix hands each norm one row block at a time, so the
+        # quadratic norm's temporaries are block-sized and its cost
+        # matrix peaks as the euclidean one
         f_plus, f_minus = mirror_cosine_measures(1000)
         peaks = []
         for norm in (EuclideanNorm(), QUAD):
