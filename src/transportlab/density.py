@@ -147,9 +147,12 @@ def time_factor(p: float, tau: float) -> float:
         return math.inf
     if p == 2.0:
         return -math.log1p(-tau)
+    if tau == 1.0:  # p < 2 here, and log1p(-1) raises
+        return 1.0 / (2.0 - p)
+    # ((1 - tau)^(2 - p) - 1) / (p - 2) without its cancellation near p = 2
     try:
-        return ((1.0 - tau) ** (2.0 - p) - 1.0) / (p - 2.0)
-    except OverflowError:  # python float powers raise where numpy's give inf
+        return math.expm1((2.0 - p) * math.log1p(-tau)) / (p - 2.0)
+    except OverflowError:  # beyond the float range
         return math.inf
 
 

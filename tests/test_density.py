@@ -156,6 +156,11 @@ class TestTimeFactor:
         assert time_factor(1.5, 1.0) == pytest.approx(2.0, rel=1e-12)
         assert time_factor(3.0, 0.5) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [2.0 - 1e-12, 2.0 + 1e-12], ids=["below", "above"])
+    def test_continuous_at_p_two(self, p):
+        # the plain closed form cancels here, 2.1e-5 off relative
+        assert abs(time_factor(p, 0.5) - math.log(2.0)) <= 1e-11
+
     def test_divergence_at_full_time(self):
         assert time_factor(2.0, 1.0) == math.inf
         assert time_factor(4.0, 1.0) == math.inf
