@@ -172,12 +172,14 @@ def load_problem(path: str) -> dict:
     return cfg
 
 
-def _build(geom, section: str, obj: dict):
+def _build(section: str, obj: dict):
     """The domain or norm of a checked section, from its kind's class.
 
     Scalars go to the class as floats, so that an int literal echoes as
     a float; a matrix goes as the nested list it is.
     """
+    from . import geom
+
     name, keys = _KINDS[section][obj["kind"]]
     values = (obj[key] for key in keys)
     return getattr(geom, name)(*(v if isinstance(v, list) else float(v) for v in values))
@@ -192,7 +194,6 @@ def _load(args):
     euclidean norm.  Malformed values raise SchemaError; boundary data
     that do not close up or balance raise InfeasibleError.
     """
-    from . import geom
     from .measures import BoundaryDatum, BoundaryMeasure
 
     cfg = load_problem(args.problem)
@@ -201,7 +202,7 @@ def _load(args):
     if args.seed is not None:
         cfg["seed"] = args.seed
     try:
-        domain, norm = (_build(geom, section, cfg[section]) for section in ("domain", "norm"))
+        domain, norm = (_build(section, cfg[section]) for section in ("domain", "norm"))
     except (TypeError, ValueError) as e:
         raise SchemaError(f"bad domain or norm: {e}")
     if "g" not in cfg and "f_plus" not in cfg:

@@ -175,14 +175,16 @@ class TestSchemaErrors:
         [
             ({"f_plus": [0.5, 1.0, 1.0, 1.0], "f_minus": [[3.0, 2.0]]}, "f_plus[0]"),
             ({"f_plus": [[0.0, 2.0]], "f_minus": [3.0, 1.0, 4.0, 1.0]}, "f_minus[0]"),
+            ({"f_plus": [[0.5, 1.0, 1.0]], "f_minus": [[3.0, 1.0]]}, "f_plus[0]"),
             ({"g": {"samples": [0.0, 1.0, 3.0, -1.0]}}, "g.samples[0]"),
             ({"g": {"samples": [[0.0, 0.0], [3.0, 1.0]], "jumps": [1.0, 0.5, 4.0, -0.5]}},
              "g.jumps[0]"),
         ],
-        ids=["f_plus", "f_minus", "samples", "jumps"],
+        ids=["f_plus", "f_minus", "three-columns", "samples", "jumps"],
     )
     def test_flat_lists_rejected(self, tmp_path, capsys, data, item):
-        # a flat list of even length once read as pairs
+        # a flat list of even length once read as pairs; a row of three
+        # is no pair either
         prob = write_problem(tmp_path, {"domain": {"kind": "disk", "radius": 1.0}, **data})
         code, out, err = run(capsys, "solve", "--problem", prob)
         assert code == 2
@@ -282,15 +284,6 @@ class TestProblemKinds:
         assert rep["entries"] == [[0, 0, 1.0], [1, 0, 2.0]]
         # chords of the unit disk: 2 sin(half the arc)
         assert rep["cost"] == pytest.approx(2 * math.sin(1.25) + 4 * math.sin(1.0), rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "atoms", [[0.5, 1.0, 1.0, 1.0], [[0.5, 1.0, 1.0]]], ids=["flat", "three-columns"]
-    )
-    def test_atoms_need_pairs(self, tmp_path, capsys, atoms):
-        prob = write_problem(tmp_path, {**pair_cfg(), "f_plus": atoms})
-        code, out, err = run(capsys, "solve", "--problem", prob)
-        assert (code, out) == (2, "")
-        assert "f_plus[0] is not a [number, number] pair" in err
 
     def test_empty_atom_list_is_infeasible(self, tmp_path, capsys):
         prob = write_problem(tmp_path, {**pair_cfg(), "f_plus": [], "f_minus": []})
