@@ -440,4 +440,3 @@ class ChordCost:
             dx = np.subtract(p[lo : lo + rows, 0, None], qx, out=out[lo : lo + rows])
             self.norm._in_place(dx, p[lo : lo + rows, 1, None] - qy)
         return out
-

@@ -322,4 +322,3 @@ def quadrature_atoms(
         k = int(np.argmin(vals))
         raise ValueError(f"density is negative ({vals[k]:.3e}) at s={mids[k]:.6f}")
     return BoundaryMeasure(mids, vals * sub, perimeter, np.full(n, sub))
-

@@ -234,12 +234,12 @@ class TestProblemKinds:
         # the echoed domain and norm, fed back, give the same report
         cfg = {**pair_cfg(), "domain": DOMAINS[domain], "norm": NORMS[norm]}
         code, first, _ = run(capsys, "solve", "--problem", write_problem(tmp_path, cfg))
+        assert code == 0
         echo = json.loads(first)["config"]
         assert (echo["domain"], echo["norm"]) == (cfg["domain"], cfg["norm"])
         again = {**cfg, "domain": echo["domain"], "norm": echo["norm"]}
         again = write_problem(tmp_path, again, "again.json")
         assert run(capsys, "solve", "--problem", again) == (0, first, "")
-        assert code == 0
 
     def test_int_literals_echo_as_floats(self, tmp_path, capsys):
         cfg = {**pair_cfg(), "domain": {"kind": "disk", "radius": 1},
