@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from oracles import dense_cost_matrix, newton_param_of_arclength
-from transportlab import geom
+from transportlab import cli, geom
+from transportlab.errors import SchemaError
 from transportlab.geom import (
     ChordCost,
     EuclideanNorm,
@@ -345,6 +346,21 @@ class TestChordCost:
         finally:
             tracemalloc.stop()
         assert peak <= C.nbytes + (1 << 20)
+
+
+class TestConfig:
+    # a radial domain lives in code alone: no problem file names one,
+    # and no report echoes one
+    def test_radial_not_serializable(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text('{"domain": {"kind": "radial"}, "f_plus": [], "f_minus": []}')
+        with pytest.raises(SchemaError):
+            cli.load_problem(str(path))
+
+    def test_radial_config_refused(self):
+        assert "RadialDomain" not in {name for name, _ in cli._KINDS["domain"].values()}
+        with pytest.raises(SchemaError, match="code-only"):
+            cli._check_kind({"domain": {"kind": "radial"}}, "domain")
 
 
 def test_gauss_legendre_literals_are_exact():

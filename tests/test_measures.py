@@ -147,6 +147,16 @@ class TestBoundaryMeasure:
         assert math.copysign(1.0, m.sublength[0]) == 1.0
 
 
+class TestMeasureFromConfig:
+    # atom lists as a problem file gives them: [position, mass] pairs
+    @pytest.mark.parametrize(
+        "atoms", [[0.5, 1.0, 1.0, 1.0], [[0.5, 1.0, 1.0]]], ids=["flat", "three-columns"]
+    )
+    def test_atoms_need_shape_k_2(self, atoms):
+        with pytest.raises(ValueError, match=r"atoms must have shape \(k, 2\)"):
+            measures._pairs(atoms, "atoms")
+
+
 class TestBoundaryDatum:
     def test_eval_linear_and_jumps(self):
         # continuous part 0, unit step up at 0 and down at pi
