@@ -167,11 +167,25 @@ class Domain:
             a.setflags(write=False)
         return ring
 
+    def cell_mask(self, key, centers) -> np.ndarray:
+        """``contains`` of a grid's cell centers, shape (ny, nx): a
+        read-only array kept for the last grid geometry ``key`` asked
+        about.  ``centers()`` gives the centers, shape (ny, nx, 2), when
+        the key is new."""
+        kept = self.__dict__.get("_cell_mask")
+        if kept is None or kept[0] != key:
+            c = centers()
+            mask = self.contains(c.reshape(-1, 2)).reshape(c.shape[:-1])
+            mask.setflags(write=False)
+            kept = self._cell_mask = (key, mask)
+        return kept[1]
+
     def __getstate__(self):
-        # a copy or an unpickled domain rebuilds its own read-only ring;
-        # pickle would hand it writeable arrays
+        # a copy or an unpickled domain rebuilds its own read-only ring
+        # and mask; pickle would hand it writeable arrays
         state = self.__dict__.copy()
         state.pop("trace_ring", None)
+        state.pop("_cell_mask", None)
         return state
 
     def contains(self, points) -> np.ndarray:

@@ -186,29 +186,36 @@ def crossing_field(centers, anchor, seg_a, seg_b, mass, inside, normal):
     xs = centers[0, :, 0]
     ys = centers[:, 0, 1]
     anchor_left = _left_of(d, p0 - a)
-    out = np.empty((ny, nx))
+    outside = ~inside
 
-    # inside: one step per (row, non-horizontal chord) at x* on its line
+    # inside: one step per (row, non-horizontal chord) at x* on its line,
+    # computed chord by chord: down the rows a chord's x* is monotone,
+    # which the binary searches of searchsorted exploit
     slanted = d[:, 1] != 0.0
     ds, a_s = d[slanted], a[slanted]
-    x_star = a_s[:, 0] + (ys[:, None] - a_s[:, 1]) * (ds[:, 0] / ds[:, 1])
-    col = np.searchsorted(xs, x_star.ravel(), side="left").reshape(ny, -1)
+    k = len(ds)
+    x_star = np.subtract(ys, a_s[:, 1, None])
+    x_star *= (ds[:, 0] / ds[:, 1])[:, None]
+    x_star += a_s[:, 0, None]
+    col = np.searchsorted(xs, x_star.ravel(), side="left").reshape(k, ny)
     # left of the line before the step when the chord points up, after it
     # when it points down
     up = ds[:, 1] > 0.0
     step = np.where(up, -mass[slanted], mass[slanted])
     level = ~slanted
     row_left = _left_of(d[level], centers[:, :1] - a[level])
-    # column 0 of each row starts from the mass left of the row's first step
-    base = mass[slanted][up].sum() + row_left @ mass[level]
-    rows = np.arange(ny)[:, None] * (nx + 1)
-    steps = np.bincount(
-        np.concatenate([rows[:, 0], (rows + col).ravel()]),
-        weights=np.concatenate([base, np.broadcast_to(step, col.shape).ravel()]),
-        minlength=ny * (nx + 1),
-    ).reshape(ny, nx + 1)
-    left_mass = np.cumsum(steps, axis=1)[:, :nx]
-    out[inside] = (mass @ anchor_left - left_mass)[inside]
+    # the bincount sums in this order, row bases first and then each
+    # row's steps chord by chord; column 0 of each row starts from the
+    # mass left of the row's first step
+    rows = np.arange(ny) * (nx + 1)
+    at = np.empty(ny * (k + 1), dtype=np.intp)
+    at[:ny] = rows
+    np.add(col.T, rows[:, None], out=at[ny:].reshape(ny, k))
+    weights = np.empty(ny * (k + 1))
+    np.add(mass[slanted][up].sum(), row_left @ mass[level], out=weights[:ny])
+    weights[ny:].reshape(ny, k)[:] = step
+    steps = np.bincount(at, weights=weights, minlength=ny * (nx + 1)).reshape(ny, nx + 1)
+    out = np.subtract(mass @ anchor_left, np.cumsum(steps, axis=1)[:, :nx])
 
     # outside: [lo < theta < hi] = [lo < theta] - [hi <= theta], each read
     # off a cumulative sum over the chords sorted by that endpoint angle
@@ -220,13 +227,13 @@ def crossing_field(centers, anchor, seg_a, seg_b, mass, inside, normal):
     ang = np.stack([angle(a - p0), angle(b - p0)])
     lo, hi = ang.min(axis=0), ang.max(axis=0)
     w = np.where(anchor_left, mass, -mass)
-    theta = angle(centers[~inside] - p0)
+    theta = angle(centers[outside] - p0)
     field = np.zeros(theta.shape)
     for edge, side, sign in ((lo, "left", 1.0), (hi, "right", -1.0)):
         order = np.argsort(edge, kind="stable")
         cum = np.concatenate([[0.0], np.cumsum(w[order])])
         field += sign * cum[np.searchsorted(edge[order], theta, side=side)]
-    out[~inside] = field
+    out[outside] = field
     return out
 
 

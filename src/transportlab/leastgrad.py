@@ -69,23 +69,26 @@ def reconstruct_u(
         float(anchor_s), ends, domain, clear=1e-8 * domain.diameter
     )
     u0 = float(g.eval(anchor_s)[0])
+    centers = grid.centers()
     acc = kernels.crossing_field(
-        grid.centers(),
+        centers,
         anchor,
         seg_a,
         seg_b,
         mass,
-        interior_mask(grid, domain),
+        interior_mask(grid, domain, centers),
         normal,
     )
     out.values[:] = u0 + acc
     return out
 
 
-def interior_mask(grid: GridField, domain: Domain) -> np.ndarray:
-    """Cells whose centers lie in the closed domain."""
-    c = grid.centers().reshape(-1, 2)
-    return domain.contains(c).reshape(grid.ny, grid.nx)
+def interior_mask(grid: GridField, domain: Domain, centers=None) -> np.ndarray:
+    """Cells whose centers lie in the closed domain: a read-only array
+    that the domain keeps for the last grid geometry it was asked about.
+    ``centers`` are the grid's ``centers()``, if the caller has them."""
+    key = (tuple(grid.origin), grid.cell, grid.nx, grid.ny)
+    return domain.cell_mask(key, grid.centers if centers is None else lambda: centers)
 
 
 def gradient_norm_field(u: GridField, phi: Norm, domain: Domain) -> GridField:
@@ -96,16 +99,19 @@ def gradient_norm_field(u: GridField, phi: Norm, domain: Domain) -> GridField:
     """
     if u.kind != "function":
         raise ValueError("gradient_norm_field expects a function field")
-    h = u.cell
-    gx = np.zeros_like(u.values)
-    gy = np.zeros_like(u.values)
-    gx[:, :-1] = (u.values[:, 1:] - u.values[:, :-1]) / h
-    gy[:-1, :] = (u.values[1:, :] - u.values[:-1, :]) / h
-    vals = phi(gx, gy)
-    vals[~interior_mask(u, domain)] = 0.0
-    out = u.copy_empty(kind="density")
-    out.values[:] = vals
-    return out
+    # the mask first: a new grid geometry builds it from the centers,
+    # which then need not be held beside the differences
+    outside = ~interior_mask(u, domain)
+    v, h = u.values, u.cell
+    gx = np.zeros_like(v)
+    gy = np.zeros_like(v)
+    np.subtract(v[:, 1:], v[:, :-1], out=gx[:, :-1])
+    np.subtract(v[1:, :], v[:-1, :], out=gy[:-1, :])
+    gx /= h
+    gy /= h
+    vals = phi._in_place(gx, gy)
+    vals[outside] = 0.0
+    return GridField(u.origin, u.cell, u.nx, u.ny, vals, kind="density")
 
 
 def total_variation(u: GridField, phi: Norm, domain: Domain) -> float:

@@ -209,6 +209,35 @@ def dense_cost_matrix(cost, sources, targets):
     return cost.norm._in_place(dx, dy)
 
 
+def one_array_interior_field(centers, anchor, seg_a, seg_b, mass):
+    """The interior values of ``kernels.crossing_field`` from one (ny, k)
+    array of x* and one concatenated bincount input: the reference for
+    the field built chord by chord into preallocated arrays.  Only the
+    cells in the domain hold the kernel's values."""
+    from transportlab.kernels import _left_of
+
+    ny, nx = centers.shape[:2]
+    xs, ys = centers[0, :, 0], centers[:, 0, 1]
+    d = seg_b - seg_a
+    slanted = d[:, 1] != 0.0
+    ds, a_s = d[slanted], seg_a[slanted]
+    x_star = a_s[:, 0] + (ys[:, None] - a_s[:, 1]) * (ds[:, 0] / ds[:, 1])
+    col = np.searchsorted(xs, x_star.ravel(), side="left").reshape(ny, -1)
+    up = ds[:, 1] > 0.0
+    step = np.where(up, -mass[slanted], mass[slanted])
+    level = ~slanted
+    row_left = _left_of(d[level], centers[:, :1] - seg_a[level])
+    base = mass[slanted][up].sum() + row_left @ mass[level]
+    rows = np.arange(ny)[:, None] * (nx + 1)
+    steps = np.bincount(
+        np.concatenate([rows[:, 0], (rows + col).ravel()]),
+        weights=np.concatenate([base, np.broadcast_to(step, col.shape).ravel()]),
+        minlength=ny * (nx + 1),
+    ).reshape(ny, nx + 1)
+    anchor_left = _left_of(d, anchor - seg_a)
+    return mass @ anchor_left - np.cumsum(steps, axis=1)[:, :nx]
+
+
 def interleaved_pairs(s_a, s_b):
     """Pairs (p, q), p < q, of chords whose ends strictly interleave in
     arclength order, by testing every pair: the definition that

@@ -1,10 +1,12 @@
-"""Each boundary arclength is inverted once.
+"""Each boundary arclength is inverted once, each grid mask built once.
 
 On ellipses and radial domains a boundary point x(s) costs a Newton
 inversion of the arclength table.  A transport solve inverts its source
-and target positions once, for the costs and the plan's chords alike,
-and a domain inverts its trace ring once.  Reusing an inversion must not
-change a bit of any result, so every comparison here is exact.
+and target positions once, together, for the costs and the plan's chords
+alike, and a domain inverts its trace ring once.  A domain also keeps the
+interior mask of the last grid geometry it was asked about.  Reusing an
+inversion or a mask must not change a bit of any result, so every
+comparison here is exact.
 """
 
 import copy
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from transportlab import geom
-from transportlab.density import grid_for_domain
+from transportlab.density import GridField, grid_for_domain
 from transportlab.geom import (
     ChordCost,
     EuclideanNorm,
@@ -26,7 +28,7 @@ from transportlab.geom import (
     radial,
 )
 from transportlab.instances import smooth_arc_instance
-from transportlab.leastgrad import solve_least_gradient
+from transportlab.leastgrad import gradient_norm_field, interior_mask, solve_least_gradient
 from transportlab.measures import BoundaryDatum
 from transportlab.ot import solve_kantorovich
 
@@ -73,19 +75,91 @@ class TestInversionCounts:
         g = smooth_datum(dom, 120)
         inversions.clear()
         solve_least_gradient(g, dom, EuclideanNorm(), grid_for_domain(dom, 32))
-        # sources, targets, the anchor and the trace ring
-        assert len(inversions) == 4
+        # sources and targets together, the anchor and the trace ring
+        assert len(inversions) == 3
         inversions.clear()
         solve_least_gradient(g, dom, EuclideanNorm(), grid_for_domain(dom, 32))
         # the ring is the domain's, built by the first solve
-        assert len(inversions) == 3
+        assert len(inversions) == 2
 
     def test_transport_solve(self, inversions):
         dom = ellipse(2.0, 1.0)
         f_plus, f_minus = smooth_arc_instance(np.random.default_rng(3), dom, 60)
         inversions.clear()
         solve_kantorovich(f_plus, f_minus, ChordCost(dom, EuclideanNorm()))
-        assert inversions == [len(f_plus), len(f_minus)]
+        # both sides in one call
+        assert inversions == [len(f_plus) + len(f_minus)]
+
+
+class TestGridOnce:
+    def test_least_gradient_solve(self, monkeypatch):
+        # a solve builds the centers once and the mask once; another
+        # solve and the gradient field on the same grid reuse the mask
+        dom = ellipse(1.5, 1.0)
+        g = smooth_datum(dom, 120)
+        grid = grid_for_domain(dom, 32)
+        calls = []
+        for owner, name in ((GridField, "centers"), (type(dom), "contains")):
+            def counted(*args, _fn=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        res = solve_least_gradient(g, dom, EuclideanNorm(), grid)
+        assert calls == ["centers", "contains"]
+        calls.clear()
+        solve_least_gradient(g, dom, EuclideanNorm(), grid)
+        gradient_norm_field(res.u, EuclideanNorm(), dom)
+        assert calls == ["centers"]
+
+
+@pytest.mark.parametrize("domain", DOMAINS.values(), ids=DOMAINS.keys())
+class TestCellMask:
+    def test_equals_fresh_contains(self, domain):
+        grid = grid_for_domain(domain, 40)
+        mask = interior_mask(grid, domain)
+        assert np.array_equal(mask, domain.contains(grid.centers()))
+        assert mask.shape == (grid.ny, grid.nx)
+        assert interior_mask(grid, domain) is mask
+        # an equal geometry in another field is the same key
+        assert interior_mask(grid.copy_empty(kind="function"), domain) is mask
+
+    def test_read_only(self, domain):
+        mask = interior_mask(grid_for_domain(domain, 40), domain)
+        with pytest.raises(ValueError):
+            mask[0, 0] = not mask[0, 0]
+
+    def test_new_geometry_replaces(self, domain):
+        first, second = grid_for_domain(domain, 40), grid_for_domain(domain, 41)
+        mask = interior_mask(first, domain)
+        other = interior_mask(second, domain)
+        assert np.array_equal(other, domain.contains(second.centers()))
+        again = interior_mask(first, domain)
+        assert again is not mask and np.array_equal(again, mask)
+        # the origin is part of the key
+        shifted = GridField(
+            (first.origin[0] + first.cell, first.origin[1]), first.cell, first.nx,
+            first.ny, np.zeros((first.ny, first.nx)),
+        )
+        assert np.array_equal(
+            interior_mask(shifted, domain), domain.contains(shifted.centers())
+        )
+
+
+# a radial domain holds its profile function, which need not pickle
+@pytest.mark.parametrize("kind", ["disk", "ellipse"])
+@pytest.mark.parametrize("route", ["deepcopy", "pickle"])
+def test_copied_mask_is_rebuilt(kind, route):
+    domain = DOMAINS[kind]
+    grid = grid_for_domain(domain, 40)
+    mask = interior_mask(grid, domain)
+    if route == "deepcopy":
+        twin = copy.deepcopy(domain)
+    else:
+        twin = pickle.loads(pickle.dumps(domain))
+    again = interior_mask(grid, twin)
+    assert again is not mask and not again.flags.writeable
+    assert np.array_equal(again, mask)
 
 
 @pytest.mark.parametrize("domain", DOMAINS.values(), ids=DOMAINS.keys())

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import interleaved_pairs, northwest_solve, plain_lifo_basis, simplex_limits
+from oracles import (
+    interleaved_pairs,
+    northwest_solve,
+    one_array_interior_field,
+    plain_lifo_basis,
+    simplex_limits,
+)
 from transportlab import kernels, simplex
 from transportlab.cex import build_arcs, run_counterexample
 from transportlab.density import grid_for_domain
@@ -475,6 +481,32 @@ class TestCrossingField:
             for s0 in (0.0, 0.37 * per):
                 s, _, _ = _generic_anchor(s0, ends, domain, clear=1e-8 * domain.diameter)
                 self._compare_on_grid(domain, a, b, plan.mass, s, 64)
+
+    @pytest.mark.parametrize(
+        "domain", [disk(1.0), ellipse(1.5, 1.0)], ids=["disk", "ellipse"]
+    )
+    def test_interior_equals_one_array_form(self, domain):
+        # x* chord by chord and the bincount inputs written in place sum
+        # the same floats in the same order as the broadcast arrays did
+        per = domain.perimeter
+        jumps = np.array([[0.1 * per, 0.8], [0.55 * per, -0.8]])
+        for g in (smooth_datum(domain, 160), smooth_datum(domain, 160, jumps)):
+            plan = solve_least_gradient(
+                g, domain, EuclideanNorm(), grid_for_domain(domain, 8)
+            ).plan
+            a, b = plan.entry_segments()
+            # a horizontal and a vertical chord join the plan's rays
+            a = np.concatenate([a, [[-0.5, 0.25], [0.3, -0.6]]])
+            b = np.concatenate([b, [[0.5, 0.25], [0.3, 0.6]]])
+            mass = np.concatenate([plan.mass, [0.7, 0.4]])
+            grid = grid_for_domain(domain, 61)
+            centers, inside = grid.centers(), interior_mask(grid, domain)
+            s, anchor, normal = _generic_anchor(
+                0.2 * per, np.concatenate([a, b]), domain, clear=1e-8 * domain.diameter
+            )
+            field = kernels.crossing_field(centers, anchor, a, b, mass, inside, normal)
+            ref = one_array_interior_field(centers, anchor, a, b, mass)
+            assert np.array_equal(field[inside], ref[inside])
 
     def test_horizontal_and_vertical_rays(self):
         dom = disk(1.0)

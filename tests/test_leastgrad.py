@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from transportlab.density import grid_for_domain
-from transportlab.geom import EuclideanNorm, disk
+from transportlab.geom import EuclideanNorm, LqNorm, QuadraticNorm, disk
 from transportlab.instances import cosine_datum
 from transportlab.leastgrad import (
     gradient_norm_field,
@@ -156,6 +157,50 @@ class TestVariation:
         assert gf.kind == "density"
         with pytest.raises(ValueError):
             gradient_norm_field(gf, EuclideanNorm(), DISK)
+
+    @pytest.mark.parametrize(
+        "phi", [EuclideanNorm(), LqNorm(3.0), QuadraticNorm([[2.0, 0.3], [0.3, 1.0]])],
+        ids=["euclidean", "lq3", "quadratic"],
+    )
+    def test_gradient_field_is_phi_of_differences(self, phi):
+        # the forward differences over h, phi of them, zero outside; u
+        # is left as it was
+        domain = disk(1.0)
+        u = grid_for_domain(domain, 40).copy_empty(kind="function")
+        u.values[:] = np.random.default_rng(2).normal(size=u.values.shape)
+        before = u.values.copy()
+        gx = np.zeros_like(before)
+        gy = np.zeros_like(before)
+        gx[:, :-1] = (before[:, 1:] - before[:, :-1]) / u.cell
+        gy[:-1, :] = (before[1:, :] - before[:-1, :]) / u.cell
+        want = phi(gx, gy)
+        want[~domain.contains(u.centers())] = 0.0
+        gf = gradient_norm_field(u, phi, domain)
+        assert np.array_equal(gf.values, want)
+        assert (gf.origin, gf.cell, gf.nx, gf.ny) == (u.origin, u.cell, u.nx, u.ny)
+        assert np.array_equal(u.values, before)
+
+    @pytest.mark.parametrize(
+        "phi", [EuclideanNorm(), QuadraticNorm([[2.0, 0.3], [0.3, 1.0]])],
+        ids=["euclidean", "quadratic"],
+    )
+    @pytest.mark.parametrize("warm", [False, True], ids=["new-grid", "kept-mask"])
+    def test_gradient_field_peak(self, phi, warm):
+        # the two differences, the norm's temporaries and the mask: at
+        # most five field-sized arrays, whether or not the domain has the
+        # grid's mask yet
+        domain = disk(1.0)
+        u = grid_for_domain(domain, 512).copy_empty(kind="function")
+        u.values[:] = np.random.default_rng(4).normal(size=u.values.shape)
+        if warm:
+            interior_mask(u, domain)
+        tracemalloc.start()
+        try:
+            gradient_norm_field(u, phi, domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * u.values.nbytes
 
     def test_total_variation_additive_in_height(self):
         grid = grid_for_domain(DISK, 128)
