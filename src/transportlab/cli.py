@@ -80,6 +80,12 @@ def _check_kind(cfg: dict, section: str) -> None:
     missing = [key for key in keys if key not in obj]
     if missing:
         raise SchemaError(f"{section} of kind {kind!r} needs {missing}")
+    # every key is a number but the quadratic norm's matrix; type() and
+    # not isinstance(), as bool is a subclass of int
+    for key in keys:
+        value = obj[key]
+        if (kind, key) != ("quadratic", "a") and type(value) not in (int, float):
+            raise SchemaError(f"{section}.{key} must be a number, not {json.dumps(value)}")
 
 
 def _finite(convert):
@@ -160,7 +166,8 @@ def load_problem(path: str) -> dict:
         type(cfg["quadrature"]) is not int or cfg["quadrature"] < 1
     ):
         raise SchemaError("quadrature must be a positive integer")
-    if "seed" in cfg and type(cfg["seed"]) is not int:
+    # null is no seed, as a report echoes a run without one
+    if cfg.get("seed") is not None and type(cfg["seed"]) is not int:
         raise SchemaError("seed must be an integer")
     for key in ("domain", "norm", "g", "f_plus", "f_minus"):
         if key in cfg:
@@ -176,7 +183,7 @@ def _build(section: str, obj: dict):
     """The domain or norm of a checked section, from its kind's class.
 
     Scalars go to the class as floats, so that an int literal echoes as
-    a float; a matrix goes as the nested list it is.
+    a float; the quadratic norm's matrix goes as the nested list it is.
     """
     from . import geom
 

@@ -231,15 +231,39 @@ class TestProblemKinds:
     @pytest.mark.parametrize("norm", NORMS)
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_echo_round_trip(self, tmp_path, capsys, domain, norm):
-        # the echoed domain and norm, fed back, give the same report
+        # the whole echoed config, fed back, gives the same report; a run
+        # without a seed echoes "seed": null
         cfg = {**pair_cfg(), "domain": DOMAINS[domain], "norm": NORMS[norm]}
-        code, first, _ = run(capsys, "solve", "--problem", write_problem(tmp_path, cfg))
-        assert code == 0
-        echo = json.loads(first)["config"]
-        assert (echo["domain"], echo["norm"]) == (cfg["domain"], cfg["norm"])
-        again = {**cfg, "domain": echo["domain"], "norm": echo["norm"]}
-        again = write_problem(tmp_path, again, "again.json")
-        assert run(capsys, "solve", "--problem", again) == (0, first, "")
+        prob = write_problem(tmp_path, cfg)
+        for flag, seed in (([], None), (["--seed", "7"], 7)):
+            code, first, _ = run(capsys, "solve", "--problem", prob, *flag)
+            assert code == 0
+            echo = json.loads(first)["config"]
+            assert (echo["domain"], echo["norm"]) == (cfg["domain"], cfg["norm"])
+            assert echo["seed"] == seed
+            again = write_problem(tmp_path, echo, "again.json")
+            assert run(capsys, "solve", "--problem", again) == (0, first, "")
+
+    @pytest.mark.parametrize(
+        "section, value, key",
+        [
+            ("domain", {"kind": "disk", "radius": "1.5"}, "domain.radius"),
+            ("domain", {"kind": "disk", "radius": [1]}, "domain.radius"),
+            ("domain", {"kind": "ellipse", "a": 2.0, "b": "1"}, "domain.b"),
+            ("domain", {"kind": "ellipse", "a": [2.0], "b": 1.0}, "domain.a"),
+            ("norm", {"kind": "lq", "q": "2.5"}, "norm.q"),
+            ("norm", {"kind": "lq", "q": [3]}, "norm.q"),
+            ("norm", {"kind": "lq", "q": None}, "norm.q"),
+        ],
+        ids=["radius-string", "radius-list", "b-string", "a-list", "q-string", "q-list",
+             "q-null"],
+    )
+    def test_scalar_must_be_a_number(self, tmp_path, capsys, section, value, key):
+        # only the quadratic norm's a takes a matrix
+        prob = write_problem(tmp_path, {**pair_cfg(), section: value})
+        code, out, err = run(capsys, "solve", "--problem", prob)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"schema error: {key} must be a number, not ")
 
     def test_int_literals_echo_as_floats(self, tmp_path, capsys):
         cfg = {**pair_cfg(), "domain": {"kind": "disk", "radius": 1},
