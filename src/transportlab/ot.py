@@ -196,9 +196,8 @@ def solve_kantorovich(
     # each position is inverted once, for the costs and the plan's chords,
     # and both sides in one call: an inversion is elementwise, so the
     # points are those of two calls
-    P, Q = np.split(
-        cost.domain.boundary_point(np.concatenate([f_plus.s, f_minus.s])), [len(f_plus)]
-    )
+    PQ = cost.domain.boundary_point(np.concatenate([f_plus.s, f_minus.s]))
+    P, Q = PQ[: len(f_plus)], PQ[len(f_plus) :]
     C = cost.matrix(P, Q)
     bi, bj, f, u, v, start, iters = simplex.solve_transport(
         C, a, b, s_a=f_plus.s, s_b=f_minus.s
