@@ -404,14 +404,13 @@ def cmd_lsg(args) -> int:
         density_mod.grid_for_domain(domain, n),
         n_quad=cfg["quadrature"],
     )
-    gfield = leastgrad.gradient_norm_field(res.u, norm, domain)
     report = _base_report("lsg", cfg.get("seed"))
     report["config"] = _resolved_config(cfg, domain, norm, grid_n=n)
     # a constant datum moves nothing and runs no solver
     report["solver"] = None if res.plan is None else res.plan.stats.config()
     report.update(
         cost=res.cost, tv=res.tv, trace_error=res.trace_err,
-        lp_norms={str(p): density_mod.lp_norm(gfield, p) for p in (1.5, 2.0)},
+        lp_norms={str(p): density_mod.lp_norm(res.grad, p) for p in (1.5, 2.0)},
     )
     files = {}
     if args.out:

@@ -22,42 +22,53 @@ MAX_VISITS = 1 << 14
 
 def _cell_index(coord, origin, cell, n):
     """Index of the grid cell holding each coordinate, clamped to [0, n-1]."""
-    return np.clip(np.floor((coord - origin) / cell), 0, n - 1).astype(np.int64)
+    # np.clip's values, from plain ufuncs into one temporary
+    x = np.subtract(coord, origin)
+    x /= cell
+    np.floor(x, out=x)
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, n - 1, out=x)
+    return x.astype(np.int64)
 
 
 def _split(lo, hi, i0, i1, p0, d, origin, cell):
     """Cut t-intervals into one piece per grid cell along one axis.
 
     Interval q runs over [lo[q], hi[q]] of the line p0[q] + t * d[q] and
-    through cells i0[q] .. i1[q] in order.  Returns the number of pieces
-    per interval and, per piece, the cell index and the t-bounds.  A
-    piece ends at the t of the grid line to the next cell, clipped to
-    [lo, hi]; the interval's last piece ends at hi and each piece starts
-    where the one before ended (the first at lo).  So pieces tile their
-    interval and never have negative length.
+    through cells i0[q] .. i1[q] in order; ``lo`` and ``hi`` may be
+    scalars shared by every interval.  Returns the number of pieces per
+    interval, the first piece of each interval and whether it runs up
+    (i1 > i0), and per piece its line index and its end t.  A piece ends
+    at the t of the grid line to the next cell, clipped to [lo, hi]; the
+    interval's last piece ends at hi and each piece starts where the one
+    before ended (the first at lo).  So pieces tile their interval and
+    never have negative length.
 
-    The pieces of one interval are contiguous, so per-piece copies of
-    per-interval values are repeats, never gathers, and the cell index
-    is exact integer arithmetic on the running piece number.
+    The line index is the piece's cell index plus ``up``: the grid line
+    it leaves its cell by, at ``line * cell + origin``.  The pieces of
+    one interval are contiguous, so per-piece copies of per-interval
+    values are repeats, never gathers, and the line index is exact
+    integer arithmetic on the running piece number.
     """
     step = np.sign(i1 - i0)
     count = np.abs(i1 - i0) + 1
     end = count.cumsum()
     first = end - count
-    rstep = step.repeat(count)
-    idx = (i0 - first * step).repeat(count) + np.arange(end[-1]) * rstep
-    line = origin + (idx + (rstep > 0)) * cell
-    # only a last piece can divide by d == 0, and hi overwrites it below;
-    # two passes clip to [lo, hi] faster than np.clip with array bounds
+    up = step > 0
+    line = np.arange(end[-1])
+    line *= step.repeat(count)
+    line += (i0 - first * step + up).repeat(count)
+    t = line * cell
+    t += origin
+    bounds = (lo, hi) if np.ndim(lo) == 0 else (lo.repeat(count), hi.repeat(count))
+    # only a last piece can divide by d == 0, and hi overwrites it below
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_out = (line - p0.repeat(count)) / d.repeat(count)
-        np.maximum(lo.repeat(count), t_out, out=t_out)
-        np.minimum(hi.repeat(count), t_out, out=t_out)
-    t_out[end - 1] = hi
-    t_in = np.empty_like(t_out)
-    t_in[1:] = t_out[:-1]
-    t_in[first] = lo
-    return count, idx, t_in, t_out
+        t -= p0.repeat(count)
+        t /= d.repeat(count)
+        np.maximum(bounds[0], t, out=t)
+        np.minimum(bounds[1], t, out=t)
+    t[end - 1] = hi
+    return count, first, up, line, t
 
 
 def deposit_segments(values, origin, cell, start, end, weight):
@@ -73,11 +84,15 @@ def deposit_segments(values, origin, cell, start, end, weight):
     Each segment is cut at the horizontal grid lines into rows, and each
     row piece at the vertical lines into cells (the Amanatides-Woo
     traversal, batched); a segment visits |rows crossed| + |columns
-    crossed| + 1 cells.  Per-piece values are repeats of per-segment and
-    per-row values, with no gathers.  Segments go in chunks of at most
-    ``MAX_VISITS`` visits (a longer segment goes alone), and the pieces
-    are summed by ``np.bincount`` in a fixed order, so the result is
-    reproducible bit for bit.
+    crossed| + 1 cells.  A row piece starts where the one before it
+    ended, so its first column is the last column of the row piece
+    before it (the segment's first is its start's column).  Per-piece
+    values are repeats of per-segment and per-row values, with no
+    gathers, and the ``bincount`` column of a piece is its line index
+    plus its row piece's base, which takes ``up`` off again.  Segments
+    go in chunks of at most ``MAX_VISITS`` visits (a longer segment goes
+    alone), and the pieces are summed by ``np.bincount`` in a fixed
+    order, so the result is reproducible bit for bit.
     """
     ny, nx = values.shape
     ox, oy = float(origin[0]), float(origin[1])
@@ -99,23 +114,34 @@ def deposit_segments(values, origin, cell, start, end, weight):
         base = cum[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(cum, base + MAX_VISITS, side="right")))
         part = slice(lo, hi)
-        n = hi - lo
-        rc, row, t0, t1 = _split(
-            np.zeros(n), np.ones(n), r0[part], r1[part], y0[part], dy[part], oy, cell
-        )
+        ra, rb = r0[part], r1[part]
+        rc, rfirst, rup, row, t1 = _split(0.0, 1.0, ra, rb, y0[part], dy[part], oy, cell)
+        t0 = np.empty_like(t1)
+        t0[1:] = t1[:-1]
+        t0[rfirst] = 0.0
         xs, xd = x0[part].repeat(rc), dx[part].repeat(rc)
-        cc, col, t_in, t_out = _split(
-            t0, t1,
-            _cell_index(xs + t0 * xd, ox, cell, nx),
-            _cell_index(xs + t1 * xd, ox, cell, nx),
-            xs, xd, ox, cell,
-        )
-        # sum over the rows this chunk spans only, not the whole grid
-        r_lo, r_hi = row.min(), row.max() + 1
+        x1 = t1 * xd
+        x1 += xs
+        c_out = _cell_index(x1, ox, cell, nx)
+        c_in = np.empty_like(c_out)
+        c_in[1:] = c_out[:-1]
+        c_in[rfirst] = c0[part]
+        cc, cfirst, cup, col, t = _split(t0, t1, c_in, c_out, xs, xd, ox, cell)
+        length = np.empty_like(t)
+        np.subtract(t[1:], t[:-1], out=length[1:])
+        length[cfirst] = t[cfirst] - t0
+        length *= w[part].repeat(rc).repeat(cc)
+        # sum over the rows this chunk spans only, not the whole grid; a
+        # row piece's base is (row - r_lo) * nx - up of its column split
+        r_lo = min(ra.min(), rb.min())
+        r_hi = max(ra.max(), rb.max()) + 1
+        row -= rup.repeat(rc)
+        row -= r_lo
+        row *= nx
+        row -= cup
+        col += row.repeat(cc)
         values[r_lo:r_hi] += np.bincount(
-            ((row - r_lo) * nx).repeat(cc) + col,
-            weights=(t_out - t_in) * w[part].repeat(rc).repeat(cc),
-            minlength=(r_hi - r_lo) * nx,
+            col, weights=length, minlength=(r_hi - r_lo) * nx
         ).reshape(-1, nx)
         lo = hi
     return values

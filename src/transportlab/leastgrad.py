@@ -114,9 +114,15 @@ def gradient_norm_field(u: GridField, phi: Norm, domain: Domain) -> GridField:
     return GridField(u.origin, u.cell, u.nx, u.ny, vals, kind="density")
 
 
-def total_variation(u: GridField, phi: Norm, domain: Domain) -> float:
-    """Anisotropic TV over cells with centers in the domain."""
-    return gradient_norm_field(u, phi, domain).integral()
+def total_variation(
+    u: GridField, phi: Norm, domain: Domain, grad: GridField | None = None
+) -> float:
+    """Anisotropic TV over cells with centers in the domain: the integral
+    of ``gradient_norm_field(u, phi, domain)``, which a caller that has
+    already built it passes as ``grad``."""
+    if grad is None:
+        grad = gradient_norm_field(u, phi, domain)
+    return grad.integral()
 
 
 def trace_error(u: GridField, g: BoundaryDatum, domain: Domain) -> float:
@@ -134,6 +140,7 @@ class LeastGradientResult:
     """Everything the least-gradient pipeline produces."""
 
     u: GridField
+    grad: GridField  # gradient_norm_field(u, phi, domain)
     plan: TransportPlan
     cost: float
     tv: float
@@ -149,8 +156,9 @@ def solve_least_gradient(
 ) -> LeastGradientResult:
     """Full pipeline: datum -> derivative -> transport -> u.
 
-    u, its TV and its trace error are computed on the given grid's cell
-    centers; ``density.grid_for_domain`` builds one over the domain.
+    u, its gradient norm field, its TV and its trace error are computed
+    on the given grid's cell centers; ``density.grid_for_domain`` builds
+    one over the domain.
     The transport cost is phi turned by a quarter, so the plan cost
     equals the anisotropic TV of the minimizer.  n_quad is the number
     of derivative atoms per linear piece of g; finely sampled data
@@ -170,10 +178,12 @@ def solve_least_gradient(
         (seg_a, seg_b), mass = plan.entry_segments(), plan.mass
     # positional: pipebench's tracer counts the rays as len(args[0])
     u = reconstruct_u(seg_a, seg_b, mass, g, grid, domain)
+    grad = gradient_norm_field(u, phi, domain)
     return LeastGradientResult(
         u=u,
+        grad=grad,
         plan=plan,
         cost=cost,
-        tv=total_variation(u, phi, domain),
+        tv=total_variation(u, phi, domain, grad),
         trace_err=trace_error(u, g, domain),
     )

@@ -4,19 +4,21 @@ On ellipses and radial domains a boundary point x(s) costs a Newton
 inversion of the arclength table.  A transport solve inverts its source
 and target positions once, together, for the costs and the plan's chords
 alike, and a domain inverts its trace ring once.  A domain also keeps the
-interior mask of the last grid geometry it was asked about.  Reusing an
-inversion or a mask must not change a bit of any result, so every
-comparison here is exact.
+interior mask of the last grid geometry it was asked about, and a
+least-gradient solve builds its gradient norm field once, for its TV and
+the CLI's L^p norms alike.  Reusing an inversion, a mask or a field must
+not change a bit of any result, so every comparison here is exact.
 """
 
 import copy
+import json
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from transportlab import geom
+from transportlab import cli, geom, leastgrad
 from transportlab.density import GridField, grid_for_domain
 from transportlab.geom import (
     ChordCost,
@@ -111,6 +113,35 @@ class TestGridOnce:
         solve_least_gradient(g, dom, EuclideanNorm(), grid)
         gradient_norm_field(res.u, EuclideanNorm(), dom)
         assert calls == ["centers"]
+
+    def test_least_gradient_result_holds_the_gradient_field(self):
+        dom = ellipse(1.5, 1.0)
+        grid = grid_for_domain(dom, 32)
+        res = solve_least_gradient(smooth_datum(dom, 120), dom, EuclideanNorm(), grid)
+        fresh = gradient_norm_field(res.u, EuclideanNorm(), dom)
+        assert np.array_equal(res.grad.values, fresh.values)
+        assert res.tv == fresh.integral()
+
+    def test_cli_lsg_builds_the_gradient_field_once(self, tmp_path, capsys, monkeypatch):
+        # the report's TV and its L^p norms read one field
+        calls = []
+        build = leastgrad.gradient_norm_field
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(leastgrad, "gradient_norm_field", counted)
+        g = smooth_datum(ellipse(1.5, 1.0), 120)
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "domain": {"kind": "ellipse", "a": 1.5, "b": 1.0},
+            "norm": {"kind": "euclidean"},
+            "g": {"samples": g.samples.tolist()},
+        }))
+        assert cli.main(["lsg", "--problem", str(problem), "--grid", "32"]) == 0
+        assert set(json.loads(capsys.readouterr().out)["lp_norms"]) == {"1.5", "2.0"}
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("domain", DOMAINS.values(), ids=DOMAINS.keys())

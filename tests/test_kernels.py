@@ -20,7 +20,7 @@ from oracles import (
     simplex_limits,
 )
 from transportlab import kernels, simplex
-from transportlab.cex import build_arcs, run_counterexample
+from transportlab.cex import _pair_grid_lp, build_arcs, run_counterexample
 from transportlab.density import grid_for_domain
 from transportlab.errors import SolverError
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse, radial
@@ -91,11 +91,16 @@ def _gather_split(lo, hi, i0, i1, p0, d, origin, cell):
     return q, idx, t_in, t_out
 
 
+def _clip_cell_index(coord, origin, cell, n):
+    """The cell index as the gathering deposit computed it, kept verbatim."""
+    return np.clip(np.floor((coord - origin) / cell), 0, n - 1).astype(np.int64)
+
+
 def gather_deposit(values, origin, cell, start, end, weight):
     """The batched deposit before it dropped its gathers, kept verbatim:
     each piece gathers its segment's and its row's values by index.  The
     kernel must match it bit for bit."""
-    _cell_index = kernels._cell_index
+    _cell_index = _clip_cell_index
     ny, nx = values.shape
     ox, oy = float(origin[0]), float(origin[1])
     start = np.asarray(start, dtype=np.float64).reshape(-1, 2)
@@ -303,6 +308,46 @@ class TestDeposit:
         assert len(calls) == 3
         for shape, origin, cell, a, b, weight in calls:
             assert_same_as_gather(shape, origin, cell, a, b, weight)
+
+    def test_wide_cex_pair_grid_matches_gather(self, monkeypatch):
+        # one pair grid of the cex_grid workload's size: 20 rows, 2,000+
+        # columns, and chords of the pair's fan, level in the chart frame
+        # up to rounding, so each stays in its row and crosses up to
+        # 2,000 columns; together they take more than one chunk
+        calls = []
+        deposit = kernels.deposit_segments
+
+        def record(values, *args):
+            calls.append((values.shape, *args))
+            return deposit(values, *args)
+
+        arcs = build_arcs(8)
+        monkeypatch.setattr(kernels, "deposit_segments", record)
+        _pair_grid_lp(arcs, 4, 2.5, 16, 24)
+        monkeypatch.undo()
+        [(shape, origin, cell, a, b, weight)] = calls
+        assert shape == (20, 2221)
+        i0 = np.floor((a - origin) / cell)
+        i1 = np.floor((b - origin) / cell)
+        assert len(a) + np.abs(i1 - i0).sum() > kernels.MAX_VISITS
+        assert np.abs(i1 - i0)[:, 0].max() > 2000
+        assert np.all(np.abs(b - a)[:, 1] < 1e-12 * np.abs(b - a)[:, 0])
+        assert_same_as_gather(shape, origin, cell, a, b, weight)
+
+    @pytest.mark.parametrize("origin, cell, n", [(0.0, 0.25, 8), (-1.0, 2.0 / 64, 64), (0.5, 1.0 / 3, 5)])
+    def test_cell_index_matches_clip(self, origin, cell, n):
+        # signed zeros, coordinates on grid lines and just off them, far
+        # outside the grid and infinite: the same index as np.clip's form
+        lines = origin + np.arange(-2, n + 3) * cell
+        coord = np.concatenate([
+            [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf],
+            lines, np.nextafter(lines, -np.inf), np.nextafter(lines, np.inf),
+        ])
+        got = kernels._cell_index(coord, origin, cell, n)
+        want = _clip_cell_index(coord, origin, cell, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.min() == 0 and got.max() == n - 1
 
     def test_mass_conserved(self):
         rng = np.random.default_rng(1)
