@@ -114,6 +114,8 @@ def build_arcs(N: int, eps: list = None) -> ArcSystem:
         lengths = np.asarray(eps, dtype=float)
         if len(lengths) != N:
             raise ValueError(f"custom eps has {len(lengths)} entries, N = {N}")
+        if not np.all(np.isfinite(lengths)):
+            raise ValueError("arc lengths must be finite")
         if np.any(lengths <= 0):
             raise ValueError("arc lengths must be positive")
         if 2.0 * lengths.sum() > per:
@@ -150,8 +152,9 @@ def _gauss_jacobi(beta: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, mu0 * vecs[0] ** 2
 
 
-def exact_pair_lp(arcs: ArcSystem, n: int, p: float) -> float:
-    """Integral of the pair density to the p-th power, by quadrature.
+def exact_pair_lps(arcs: ArcSystem, pairs, p: float) -> list[float]:
+    """Integral of each listed pair's density to the p-th power, by
+    quadrature; ``pairs`` is a sequence of pair indices.
 
     In the chart over the tangent at the pair midpoint the circle is
     the graph s -> alpha(s) with alpha'(s) = s/sqrt(R^2 - s^2); rays
@@ -163,17 +166,14 @@ def exact_pair_lp(arcs: ArcSystem, n: int, p: float) -> float:
     integrable for p < 3, divergent (returns inf) for p >= 3.  With
     phi = a (1 + x) / 2 the singular factor is the Gauss-Jacobi weight
     (1 + x)^(2-p), and the smooth rest (sin(phi)/phi)^(2-p) is
-    integrated with GJ_NODES nodes.
+    integrated with GJ_NODES nodes, one rule for all pairs: it depends
+    on p alone.  Raises IndexError for a pair outside 0..N-1 (a negative
+    index does not wrap) and ValueError unless p >= 1.
     """
-    if not 0 <= n < arcs.n_pairs:
-        raise IndexError(f"pair {n} outside 0..{arcs.n_pairs - 1}")
-    return _exact_pair_lps(arcs, [n], p)[0]
-
-
-def _exact_pair_lps(arcs: ArcSystem, pairs, p: float) -> list[float]:
-    """exact_pair_lp of each listed pair, from one Gauss-Jacobi rule: the
-    rule depends on p alone."""
-    if p < 1.0:
+    for n in pairs:
+        if not 0 <= n < arcs.n_pairs:
+            raise IndexError(f"pair {n} outside 0..{arcs.n_pairs - 1}")
+    if not p >= 1.0:  # NaN fails too
         raise ValueError(f"p must be >= 1, got {p!r}")
     if p >= 3.0:
         return [math.inf] * len(pairs)
@@ -240,7 +240,7 @@ def check_pair_grids(arcs: ArcSystem, grid_n: int) -> None:
 def _pair_grid_lp(
     arcs: ArcSystem, n: int, p: float, grid_n: int, atoms_per_arc: int
 ) -> float:
-    """Grid surrogate of exact_pair_lp with resolution tied to the pair.
+    """Grid surrogate of exact_pair_lps with resolution tied to the pair.
 
     The pair's ray fan is a sliver: width ~ 2 eps but sag only
     ~ eps^2/2.  Cells are sized so grid_n of them span the sag, and the
@@ -288,19 +288,22 @@ def run_counterexample(
     transport on atoms_per_arc quadrature atoms per arc and sums cell
     powers on pair-local grids of grid_n cells across the sag.  The
     signature's grid_n and atoms_per_arc are the one home of these
-    defaults, the CLI's included; exact mode ignores both.  Grid mode
+    defaults, the CLI's included; exact mode ignores both.  A p below 1
+    or NaN raises ValueError before any pair is built, and grid mode
     raises ValueError from ``check_pair_grids`` before any pair is
     solved.  The report compares the partial sum against the model sum
     of eps^(3-p) over the pair arc lengths.
     """
     if mode not in ("exact", "grid"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not p >= 1.0:  # NaN fails too
+        raise ValueError(f"p must be >= 1, got {p!r}")
     arcs = build_arcs(N, eps=eps)
     if mode == "grid":
         check_pair_grids(arcs, grid_n)
         per_pair = [_pair_grid_lp(arcs, n, p, grid_n, atoms_per_arc) for n in range(N)]
     else:
-        per_pair = _exact_pair_lps(arcs, range(N), p)
+        per_pair = exact_pair_lps(arcs, range(N), p)
     diverged = [not math.isfinite(v) for v in per_pair]
     partial = math.inf if any(diverged) else float(sum(per_pair))
     reference = float(np.sum(arcs.eps ** (3.0 - p)))

@@ -57,14 +57,14 @@ class GridField:
     def integral(self) -> float:
         return float(self.values.sum() * self.cell**2)
 
-    def copy_empty(self, kind: str = None) -> "GridField":
+    def copy_empty(self, kind: str) -> "GridField":
         return GridField(
             origin=self.origin,
             cell=self.cell,
             nx=self.nx,
             ny=self.ny,
             values=np.zeros((self.ny, self.nx)),
-            kind=kind or self.kind,
+            kind=kind,
         )
 
 
@@ -111,11 +111,6 @@ def deposit_partial_density(
         tau * plan.mass * plan.entry_costs,
     )
     return out
-
-
-def deposit_density(plan: TransportPlan, grid: GridField) -> GridField:
-    """Full transport density (tau = 1)."""
-    return deposit_partial_density(plan, 1.0, grid)
 
 
 def lp_norm(field: GridField, p) -> float:
@@ -198,8 +193,10 @@ def write_csv(field: GridField, path: str) -> None:
             f"cell={float(field.cell)!r} nx={field.nx} ny={field.ny} "
             f"kind={field.kind}\n"
         )
+        # one row of python floats at a time: their reprs are those of
+        # float(v), and no list of the whole field is held
         for row in field.values:
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

@@ -92,24 +92,6 @@ class TransportPlan:
     def marginal_target(self) -> np.ndarray:
         return np.bincount(self.j, weights=self.mass, minlength=len(self.target))
 
-    def reversed(self) -> "TransportPlan":
-        """Same plan transported the other way (targets become sources)."""
-        return TransportPlan(
-            source=self.target,
-            target=self.source,
-            i=self.j.copy(),
-            j=self.i.copy(),
-            mass=self.mass.copy(),
-            cost=self.cost,
-            source_points=self.target_points,
-            target_points=self.source_points,
-            entry_costs=self.entry_costs.copy(),
-            gap=self.gap,
-            # u_i + v_j = c_ij reads v_j + u_i = c'_ji for the reversed plan
-            potentials=None if self.potentials is None else self.potentials[::-1],
-            stats=self.stats,
-        )
-
     def validate(self) -> None:
         """Check positive masses, marginals and the cost recomputation."""
         if np.any(self.mass <= 0):
@@ -146,20 +128,10 @@ class DualPotentials:
     phi_source: np.ndarray
     phi_target: np.ndarray
 
-    def objective(self, source: BoundaryMeasure, target: BoundaryMeasure) -> float:
-        return float(
-            np.dot(self.phi_source, source.mass) - np.dot(self.phi_target, target.mass)
-        )
-
     def feasibility_violation(self, cost_matrix: np.ndarray) -> float:
         """max over all pairs of phi_source_i - phi_target_j - c_ij."""
         excess = self.phi_source[:, None] - self.phi_target[None, :] - cost_matrix
         return float(excess.max())
-
-    def slackness_violation(self, plan: TransportPlan) -> float:
-        """max over support entries of |c_ij - (phi_source_i - phi_target_j)|."""
-        diff = self.phi_source[plan.i] - self.phi_target[plan.j]
-        return float(np.max(np.abs(diff - plan.entry_costs), initial=0.0))
 
 
 def _check_balanced(f_plus: BoundaryMeasure, f_minus: BoundaryMeasure) -> float:

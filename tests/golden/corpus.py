@@ -48,12 +48,13 @@ import numpy as np
 
 from transportlab import cli, density, geom, leastgrad, simplex
 from transportlab.cex import build_arcs, run_counterexample
-from transportlab.instances import cosine_datum, mirror_cosine_measures, smooth_arc_instance
+from transportlab.instances import smooth_arc_instance
 from transportlab.measures import BoundaryDatum, remove_common_mass, tangential_derivative
 from transportlab.ot import solve_kantorovich
 
-# the tests' reference solvers live one directory up
+# the tests' reference solvers and instances live one directory up
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from instances import cosine_datum, mirror_cosine_measures
 from oracles import northwest_solve
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus.json")

@@ -7,7 +7,7 @@ import numpy as np
 from transportlab import measures, simplex
 from transportlab.geom import ChordCost
 from transportlab.measures import BoundaryMeasure
-from transportlab.ot import TransportPlan
+from transportlab.ot import DualPotentials, TransportPlan
 
 
 def brute_force_plan(
@@ -45,6 +45,40 @@ def brute_force_plan(
         entry_costs=entry_costs,
     )
     return plan
+
+
+def reversed_plan(plan: TransportPlan) -> TransportPlan:
+    """Same plan transported the other way (targets become sources)."""
+    return TransportPlan(
+        source=plan.target,
+        target=plan.source,
+        i=plan.j.copy(),
+        j=plan.i.copy(),
+        mass=plan.mass.copy(),
+        cost=plan.cost,
+        source_points=plan.target_points,
+        target_points=plan.source_points,
+        entry_costs=plan.entry_costs.copy(),
+        gap=plan.gap,
+        # u_i + v_j = c_ij reads v_j + u_i = c'_ji for the reversed plan
+        potentials=None if plan.potentials is None else plan.potentials[::-1],
+        stats=plan.stats,
+    )
+
+
+def dual_objective(
+    pot: DualPotentials, source: BoundaryMeasure, target: BoundaryMeasure
+) -> float:
+    """Kantorovich dual objective of ``pot`` on the two measures."""
+    return float(
+        np.dot(pot.phi_source, source.mass) - np.dot(pot.phi_target, target.mass)
+    )
+
+
+def slackness_violation(pot: DualPotentials, plan: TransportPlan) -> float:
+    """max over support entries of |c_ij - (phi_source_i - phi_target_j)|."""
+    diff = pot.phi_source[plan.i] - pot.phi_target[plan.j]
+    return float(np.max(np.abs(diff - plan.entry_costs), initial=0.0))
 
 
 # the start tuple solve_transport gave input without boundary

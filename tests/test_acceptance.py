@@ -8,24 +8,18 @@ import time
 
 import numpy as np
 
-from oracles import brute_force_plan
-from transportlab.cex import exact_pair_lp, build_arcs, run_counterexample
+from instances import cosine_datum, holder_half_measures, mirror_cosine_measures
+from oracles import brute_force_plan, reversed_plan
+from transportlab.cex import build_arcs, exact_pair_lps, run_counterexample
 from transportlab.cli import main as cli_main
 from transportlab.density import (
-    deposit_density,
     deposit_partial_density,
     grid_for_domain,
     lp_norm,
     lp_bound_factors,
 )
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse
-from transportlab.instances import (
-    cosine_datum,
-    holder_half_measures,
-    mirror_cosine_measures,
-    random_atoms_instance,
-    smooth_arc_instance,
-)
+from transportlab.instances import smooth_arc_instance
 from transportlab.leastgrad import interior_mask, solve_least_gradient
 from transportlab.measures import BoundaryMeasure
 from transportlab.ot import (
@@ -136,7 +130,7 @@ def test_criterion_04_mass_identity():
         f_plus, f_minus = _random_measures(rng, DISK, int(rng.integers(3, 50)))
         plan = solve_kantorovich(f_plus, f_minus, EUC)
         for n in (96, 257):
-            sig = deposit_density(plan, grid_for_domain(DISK, n))
+            sig = deposit_partial_density(plan, 1.0, grid_for_domain(DISK, n))
             worst = max(worst, abs(sig.integral() - plan.cost) / plan.cost)
     _report(
         4,
@@ -152,9 +146,9 @@ def test_criterion_05_splitting_identity():
         f_plus, f_minus = _random_measures(rng, DISK, int(rng.integers(3, 40)))
         plan = solve_kantorovich(f_plus, f_minus, EUC)
         grid = grid_for_domain(DISK, 128)
-        full = deposit_density(plan, grid)
+        full = deposit_partial_density(plan, 1.0, grid)
         fwd = deposit_partial_density(plan, 0.5, grid)
-        bwd = deposit_partial_density(plan.reversed(), 0.5, grid)
+        bwd = deposit_partial_density(reversed_plan(plan), 0.5, grid)
         defect = np.abs(full.values - fwd.values - bwd.values).max()
         worst = max(worst, defect / full.values.max())
     _report(5, worst <= 1e-9, f"10 instances, max cell-wise defect {worst:.2e}")
@@ -163,7 +157,10 @@ def test_criterion_05_splitting_identity():
 def test_criterion_06_lp_stability_smooth_data():
     f_plus, f_minus = mirror_cosine_measures(2000)
     plan = solve_kantorovich(f_plus, f_minus, EUC)
-    fields = {n: deposit_density(plan, grid_for_domain(DISK, n)) for n in (256, 512, 1024)}
+    fields = {
+        n: deposit_partial_density(plan, 1.0, grid_for_domain(DISK, n))
+        for n in (256, 512, 1024)
+    }
     worst = 0.0
     details = []
     for p in (1.5, 2.0):
@@ -198,14 +195,14 @@ def test_criterion_08_counterexample_scaling():
     ok = True
     details = []
     for p in (2.0, 2.5):
-        vals = np.array([exact_pair_lp(arcs, n, p) for n in range(200)])
+        vals = np.array(exact_pair_lps(arcs, range(200), p))
         r = vals / arcs.eps ** (3.0 - p)
         spread = r.max() / r.min()
         ok &= bool(spread <= 10.0)
         details.append(f"exact p={p} band spread {spread:.3f}")
     # exact integrals diverge for p = 3; the finite-resolution surrogate
     # must still show the flat per-pair profile
-    p3 = [exact_pair_lp(arcs, n, 3.0) for n in range(200)]
+    p3 = exact_pair_lps(arcs, range(200), 3.0)
     ok &= all(v == math.inf for v in p3)
     details.append("exact p=3 flagged infinite on all pairs")
     rep = run_counterexample(24, 3.0, mode="grid", grid_n=16, atoms_per_arc=64)
@@ -252,7 +249,7 @@ def test_criterion_10_holder_regime():
     f_plus, f_minus = holder_half_measures(4000)
     plan = solve_kantorovich(f_plus, f_minus, EUC)
     v = {
-        n: lp_norm(deposit_density(plan, grid_for_domain(DISK, n)), 4.0)
+        n: lp_norm(deposit_partial_density(plan, 1.0, grid_for_domain(DISK, n)), 4.0)
         for n in (512, 1024)
     }
     change = abs(v[1024] - v[512]) / v[512]

@@ -10,7 +10,7 @@ from transportlab.cex import (
     SERIES_SUM_BOUND,
     build_arcs,
     check_pair_grids,
-    exact_pair_lp,
+    exact_pair_lps,
     pair_plan,
     run_counterexample,
 )
@@ -71,6 +71,11 @@ class TestArcLayout:
         assert arcs.scale == 1.0
         assert np.allclose(arcs.eps, [0.1, 0.05, 0.02])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_eps_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build_arcs(2, eps=[0.1, bad])
+
     def test_overflowing_eps_rejected(self):
         per = disk(1.0).perimeter
         with pytest.raises(InfeasibleError):
@@ -86,23 +91,20 @@ class TestArcLayout:
 class TestExactIntegrals:
     def test_p_two_is_twice_eps(self):
         arcs = build_arcs(30)
-        for n in (0, 7, 29):
-            assert exact_pair_lp(arcs, n, 2.0) == pytest.approx(
-                2 * arcs.eps[n], rel=1e-9
-            )
+        got = exact_pair_lps(arcs, [0, 7, 29], 2.0)
+        assert got == pytest.approx(2 * arcs.eps[[0, 7, 29]], rel=1e-9)
 
     def test_p_one_closed_form(self):
         # L^1 mass of the fan equals 2 R^2 (1 - cos(eps / R))
         arcs = build_arcs(2, eps=[0.1, 0.05])
-        for n, e in enumerate((0.1, 0.05)):
-            assert exact_pair_lp(arcs, n, 1.0) == pytest.approx(
-                2 * (1 - math.cos(e)), rel=1e-9
-            )
+        assert exact_pair_lps(arcs, [0, 1], 1.0) == pytest.approx(
+            [2 * (1 - math.cos(e)) for e in (0.1, 0.05)], rel=1e-9
+        )
 
     def test_p_one_matches_transport_cost(self):
         arcs = build_arcs(2, eps=[0.1, 0.08])
         plan = pair_plan(arcs, 0, atoms_per_arc=400)
-        assert plan.cost == pytest.approx(exact_pair_lp(arcs, 0, 1.0), rel=1e-2)
+        assert plan.cost == pytest.approx(exact_pair_lps(arcs, [0], 1.0)[0], rel=1e-2)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 2.9, 2.99])
     def test_matches_adaptive_quadrature(self, p):
@@ -115,22 +117,33 @@ class TestExactIntegrals:
             ap = s / math.sqrt(R * R - s * s)
             return 2.0 * s * (1.0 + ap * ap) ** (p / 2.0) * ap ** (1.0 - p)
 
+        got = exact_pair_lps(arcs, range(arcs.n_pairs), p)
         for n in range(arcs.n_pairs):
             s_max = R * math.sin(arcs.eps[n] / R)
             ref, _ = quad(integrand, 0.0, s_max, epsabs=0.0, epsrel=1e-9, limit=200)
-            assert exact_pair_lp(arcs, n, p) == pytest.approx(ref, rel=1e-11, abs=0)
+            assert got[n] == pytest.approx(ref, rel=1e-11, abs=0)
 
     def test_divergence_at_p_three_and_beyond(self):
         arcs = build_arcs(3)
-        assert exact_pair_lp(arcs, 0, 3.0) == math.inf
-        assert exact_pair_lp(arcs, 1, 4.5) == math.inf
+        assert exact_pair_lps(arcs, [0], 3.0) == [math.inf]
+        assert exact_pair_lps(arcs, [1, 2], 4.5) == [math.inf, math.inf]
 
     def test_invalid_args(self):
-        arcs = build_arcs(2)
-        with pytest.raises(ValueError):
-            exact_pair_lp(arcs, 0, 0.5)
-        with pytest.raises(IndexError):
-            exact_pair_lp(arcs, 5, 2.0)
+        arcs = build_arcs(3)
+        for p in (0.5, math.nan):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                exact_pair_lps(arcs, [0], p)
+        # every index is checked, at p >= 3 too; a negative one does not wrap
+        for p in (2.0, 3.0):
+            for pairs in ([5], [-1], [0, 3], [2, -3]):
+                with pytest.raises(IndexError):
+                    exact_pair_lps(arcs, pairs, p)
+
+    def test_values_unchanged_by_batching(self):
+        # one rule for the batch gives each pair's value of its own call
+        arcs = build_arcs(40)
+        batch = exact_pair_lps(arcs, range(40), 2.5)
+        assert batch == [exact_pair_lps(arcs, [n], 2.5)[0] for n in range(40)]
 
 
 class TestPairPlans:
@@ -177,6 +190,16 @@ class TestReports:
         small = run_counterexample(10, 2.0, mode="exact")["partial_sum"]
         large = run_counterexample(100, 2.0, mode="exact")["partial_sum"]
         assert large / small <= 1.10
+
+    @pytest.mark.parametrize("mode", ["exact", "grid"])
+    @pytest.mark.parametrize("p", [math.nan, 0.5])
+    def test_bad_exponent_refused_before_any_pair(self, monkeypatch, mode, p):
+        def no_arcs(*args, **kwargs):
+            raise AssertionError("built the arcs before checking p")
+
+        monkeypatch.setattr(cex, "build_arcs", no_arcs)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            run_counterexample(3, p, mode=mode)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reversed_plan
 from transportlab.density import (
     GridField,
-    deposit_density,
     deposit_partial_density,
     grid_for_domain,
     lp_norm,
@@ -73,7 +73,7 @@ class TestDeposit:
 
     def test_full_integral(self):
         g = grid_for_domain(DISK, 128)
-        sig = deposit_density(diameter_plan(), g)
+        sig = deposit_partial_density(diameter_plan(), 1.0, g)
         assert sig.integral() == pytest.approx(2.0, rel=1e-9)
 
     def test_integral_matches_cost_for_anisotropic_norm(self):
@@ -88,7 +88,7 @@ class TestDeposit:
     def test_integral_resolution_independent(self):
         plan = random_plan(3, 10)
         for n in (64, 192, 512):
-            sig = deposit_density(plan, grid_for_domain(DISK, n))
+            sig = deposit_partial_density(plan, 1.0, grid_for_domain(DISK, n))
             assert sig.integral() == pytest.approx(plan.cost, rel=1e-9)
 
     def test_support_near_segment(self):
@@ -110,9 +110,9 @@ class TestDeposit:
         # full density = forward half plus reversed-plan half, cell by cell
         plan = random_plan(4, 15)
         g = grid_for_domain(DISK, 128)
-        full = deposit_density(plan, g)
+        full = deposit_partial_density(plan, 1.0, g)
         fwd = deposit_partial_density(plan, 0.5, g)
-        bwd = deposit_partial_density(plan.reversed(), 0.5, g)
+        bwd = deposit_partial_density(reversed_plan(plan), 0.5, g)
         scale = full.values.max()
         err = np.abs(full.values - fwd.values - bwd.values).max()
         assert err <= 1e-9 * scale
@@ -253,7 +253,7 @@ def test_nan_exponent_rejected(call, message):
 class TestSerialization:
     def test_csv_roundtrip_exact(self, tmp_path):
         plan = random_plan(6, 7)
-        sig = deposit_density(plan, grid_for_domain(DISK, 32))
+        sig = deposit_partial_density(plan, 1.0, grid_for_domain(DISK, 32))
         path = tmp_path / "density.csv"
         write_csv(sig, path)
         back = read_csv(path)
@@ -261,6 +261,23 @@ class TestSerialization:
         assert back.cell == sig.cell
         assert back.kind == sig.kind
         assert np.array_equal(back.values, sig.values)
+
+    def test_csv_bytes_match_per_element_repr(self, tmp_path):
+        # every row's values written as repr(float(v)), one at a time
+        rng = np.random.default_rng(5)
+        vals = np.zeros((64, 48))
+        hit = rng.random(vals.shape) < 0.3
+        vals[hit] = rng.uniform(-10.0, 10.0, hit.sum())
+        vals[0, :6] = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308]
+        vals[1, :2] = [1e-310, 1.7976931348623157e308]
+        f = GridField(origin=(-1.5, 0.25), cell=0.1, nx=48, ny=64, values=vals)
+        path = tmp_path / "density.csv"
+        write_csv(f, path)
+        expect = (
+            f"# origin=-1.5,0.25 cell=0.1 nx=48 ny=64 kind=density\n"
+            + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in vals)
+        )
+        assert path.read_bytes() == expect.encode()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"

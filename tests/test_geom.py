@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from instances import mirror_cosine_measures
 from oracles import dense_cost_matrix, newton_param_of_arclength
 from transportlab import cli, geom
 from transportlab.errors import SchemaError
@@ -20,7 +21,6 @@ from transportlab.geom import (
     ellipse,
     radial,
 )
-from transportlab.instances import mirror_cosine_measures
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from transportlab.geom import disk
-from transportlab.instances import (
+from instances import (
     cosine_datum,
     holder_half_measures,
     mirror_cosine_measures,
     random_atoms_instance,
-    smooth_arc_instance,
 )
+from transportlab.geom import disk
+from transportlab.instances import smooth_arc_instance
 
 DISK = disk(1.0)
 

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from instances import cosine_datum
 from transportlab.density import grid_for_domain
 from transportlab.geom import EuclideanNorm, LqNorm, QuadraticNorm, disk
-from transportlab.instances import cosine_datum
 from transportlab.leastgrad import (
     gradient_norm_field,
     interior_mask,

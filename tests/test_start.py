@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from instances import cosine_datum, mirror_cosine_measures, random_atoms_instance
 from oracles import (
     brute_force_plan,
     lifo_seam_costs,
@@ -31,12 +32,7 @@ from transportlab import cex, simplex
 from transportlab.cex import build_arcs
 from transportlab.errors import SolverError
 from transportlab.geom import ChordCost, EuclideanNorm, LqNorm, disk, ellipse, radial
-from transportlab.instances import (
-    cosine_datum,
-    mirror_cosine_measures,
-    random_atoms_instance,
-    smooth_arc_instance,
-)
+from transportlab.instances import smooth_arc_instance
 from transportlab.measures import BoundaryMeasure, remove_common_mass, tangential_derivative
 from transportlab.ot import SolverStats, solve_kantorovich
 
