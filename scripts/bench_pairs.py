@@ -39,7 +39,6 @@ import tempfile
 
 import numpy
 
-WORKLOADS = ("lsg", "transport", "cex_grid", "cli")
 TRACED_SECONDS = 10
 RUN_TIMEOUT_S = 600  # pipebench ends its own workers within 170 s
 
@@ -192,15 +191,16 @@ def main() -> int:
         "traced_per_op": {},
         "runs": [],
     }
+    workloads = [w["name"] for w in bench["workloads"]]
     plan = [
         (w, seed, bench["run_seconds"], 0, (k + n) % 2)
-        for n, w in enumerate(WORKLOADS)
+        for n, w in enumerate(workloads)
         for k, seed in enumerate(_seeds(args.seeds))
     ]
     if args.traced_seed is not None:
         plan += [
             (w, args.traced_seed, TRACED_SECONDS, 1, n % 2)
-            for n, w in enumerate(WORKLOADS)
+            for n, w in enumerate(workloads)
         ]
     work = tempfile.mkdtemp(prefix="bench-pairs-")
     roots = {"parent": os.path.join(work, "parent"), "change": os.path.join(work, "change")}

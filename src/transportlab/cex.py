@@ -14,6 +14,7 @@ sum over pairs is finite for p <= 2 and infinite for every p > 2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -102,6 +103,7 @@ def build_arcs(N: int, eps: list = None) -> ArcSystem:
     even the infinite family occupies at most half the perimeter;
     partial sums are then comparable across different N.
     """
+    N = operator.index(N)
     if N < 1:
         raise ValueError(f"need at least one arc pair, got {N}")
     domain = disk(1.0)
@@ -294,6 +296,7 @@ def run_counterexample(
     solved.  The report compares the partial sum against the model sum
     of eps^(3-p) over the pair arc lengths.
     """
+    N, grid_n, atoms_per_arc = map(operator.index, (N, grid_n, atoms_per_arc))
     if mode not in ("exact", "grid"):
         raise ValueError(f"unknown mode {mode!r}")
     if not p >= 1.0:  # NaN fails too

@@ -66,6 +66,14 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _check_number(value, where: str) -> None:
+    """A number is an int or a float, never a bool: type() and not
+    isinstance(), as JSON true and false are bools, bool is a subclass
+    of int, and float() would read them as 1 and 0."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"{where} must be a number, not {json.dumps(value)}")
+
+
 def _check_kind(cfg: dict, section: str) -> None:
     """The domain or norm section names a kind and holds its keys alone."""
     obj = cfg[section]
@@ -80,12 +88,15 @@ def _check_kind(cfg: dict, section: str) -> None:
     missing = [key for key in keys if key not in obj]
     if missing:
         raise SchemaError(f"{section} of kind {kind!r} needs {missing}")
-    # every key is a number but the quadratic norm's matrix; type() and
-    # not isinstance(), as bool is a subclass of int
     for key in keys:
         value = obj[key]
-        if (kind, key) != ("quadratic", "a") and type(value) not in (int, float):
-            raise SchemaError(f"{section}.{key} must be a number, not {json.dumps(value)}")
+        if (kind, key) != ("quadratic", "a"):
+            _check_number(value, f"{section}.{key}")
+            continue
+        # the entries of the matrix's rows; QuadraticNorm checks its shape
+        for i, row in enumerate(value if isinstance(value, list) else []):
+            for j, x in enumerate(row if isinstance(row, list) else []):
+                _check_number(x, f"{section}.{key}[{i}][{j}]")
 
 
 def _finite(convert):
@@ -103,30 +114,16 @@ def _finite(convert):
     return parse
 
 
-def _reject_booleans(obj, where: str) -> None:
-    """JSON true and false anywhere under obj: float() would read them as 1 and 0."""
-    if isinstance(obj, bool):
-        raise SchemaError(f"{where} must be a number, not {json.dumps(obj)}")
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            _reject_booleans(value, f"{where}.{key}")
-    elif isinstance(obj, list):
-        for k, value in enumerate(obj):
-            _reject_booleans(value, f"{where}[{k}]")
-
-
 def _check_pairs(items, where: str) -> None:
     """A list of [number, number] pairs, checked here so that the error
     names the item at fault."""
     if not isinstance(items, list):
         raise SchemaError(f"bad boundary data: {where} is not a list of [number, number] pairs")
     for k, item in enumerate(items):
-        if not (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(x, (int, float)) for x in item)
-        ):
+        if not (isinstance(item, list) and len(item) == 2):
             raise SchemaError(f"bad boundary data: {where}[{k}] is not a [number, number] pair")
+        for i, x in enumerate(item):
+            _check_number(x, f"{where}[{k}][{i}]")
 
 
 def load_problem(path: str) -> dict:
@@ -169,9 +166,6 @@ def load_problem(path: str) -> dict:
     # null is no seed, as a report echoes a run without one
     if cfg.get("seed") is not None and type(cfg["seed"]) is not int:
         raise SchemaError("seed must be an integer")
-    for key in ("domain", "norm", "g", "f_plus", "f_minus"):
-        if key in cfg:
-            _reject_booleans(cfg[key], key)
     pairs = {key: cfg[key] for key in ("f_plus", "f_minus") if key in cfg}
     pairs.update({f"g.{key}": items for key, items in cfg.get("g", {}).items()})
     for where, items in pairs.items():

@@ -10,6 +10,7 @@ L^p statistics are free of sampling noise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,7 @@ def grid_for_domain(domain: Domain, n: int) -> GridField:
     n counts cells along the longer box side; the CLI takes its n from
     ``cli._grid_n``.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("grid needs at least one cell")
     x0, y0, x1, y1 = domain.bbox()
@@ -159,10 +161,9 @@ def lp_bound_factors(plan: TransportPlan, p: float, tau: float) -> tuple[float, 
     boundary densities via their quadrature sublengths and sums
     density^p * sublength * displacement^(2-p); atoms without a
     sublength (explicit jumps) have no density in L^p, making the
-    factor a flagged infinity rather than an error.
+    factor a flagged infinity rather than an error.  time_factor checks
+    p and tau.
     """
-    if not p > 1.0:  # NaN fails too
-        raise ValueError(f"p must exceed 1, got {p!r}")
     ti = time_factor(p, tau)
     src = plan.source
     D = displacement_lengths(plan)

@@ -20,6 +20,8 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# relative slack of every domain's ``contains``, for points on the boundary
+_CONTAINS_SLACK = 1 + 1e-12
 
 # 12-node Gauss-Legendre rule used for all arclength quadrature: the
 # repr of np.polynomial.legendre.leggauss(12), bit for bit, so that no
@@ -131,9 +133,9 @@ class _PeriodicCubic:
 class Domain:
     """Base class for uniformly convex planar domains.
 
-    Arclength is inverted to the domain's own curve parameter in one
-    place, ``_at``; each domain gives its point, and its point with the
-    inward normal, as functions of that parameter.
+    Each domain inverts arclength to its own curve parameter and gives
+    its point and its inward unit normal, each as a pair of coordinate
+    arrays, as functions of that parameter.
     """
 
     perimeter: float
@@ -142,19 +144,16 @@ class Domain:
     def _param_of_s(self, s) -> np.ndarray:
         return self._table.param_of_arclength(s)
 
-    def _at(self, s, of_param):
-        return of_param(self._param_of_s(s))
-
     def boundary_point(self, s) -> np.ndarray:
         """Boundary points at arclengths s (wrapped modulo the perimeter),
         shape (k, 2)."""
-        return np.stack(self._at(s, self._point), axis=-1)
+        return np.stack(self._point(self._param_of_s(s)), axis=-1)
 
     def frame(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Boundary points and inward unit normals at arclengths s, each of
         shape (k, 2), from one inversion."""
-        x, y, nx, ny = self._at(s, self._frame)
-        return np.stack([x, y], axis=-1), np.stack([nx, ny], axis=-1)
+        t = self._param_of_s(s)
+        return np.stack(self._point(t), axis=-1), np.stack(self._normal(t), axis=-1)
 
     @cached_property
     def trace_ring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,13 +212,12 @@ class Disk(Domain):
     def _point(self, th):
         return self.radius * np.cos(th), self.radius * np.sin(th)
 
-    def _frame(self, th):
-        cos, sin = np.cos(th), np.sin(th)
-        return self.radius * cos, self.radius * sin, -cos, -sin
+    def _normal(self, th):
+        return -np.cos(th), -np.sin(th)
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
-        return p[..., 0] ** 2 + p[..., 1] ** 2 <= self.radius**2 * (1 + 1e-12)
+        return p[..., 0] ** 2 + p[..., 1] ** 2 <= self.radius**2 * _CONTAINS_SLACK
 
     def bbox(self):
         r = self.radius
@@ -246,15 +244,14 @@ class Ellipse(Domain):
     def _point(self, t):
         return self.a * np.cos(t), self.b * np.sin(t)
 
-    def _frame(self, t):
-        cos, sin = np.cos(t), np.sin(t)
+    def _normal(self, t):
         speed = self._speed(t)
         # tangent (-a sin, b cos)/speed rotated by +pi/2
-        return self.a * cos, self.b * sin, -self.b * cos / speed, -self.a * sin / speed
+        return -self.b * np.cos(t) / speed, -self.a * np.sin(t) / speed
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
-        return (p[..., 0] / self.a) ** 2 + (p[..., 1] / self.b) ** 2 <= 1 + 1e-12
+        return (p[..., 0] / self.a) ** 2 + (p[..., 1] / self.b) ** 2 <= _CONTAINS_SLACK
 
     def bbox(self):
         return (-self.a, -self.b, self.a, self.b)
@@ -313,19 +310,19 @@ class RadialDomain(Domain):
         r = self._spline(th)[0]
         return r * np.cos(th), r * np.sin(th)
 
-    def _frame(self, th):
+    def _normal(self, th):
         r, r1, _ = self._spline(th)
         cos, sin = np.cos(th), np.sin(th)
         # derivative of (r cos, r sin) with respect to theta, normalized
         tx = r1 * cos - r * sin
         ty = r1 * sin + r * cos
         speed = np.hypot(tx, ty)
-        return r * cos, r * sin, -ty / speed, tx / speed
+        return -ty / speed, tx / speed
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
         th = np.mod(np.arctan2(p[..., 1], p[..., 0]), TWO_PI)
-        return np.hypot(p[..., 0], p[..., 1]) <= self._spline(th)[0] * (1 + 1e-12)
+        return np.hypot(p[..., 0], p[..., 1]) <= self._spline(th)[0] * _CONTAINS_SLACK
 
     def bbox(self):
         return self._bbox

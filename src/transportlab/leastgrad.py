@@ -114,14 +114,9 @@ def gradient_norm_field(u: GridField, phi: Norm, domain: Domain) -> GridField:
     return GridField(u.origin, u.cell, u.nx, u.ny, vals, kind="density")
 
 
-def total_variation(
-    u: GridField, phi: Norm, domain: Domain, grad: GridField | None = None
-) -> float:
+def total_variation(grad: GridField) -> float:
     """Anisotropic TV over cells with centers in the domain: the integral
-    of ``gradient_norm_field(u, phi, domain)``, which a caller that has
-    already built it passes as ``grad``."""
-    if grad is None:
-        grad = gradient_norm_field(u, phi, domain)
+    of ``grad = gradient_norm_field(u, phi, domain)``."""
     return grad.integral()
 
 
@@ -184,6 +179,6 @@ def solve_least_gradient(
         grad=grad,
         plan=plan,
         cost=cost,
-        tv=total_variation(u, phi, domain, grad),
+        tv=total_variation(grad),
         trace_err=trace_error(u, g, domain),
     )

@@ -14,6 +14,7 @@ measure with equal total mass (the datum closes up around the boundary).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,12 @@ from .errors import InfeasibleError
 
 MERGE_TOL = 1e-12
 BALANCE_TOL = 1e-10
+
+
+def _check_perimeter(perimeter) -> None:
+    """Refuse a perimeter outside (0, inf), as the domains refuse their sizes."""
+    if not 0 < perimeter < np.inf:  # NaN fails too
+        raise ValueError(f"perimeter must be positive and finite, got {perimeter}")
 
 
 def _wrap(s, perimeter):
@@ -48,7 +55,7 @@ def _pairs(items, name: str) -> np.ndarray:
 
 @dataclass
 class BoundaryMeasure:
-    """Atomic measure on a boundary of given perimeter.
+    """Atomic measure on a boundary of given perimeter, in (0, inf).
 
     Positions are reduced to [0, perimeter) and sorted; positions within
     ``1e-12 * perimeter`` of each other, also across the seam at 0, are
@@ -66,6 +73,7 @@ class BoundaryMeasure:
     sublength: np.ndarray = None
 
     def __post_init__(self):
+        _check_perimeter(self.perimeter)
         s = np.asarray(self.s, dtype=float).ravel()
         # copies: a measure shares no array with its caller
         mass = np.array(self.mass, dtype=float).ravel()
@@ -143,6 +151,7 @@ class BoundaryDatum:
     perimeter: float
 
     def __post_init__(self):
+        _check_perimeter(self.perimeter)
         # copies: the positions are wrapped in place below
         samples = _pairs(self.samples, "samples")
         jumps = _pairs([] if self.jumps is None else self.jumps, "jumps")
@@ -206,6 +215,7 @@ def tangential_derivative(
     The two returned measures balance to within 1e-10 of the datum's
     total variation.
     """
+    n_quad = operator.index(n_quad)
     if n_quad < 1:
         raise ValueError(f"n_quad must be >= 1, got {n_quad}")
     per = datum.perimeter
@@ -246,7 +256,8 @@ def remove_common_mass(
     seam at 0.
 
     The difference f_plus - f_minus is preserved atom by atom; applying
-    the operation twice changes nothing.
+    the operation twice changes nothing.  Inputs with no coinciding atoms
+    come back as they are.
     """
     per = f_plus.perimeter
     tol = MERGE_TOL * per
@@ -254,9 +265,11 @@ def remove_common_mass(
     sp, sm = f_plus.s.tolist(), f_minus.s.tolist()
     mp, mm = f_plus.mass.tolist(), f_minus.mass.tolist()
     i = j = 0
+    cancelled = False
     while i < len(sp) and j < len(sm):
         d = sp[i] - sm[j]
         if abs(d) <= tol:
+            cancelled = True
             c = min(mp[i], mm[j])
             mp[i] -= c
             mm[j] -= c
@@ -276,25 +289,16 @@ def remove_common_mass(
             (0, -1, sp[0] + per - sm[-1]),
         ):
             if gap <= tol:
+                cancelled = True
                 c = min(mp[i], mm[j])
                 mp[i] -= c
                 mm[j] -= c
-    return _reweighted(f_plus, np.array(mp)), _reweighted(f_minus, np.array(mm))
-
-
-def _reweighted(measure: BoundaryMeasure, mass: np.ndarray) -> BoundaryMeasure:
-    """``measure`` with new masses on its atoms, zero-mass atoms dropped.
-
-    Its positions are already wrapped, sorted and merged, and dropping
-    atoms keeps them so, which is all the constructor would redo.
-    """
-    keep = mass > 0
-    out = object.__new__(BoundaryMeasure)
-    out.s = measure.s[keep]
-    out.mass = mass[keep]
-    out.perimeter = measure.perimeter
-    out.sublength = measure.sublength[keep]
-    return out
+    if not cancelled:
+        return f_plus, f_minus
+    return tuple(
+        BoundaryMeasure(f.s, mass, f.perimeter, f.sublength)
+        for f, mass in ((f_plus, mp), (f_minus, mm))
+    )
 
 
 def quadrature_atoms(
@@ -308,6 +312,7 @@ def quadrature_atoms(
     The interval may wrap past the perimeter (hi > perimeter).  density
     takes the array of midpoints and returns one value per midpoint.
     """
+    n = operator.index(n)
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
         raise ValueError(f"empty quadrature interval [{lo}, {hi}]")

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from transportlab import measures, simplex
-from transportlab.geom import ChordCost
+from transportlab.geom import ChordCost, Disk, Ellipse, RadialDomain
 from transportlab.measures import BoundaryMeasure
 from transportlab.ot import DualPotentials, TransportPlan
 
@@ -315,3 +315,114 @@ def merged_atoms(s, mass, perimeter, sublength):
         order = np.argsort(s, kind="stable")
         s, mass, sub = s[order], mass[order], sub[order]
     return s, mass, sub
+
+
+def masked_remove_common_mass(f_plus, f_minus):
+    """``measures.remove_common_mass`` as it was when it rebuilt its
+    results with ``_reweighted``, which masks the zero-mass atoms out of
+    the input's arrays and skips the constructor: the reference for
+    the rebuild through the constructor."""
+    per = f_plus.perimeter
+    tol = measures.MERGE_TOL * per
+    # scalar work on python floats is cheaper than on arrays, and exact
+    sp, sm = f_plus.s.tolist(), f_minus.s.tolist()
+    mp, mm = f_plus.mass.tolist(), f_minus.mass.tolist()
+    i = j = 0
+    while i < len(sp) and j < len(sm):
+        d = sp[i] - sm[j]
+        if abs(d) <= tol:
+            c = min(mp[i], mm[j])
+            mp[i] -= c
+            mm[j] -= c
+            if mp[i] <= 0:
+                i += 1
+            if mm[j] <= 0:
+                j += 1
+        elif d < 0:
+            i += 1
+        else:
+            j += 1
+    # the last atom of one measure and the first of the other may meet
+    # across the seam at 0
+    if len(mp) and len(mm):
+        for i, j, gap in (
+            (-1, 0, sm[0] + per - sp[-1]),
+            (0, -1, sp[0] + per - sm[-1]),
+        ):
+            if gap <= tol:
+                c = min(mp[i], mm[j])
+                mp[i] -= c
+                mm[j] -= c
+    return _reweighted(f_plus, np.array(mp)), _reweighted(f_minus, np.array(mm))
+
+
+def _reweighted(measure, mass):
+    """``measure`` with new masses on its atoms, zero-mass atoms dropped.
+
+    Its positions are already wrapped, sorted and merged, and dropping
+    atoms keeps them so, which is all the constructor would redo.
+    """
+    keep = mass > 0
+    out = object.__new__(BoundaryMeasure)
+    out.s = measure.s[keep]
+    out.mass = mass[keep]
+    out.perimeter = measure.perimeter
+    out.sublength = measure.sublength[keep]
+    return out
+
+
+def _disk_point(self, th):
+    return self.radius * np.cos(th), self.radius * np.sin(th)
+
+
+def _disk_frame(self, th):
+    cos, sin = np.cos(th), np.sin(th)
+    return self.radius * cos, self.radius * sin, -cos, -sin
+
+
+def _ellipse_point(self, t):
+    return self.a * np.cos(t), self.b * np.sin(t)
+
+
+def _ellipse_frame(self, t):
+    cos, sin = np.cos(t), np.sin(t)
+    speed = self._speed(t)
+    # tangent (-a sin, b cos)/speed rotated by +pi/2
+    return self.a * cos, self.b * sin, -self.b * cos / speed, -self.a * sin / speed
+
+
+def _radial_point(self, th):
+    r = self._spline(th)[0]
+    return r * np.cos(th), r * np.sin(th)
+
+
+def _radial_frame(self, th):
+    r, r1, _ = self._spline(th)
+    cos, sin = np.cos(th), np.sin(th)
+    # derivative of (r cos, r sin) with respect to theta, normalized
+    tx = r1 * cos - r * sin
+    ty = r1 * sin + r * cos
+    speed = np.hypot(tx, ty)
+    return r * cos, r * sin, -ty / speed, tx / speed
+
+
+_POINT_AND_FRAME = {
+    Disk: (_disk_point, _disk_frame),
+    Ellipse: (_ellipse_point, _ellipse_frame),
+    RadialDomain: (_radial_point, _radial_frame),
+}
+
+
+def point_and_frame(domain, s):
+    """``domain.boundary_point(s)`` and ``domain.frame(s)`` as they were
+    when each domain restated its point formula in a ``_frame`` that
+    gave the point and the inward normal together: the reference for
+    the frame stacked from ``_point`` and ``_normal``.  The per-domain
+    functions above are those methods, verbatim."""
+    point, frame = _POINT_AND_FRAME[type(domain)]
+    t = domain._param_of_s(s)
+    x, y, nx, ny = frame(domain, t)
+    return (
+        np.stack(point(domain, t), axis=-1),
+        (np.stack([x, y], axis=-1), np.stack([nx, ny], axis=-1)),
+    )

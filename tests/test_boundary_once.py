@@ -18,6 +18,7 @@ import pickle
 import numpy as np
 import pytest
 
+from oracles import point_and_frame
 from transportlab import cli, geom, leastgrad
 from transportlab.density import GridField, grid_for_domain
 from transportlab.geom import (
@@ -217,6 +218,19 @@ class TestExactReuse:
         assert np.array_equal(plan.target_points, domain.boundary_point(f_minus.s))
         C = cost.matrix(f_plus.s, f_minus.s)
         assert np.array_equal(plan.entry_costs, C[plan.i, plan.j])
+
+    @pytest.mark.parametrize("s", ["ladder", "scalar"])
+    def test_points_and_frames_equal_the_restated_formulas(self, domain, s):
+        # bytes, so that the sign of a zero counts too; a scalar is the
+        # anchor's single-point call
+        per = domain.perimeter
+        if s == "ladder":
+            s = np.concatenate([np.linspace(-per, 2.0 * per, 3001), [0.0, -0.0, per]])
+        else:
+            s = 0.3 * per
+        point, frame = point_and_frame(domain, s)
+        for got, want in zip((domain.boundary_point(s), *domain.frame(s)), (point, *frame)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_ring_equals_fresh_frame(self, domain):
         s, points, normals = domain.trace_ring

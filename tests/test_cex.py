@@ -206,6 +206,29 @@ class TestReports:
             run_counterexample(2, 2.0, mode="fancy")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: build_arcs(n),
+        lambda n: run_counterexample(n, 2.0),
+        lambda n: run_counterexample(3, 2.0, mode="grid", grid_n=n),
+        lambda n: run_counterexample(3, 2.0, mode="grid", atoms_per_arc=n),
+    ],
+    ids=["build_arcs", "pairs", "grid_n", "atoms_per_arc"],
+)
+def test_counts_must_be_integers(call):
+    for n in (2.5, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            call(n)
+
+
+def test_integer_counts_of_numpy_pass():
+    two, four, eight = np.int64([2, 4, 8])
+    rep = run_counterexample(two, 2.0, mode="grid", grid_n=four, atoms_per_arc=eight)
+    assert rep == run_counterexample(2, 2.0, mode="grid", grid_n=4, atoms_per_arc=8)
+    assert build_arcs(np.int64(3)).n_pairs == 3
+
+
 class TestPairGridCap:
     def test_large_grid_refused_before_solving(self, monkeypatch):
         # pair 0 at grid 3000 is 11,467 x 3,004 cells, about 34.4 M

@@ -254,12 +254,15 @@ class TestProblemKinds:
             ("norm", {"kind": "lq", "q": "2.5"}, "norm.q"),
             ("norm", {"kind": "lq", "q": [3]}, "norm.q"),
             ("norm", {"kind": "lq", "q": None}, "norm.q"),
+            ("f_plus", [[0.0, 2.0], ["1.0", 1.0]], "f_plus[1][0]"),
+            ("norm", {"kind": "quadratic", "a": [[2.0, 0.3], ["0.3", 1.0]]}, "norm.a[1][0]"),
         ],
         ids=["radius-string", "radius-list", "b-string", "a-list", "q-string", "q-list",
-             "q-null"],
+             "q-null", "pair-string", "matrix-string"],
     )
     def test_scalar_must_be_a_number(self, tmp_path, capsys, section, value, key):
-        # only the quadratic norm's a takes a matrix
+        # only the quadratic norm's a takes a matrix, whose entries are
+        # scalars as each element of a pair is
         prob = write_problem(tmp_path, {**pair_cfg(), section: value})
         code, out, err = run(capsys, "solve", "--problem", prob)
         assert (code, out) == (2, "")

@@ -60,6 +60,15 @@ class TestGrid:
         assert c.shape == (8, 8, 2)
         assert c[0, 0] @ c[0, 0] > c[4, 4] @ c[4, 4]
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, np.float64(4.0)])
+    def test_cell_count_must_be_an_integer(self, n):
+        with pytest.raises(TypeError):
+            grid_for_domain(DISK, n)
+
+    def test_numpy_integer_cell_count(self):
+        g = grid_for_domain(DISK, np.int64(8))
+        assert (g.nx, g.ny) == (8, 8)
+
     def test_bad_values_shape_rejected(self):
         with pytest.raises(ValueError):
             GridField(origin=(0.0, 0.0), cell=1.0, nx=3, ny=2, values=np.zeros((3, 2)))

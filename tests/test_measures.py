@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import merged_atoms
+from oracles import masked_remove_common_mass, merged_atoms
 from test_kernels import harmonic_datum
 from transportlab import measures
 from transportlab.errors import InfeasibleError
@@ -145,6 +145,22 @@ class TestBoundaryMeasure:
         assert math.copysign(1.0, m.sublength[0]) == -1.0
         m = BoundaryMeasure([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], TWO_PI, [-0.0, -0.0, 0.5])
         assert math.copysign(1.0, m.sublength[0]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "perimeter", [math.nan, -1.0, math.inf, 0.0], ids=["nan", "negative", "inf", "zero"]
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda per: BoundaryMeasure([0.5, 1.0], [1.0, 2.0], per),
+        lambda per: BoundaryDatum([[0.5, 1.0], [1.0, 2.0]], None, per),
+    ],
+    ids=["measure", "datum"],
+)
+def test_perimeter_outside_zero_to_inf_refused(build, perimeter):
+    with pytest.raises(ValueError, match="perimeter must be positive and finite"):
+        build(perimeter)
 
 
 class TestMeasureFromConfig:
@@ -348,6 +364,23 @@ class TestTangentialDerivative:
         assert abs(f_plus.total_mass - f_minus.total_mass) <= 1e-10 * tv
 
 
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, np.float64(2.0)])
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda n: tangential_derivative(
+            BoundaryDatum([[0.0, 0.0], [1.0, 1.0]], None, TWO_PI), n_quad=n
+        ),
+        lambda n: quadrature_atoms(np.ones_like, (0.0, 1.0), n, TWO_PI),
+    ],
+    ids=["tangential_derivative", "quadrature_atoms"],
+)
+def test_counts_must_be_integers(count, n):
+    with pytest.raises(TypeError):
+        count(n)
+    count(np.int64(2))
+
+
 class TestRemoveCommonMass:
     def test_partial_cancellation(self):
         f_plus = BoundaryMeasure([1.0], [2.0], TWO_PI)
@@ -402,10 +435,10 @@ class TestRemoveCommonMass:
         f_plus, f_minus = remove_common_mass(*tangential_derivative(g))
         assert len(f_plus) == 0 and len(f_minus) == 0
 
-    def test_equals_the_constructor_path(self, monkeypatch):
-        # dropping zero-mass atoms by a mask gives the arrays a rebuild
-        # through the constructor gives: 100 lsg pool inputs of seed 1,
-        # the seam cases and random coinciding atoms
+    def test_equals_the_constructor_path(self):
+        # a rebuild through the constructor gives the arrays that masking
+        # the zero-mass atoms out of the inputs gave: 100 lsg pool inputs
+        # of seed 1, the seam cases and random coinciding atoms
         rng = np.random.default_rng([1, 1])
         domains = [disk(1.0), ellipse(1.5, 1.0)]
         cases = [
@@ -429,21 +462,22 @@ class TestRemoveCommonMass:
                 BoundaryMeasure(np.concatenate([s[:6], s[12:]]), rng.uniform(0.1, 2, 14), TWO_PI),
             )
         )
-        got = [remove_common_mass(*case) for case in cases]
-        monkeypatch.setattr(
-            measures,
-            "_reweighted",
-            lambda m, mass: BoundaryMeasure(m.s, mass, m.perimeter, m.sublength),
-        )
-        want = [remove_common_mass(*case) for case in cases]
         dropped = 0
-        for case, pair, ref in zip(cases, got, want):
-            for before, x, y in zip(case, pair, ref):
+        for case in cases:
+            got, want = remove_common_mass(*case), masked_remove_common_mass(*case)
+            for before, x, y in zip(case, got, want):
                 assert x.perimeter == y.perimeter
                 for name in ("s", "mass", "sublength"):
                     assert np.array_equal(getattr(x, name), getattr(y, name))
                 dropped += len(before) - len(x)
         assert dropped > 0
+
+    def test_nothing_to_cancel_returns_the_inputs(self):
+        # no coinciding atoms, also none across the seam
+        f_plus = BoundaryMeasure([0.0, 2.0], [1.0, 2.0], TWO_PI)
+        f_minus = BoundaryMeasure([1.0, TWO_PI - 1e-3], [2.0, 1.0], TWO_PI)
+        a, b = remove_common_mass(f_plus, f_minus)
+        assert a is f_plus and b is f_minus
 
     def test_difference_preserved(self):
         f_plus = BoundaryMeasure([1.0, 2.0], [2.0, 1.0], TWO_PI)
