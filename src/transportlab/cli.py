@@ -49,6 +49,7 @@ _KINDS = {
     "domain": {
         "disk": ("Disk", ("radius",)),
         "ellipse": ("Ellipse", ("a", "b")),
+        "radial": ("RadialDomain", ("rho",)),
     },
     "norm": {
         "euclidean": ("EuclideanNorm", ()),
@@ -56,6 +57,8 @@ _KINDS = {
         "quadratic": ("QuadraticNorm", ("a",)),
     },
 }
+# the keys that hold lists, and how deep: rho a list of samples, a of rows
+_LIST_KEYS = {"domain.rho": 1, "norm.a": 2}
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -66,11 +69,15 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _check_number(value, where: str) -> None:
+def _check_number(value, where: str, depth: int = 0) -> None:
     """A number is an int or a float, never a bool: type() and not
     isinstance(), as JSON true and false are bools, bool is a subclass
-    of int, and float() would read them as 1 and 0."""
-    if type(value) not in (int, float):
+    of int, and float() would read them as 1 and 0.  At a depth d > 0, a
+    list's entries are checked at depth d - 1; the class checks its shape."""
+    if depth and isinstance(value, list):
+        for i, x in enumerate(value):
+            _check_number(x, f"{where}[{i}]", depth - 1)
+    elif type(value) not in (int, float):
         raise SchemaError(f"{where} must be a number, not {json.dumps(value)}")
 
 
@@ -81,22 +88,14 @@ def _check_kind(cfg: dict, section: str) -> None:
         raise SchemaError(f"{section} must be an object")
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS[section]:
-        code_only = " (radial domains are code-only)" if section == "domain" else ""
-        raise SchemaError(f"unknown {section} kind {kind!r}{code_only}")
+        raise SchemaError(f"unknown {section} kind {kind!r}")
     keys = _KINDS[section][kind][1]
     _check_keys(obj, {"kind", *keys}, f"{section} of kind {kind!r}")
     missing = [key for key in keys if key not in obj]
     if missing:
         raise SchemaError(f"{section} of kind {kind!r} needs {missing}")
-    for key in keys:
-        value = obj[key]
-        if (kind, key) != ("quadratic", "a"):
-            _check_number(value, f"{section}.{key}")
-            continue
-        # the entries of the matrix's rows; QuadraticNorm checks its shape
-        for i, row in enumerate(value if isinstance(value, list) else []):
-            for j, x in enumerate(row if isinstance(row, list) else []):
-                _check_number(x, f"{section}.{key}[{i}][{j}]")
+    for where, value in ((f"{section}.{key}", obj[key]) for key in keys):
+        _check_number(value, where, _LIST_KEYS.get(where, 0))
 
 
 def _finite(convert):
@@ -177,7 +176,7 @@ def _build(section: str, obj: dict):
     """The domain or norm of a checked section, from its kind's class.
 
     Scalars go to the class as floats, so that an int literal echoes as
-    a float; the quadratic norm's matrix goes as the nested list it is.
+    a float; the lists of ``_LIST_KEYS`` go as the nested lists they are.
     """
     from . import geom
 

@@ -3,8 +3,8 @@
 Domains are uniformly convex, bounded, and described by their boundary:
 a closed counterclockwise curve parameterized by arclength ``s`` starting
 at the intersection with the positive x-axis.  Three kinds are supported:
-disks, axis-aligned ellipses, and star-shaped domains given by a smooth
-positive radial profile ``rho(theta)``.
+disks, axis-aligned ellipses, and star-shaped domains given by samples
+of a smooth positive radial profile ``rho(theta)`` at equal angles.
 
 Norms are strictly convex norms on R^2, evaluated on the components
 (dx, dy) of vectors: the euclidean norm, the l^q norms for 1 < q < inf,
@@ -95,12 +95,13 @@ class _ArclengthTable:
 
 
 class _PeriodicCubic:
-    """Periodic cubic spline through samples y[k] at k * period / n.
+    """Periodic cubic spline through n >= 3 samples y[k] at k * period / n.
 
     With uniform knots the system for the second derivatives,
     (h/6)(M[k-1] + 4 M[k] + M[k+1]) = (y[k+1] - 2 y[k] + y[k-1]) / h,
-    is circulant, so one FFT division solves it.  The interpolant is the
-    one a periodic ``CubicSpline`` builds on the same knots.
+    is circulant, so one FFT division solves it; below 3 samples the
+    stencil's entries 0, 1 and -1 are not distinct.  The interpolant is
+    the one a periodic ``CubicSpline`` builds on the same knots.
     """
 
     def __init__(self, y: np.ndarray, period: float):
@@ -259,26 +260,29 @@ class Ellipse(Domain):
 
 @dataclass
 class RadialDomain(Domain):
-    """Star-shaped domain r <= rho(theta) for a smooth positive profile.
+    """Star-shaped domain r <= rho(theta) for a smooth positive profile,
+    given by its n >= 3 values ``rho[k]`` at theta_k = 2 pi k / n.
 
-    The constructor samples rho on a fine grid, builds a periodic cubic
-    spline, and rejects profiles whose boundary curvature is not strictly
-    positive on 4096 samples (the domain would not be uniformly convex).
+    The constructor builds the periodic cubic spline through the samples
+    and rejects profiles whose boundary curvature is not strictly
+    positive at 4096 angles (the domain would not be uniformly convex).
     """
 
-    rho: object = field(repr=False)
+    rho: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-        vals = np.asarray([float(self.rho(t)) for t in check])
+        vals = self.rho = np.array(self.rho, dtype=float)
+        if vals.ndim != 1 or len(vals) < 3:
+            raise ValueError(f"radial profile needs 3 or more samples, got shape {vals.shape}")
         bad = ~((vals > 0) & (vals < math.inf))
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(
                 f"radial profile must be positive and finite, got {vals[k]} "
-                f"at theta={check[k]:.6f}"
+                f"at theta={TWO_PI * k / len(vals):.6f}"
             )
         self._spline = _PeriodicCubic(vals, TWO_PI)
+        check = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         kappa = self._curvature(check)
         if np.any(kappa <= 0):
             worst = check[int(np.argmin(kappa))]
@@ -291,12 +295,8 @@ class RadialDomain(Domain):
         pts = self.boundary_point(np.linspace(0, self.perimeter, 4096, endpoint=False))
         self.diameter = 2.0 * float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
         pad = 1e-9 * self.diameter
-        self._bbox = (
-            float(pts[:, 0].min()) - pad,
-            float(pts[:, 1].min()) - pad,
-            float(pts[:, 0].max()) + pad,
-            float(pts[:, 1].max()) + pad,
-        )
+        lo, hi = pts.min(axis=0) - pad, pts.max(axis=0) + pad
+        self._bbox = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
     def _curvature(self, th):
         r, r1, r2 = self._spline(th)
@@ -337,7 +337,8 @@ def ellipse(a: float, b: float) -> Ellipse:
 
 
 def radial(rho) -> RadialDomain:
-    return RadialDomain(rho)
+    """The radial domain of a profile function, sampled at 4096 angles."""
+    return RadialDomain([float(rho(t)) for t in np.linspace(0.0, TWO_PI, 4096, endpoint=False)])
 
 
 _ROT_MINUS_90 = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -307,6 +307,7 @@ def _kind_problems() -> dict:
     f_plus, f_minus = smooth_arc_instance(np.random.default_rng(11), ell, 40)
     samples = [[0, 1], [1, 0], [2, -1], [3, 0], [4, 1], [5, 2]]
     jumps = [[0.5, 1], [3.5, -1]]
+    rho = [flower(2 * math.pi * k / 64) for k in range(64)]
     return {
         "ellipse_quadratic": {
             "domain": {"kind": "ellipse", "a": 1.5, "b": 1.0},
@@ -332,6 +333,14 @@ def _kind_problems() -> dict:
             "g": {"samples": samples, "jumps": jumps},
             "grid": {"n": 32},
             "quadrature": 2,
+        },
+        "radial_l3": {
+            "domain": {"kind": "radial", "rho": rho},
+            "norm": {"kind": "lq", "q": 3},
+            "g": harmonic_datum(
+                np.random.default_rng(13), geom.RadialDomain(rho), 120
+            ).config(),
+            "grid": {"n": 32},
         },
     }
 

@@ -178,8 +178,7 @@ class TestCellMask:
         )
 
 
-# a radial domain holds its profile function, which need not pickle
-@pytest.mark.parametrize("kind", ["disk", "ellipse"])
+@pytest.mark.parametrize("kind", DOMAINS)
 @pytest.mark.parametrize("route", ["deepcopy", "pickle"])
 def test_copied_mask_is_rebuilt(kind, route):
     domain = DOMAINS[kind]

@@ -219,6 +219,11 @@ class TestSchemaErrors:
 DOMAINS = {
     "disk": {"kind": "disk", "radius": 1.5},
     "ellipse": {"kind": "ellipse", "a": 2.0, "b": 1.0},
+    # 48 samples of the profile 1 + 0.05 cos(3 theta)
+    "radial": {
+        "kind": "radial",
+        "rho": [1.0 + 0.05 * math.cos(2 * math.pi * 3 * k / 48) for k in range(48)],
+    },
 }
 NORMS = {
     "euclidean": {"kind": "euclidean"},
@@ -256,13 +261,17 @@ class TestProblemKinds:
             ("norm", {"kind": "lq", "q": None}, "norm.q"),
             ("f_plus", [[0.0, 2.0], ["1.0", 1.0]], "f_plus[1][0]"),
             ("norm", {"kind": "quadratic", "a": [[2.0, 0.3], ["0.3", 1.0]]}, "norm.a[1][0]"),
+            ("domain", {"kind": "radial", "rho": [1.0, "1", 1.0]}, "domain.rho[1]"),
+            ("domain", {"kind": "radial", "rho": [1.0, 1.0, [1.0]]}, "domain.rho[2]"),
+            ("domain", {"kind": "radial", "rho": "1, 1, 1"}, "domain.rho"),
         ],
         ids=["radius-string", "radius-list", "b-string", "a-list", "q-string", "q-list",
-             "q-null", "pair-string", "matrix-string"],
+             "q-null", "pair-string", "matrix-string", "rho-entry-string", "rho-entry-list",
+             "rho-string"],
     )
     def test_scalar_must_be_a_number(self, tmp_path, capsys, section, value, key):
-        # only the quadratic norm's a takes a matrix, whose entries are
-        # scalars as each element of a pair is
+        # only the quadratic norm's a and the radial domain's rho take
+        # lists, whose entries are scalars as each element of a pair is
         prob = write_problem(tmp_path, {**pair_cfg(), section: value})
         code, out, err = run(capsys, "solve", "--problem", prob)
         assert (code, out) == (2, "")
@@ -276,11 +285,32 @@ class TestProblemKinds:
         assert '"domain": {"kind": "disk", "radius": 1.0}' in out
         assert '"norm": {"kind": "lq", "q": 3.0}' in out
 
-    def test_radial_is_code_only(self, tmp_path, capsys):
-        prob = write_problem(tmp_path, {**pair_cfg(), "domain": {"kind": "radial"}})
+    @pytest.mark.parametrize(
+        "section, kind", [("domain", "square"), ("norm", "linf"), ("domain", None)]
+    )
+    def test_unknown_kind_refused(self, tmp_path, capsys, section, kind):
+        prob = write_problem(tmp_path, {**pair_cfg(), section: {"kind": kind}})
         code, out, err = run(capsys, "solve", "--problem", prob)
         assert (code, out) == (2, "")
-        assert "radial domains are code-only" in err
+        assert err == f"schema error: unknown {section} kind {kind!r}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "lsg"])
+    def test_radial_round_trip(self, tmp_path, capsys, command):
+        # the echo holds every sample, and fed back it gives the same report
+        cfg = {**cos_cfg(60), "domain": DOMAINS["radial"], "grid": {"n": 32}}
+        code, first, _ = run(capsys, command, "--problem", write_problem(tmp_path, cfg))
+        assert code == 0
+        echo = json.loads(first)["config"]
+        assert echo["domain"] == DOMAINS["radial"]
+        again = write_problem(tmp_path, echo, "again.json")
+        assert run(capsys, command, "--problem", again) == (0, first, "")
+
+    @pytest.mark.parametrize("rho", [[1.0], [1.0, 1.1], 1.0], ids=["1", "2", "scalar"])
+    def test_radial_needs_three_samples(self, tmp_path, capsys, rho):
+        cfg = {**pair_cfg(), "domain": {"kind": "radial", "rho": rho}}
+        code, out, err = run(capsys, "solve", "--problem", write_problem(tmp_path, cfg))
+        assert (code, out) == (2, "")
+        assert "radial profile needs 3 or more samples" in err
 
     @pytest.mark.parametrize(
         "section, value, kind, key",

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,49 @@ class TestRadial:
         with pytest.raises(ValueError, match="positive"):
             radial(lambda t: math.cos(t))
 
+    def test_samples_are_the_domain(self):
+        # radial(rho) samples rho at 4096 angles, and the samples alone
+        # make the domain
+        def rho(t):
+            return 1.0 + 0.05 * math.cos(3 * t)
+
+        dom = radial(rho)
+        th = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+        assert np.array_equal(dom.rho, [rho(t) for t in th])
+        again = geom.RadialDomain(dom.rho.tolist())
+        s = np.linspace(0.0, dom.perimeter, 101)
+        assert again.perimeter == dom.perimeter
+        assert all(map(np.array_equal, again.frame(s), dom.frame(s)))
+
+    def test_pickles(self):
+        dom = radial(lambda t: 1.0 + 0.05 * math.cos(3 * t))
+        twin = pickle.loads(pickle.dumps(dom))
+        assert twin.perimeter == dom.perimeter
+        assert np.array_equal(twin.rho, dom.rho)
+        assert not any(a.flags.writeable for a in twin.trace_ring)
+        assert all(map(np.array_equal, twin.trace_ring, dom.trace_ring))
+
+    @pytest.mark.parametrize(
+        "rho", [[], [1.0], [1.0, 1.1], 1.0, [[1.0, 1.0, 1.0]]],
+        ids=["0", "1", "2", "scalar", "nested"],
+    )
+    def test_fewer_than_three_samples_refused(self, rho):
+        with pytest.raises(ValueError, match="3 or more samples"):
+            geom.RadialDomain(rho)
+
+    def test_three_samples_of_a_circle(self):
+        assert geom.RadialDomain([1, 1, 1]).perimeter == pytest.approx(2 * math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_spline_solves_the_periodic_system(self, n):
+        # (h/6)(M[k-1] + 4 M[k] + M[k+1]) = (y[k+1] - 2 y[k] + y[k-1]) / h
+        y = np.random.default_rng(n).uniform(0.5, 1.5, n)
+        spline = geom._PeriodicCubic(y, 2 * math.pi)
+        h, m = spline.h, spline.m
+        lhs = (h / 6) * (np.roll(m, 1) + 4 * m + np.roll(m, -1))
+        rhs = (np.roll(y, -1) - 2 * y + np.roll(y, 1)) / h
+        assert np.allclose(lhs, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
+
 
 QUAD = QuadraticNorm([[2.0, 0.3], [0.3, 1.0]])
 
@@ -349,18 +393,13 @@ class TestChordCost:
 
 
 class TestConfig:
-    # a radial domain lives in code alone: no problem file names one,
-    # and no report echoes one
-    def test_radial_not_serializable(self, tmp_path):
+    # a problem file names a radial domain by its profile's samples, and
+    # a report echoes every sample
+    def test_radial_without_samples_refused(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text('{"domain": {"kind": "radial"}, "f_plus": [], "f_minus": []}')
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"needs \['rho'\]"):
             cli.load_problem(str(path))
-
-    def test_radial_config_refused(self):
-        assert "RadialDomain" not in {name for name, _ in cli._KINDS["domain"].values()}
-        with pytest.raises(SchemaError, match="code-only"):
-            cli._check_kind({"domain": {"kind": "radial"}}, "domain")
 
 
 def test_gauss_legendre_literals_are_exact():

@@ -230,6 +230,25 @@ class TestPlanMethods:
         with pytest.raises(ValueError):
             plan.validate()
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda p: {"mass": p.mass * [1.0, 0.0]}, "must carry positive mass"),
+            (lambda p: {"i": np.zeros_like(p.i)}, "does not match the source marginal"),
+            (lambda p: {"j": np.zeros_like(p.j)}, "does not match the target marginal"),
+            (lambda p: {"cost": p.cost * (1 + 1e-9)}, "stored cost .* disagrees with entries"),
+        ],
+        ids=["mass", "source", "target", "cost"],
+    )
+    def test_validate_names_each_fault(self, fault, message):
+        # each entry carries mass 1, from a distinct source to a distinct target
+        plan = solve_kantorovich(
+            measure([0.0, math.pi / 2]), measure([math.pi, 3 * math.pi / 2]), EUC
+        )
+        plan.validate()
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(plan, **fault(plan)).validate()
+
     def test_config_shape(self):
         plan = solve_kantorovich(measure([0.0]), measure([math.pi]), EUC)
         cfg = plan.config()
