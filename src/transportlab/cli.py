@@ -94,8 +94,8 @@ def _check_kind(cfg: dict, section: str) -> None:
     missing = [key for key in keys if key not in obj]
     if missing:
         raise SchemaError(f"{section} of kind {kind!r} needs {missing}")
-    for where, value in ((f"{section}.{key}", obj[key]) for key in keys):
-        _check_number(value, where, _LIST_KEYS.get(where, 0))
+    for key in keys:
+        _check_number(obj[key], f"{section}.{key}", _LIST_KEYS.get(f"{section}.{key}", 0))
 
 
 def _finite(convert):

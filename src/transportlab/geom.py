@@ -263,15 +263,16 @@ class RadialDomain(Domain):
     """Star-shaped domain r <= rho(theta) for a smooth positive profile,
     given by its n >= 3 values ``rho[k]`` at theta_k = 2 pi k / n.
 
-    The constructor builds the periodic cubic spline through the samples
-    and rejects profiles whose boundary curvature is not strictly
-    positive at 4096 angles (the domain would not be uniformly convex).
+    The samples are held as a tuple of floats, which cannot change under
+    the spline built from them.  The constructor rejects profiles whose
+    spline or boundary curvature is not strictly positive at 4096 angles
+    (the curve would loop, or the domain not be uniformly convex).
     """
 
-    rho: np.ndarray = field(repr=False)
+    rho: tuple = field(repr=False)
 
     def __post_init__(self):
-        vals = self.rho = np.array(self.rho, dtype=float)
+        vals = np.array(self.rho, dtype=float)
         if vals.ndim != 1 or len(vals) < 3:
             raise ValueError(f"radial profile needs 3 or more samples, got shape {vals.shape}")
         bad = ~((vals > 0) & (vals < math.inf))
@@ -281,8 +282,15 @@ class RadialDomain(Domain):
                 f"radial profile must be positive and finite, got {vals[k]} "
                 f"at theta={TWO_PI * k / len(vals):.6f}"
             )
+        self.rho = tuple(vals.tolist())
         self._spline = _PeriodicCubic(vals, TWO_PI)
         check = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        r = self._spline(check)[0]
+        if np.any(r <= 0):
+            raise ValueError(
+                f"radial profile's spline must be positive, got {r.min():.3e} "
+                f"at theta={check[int(np.argmin(r))]:.6f}"
+            )
         kappa = self._curvature(check)
         if np.any(kappa <= 0):
             worst = check[int(np.argmin(kappa))]
@@ -295,8 +303,12 @@ class RadialDomain(Domain):
         pts = self.boundary_point(np.linspace(0, self.perimeter, 4096, endpoint=False))
         self.diameter = 2.0 * float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
         pad = 1e-9 * self.diameter
-        lo, hi = pts.min(axis=0) - pad, pts.max(axis=0) + pad
-        self._bbox = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+        self._bbox = (
+            float(pts[:, 0].min()) - pad,
+            float(pts[:, 1].min()) - pad,
+            float(pts[:, 0].max()) + pad,
+            float(pts[:, 1].max()) + pad,
+        )
 
     def _curvature(self, th):
         r, r1, r2 = self._spline(th)

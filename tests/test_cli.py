@@ -312,6 +312,12 @@ class TestProblemKinds:
         assert (code, out) == (2, "")
         assert "radial profile needs 3 or more samples" in err
 
+    def test_looping_radial_refused(self, tmp_path, capsys):
+        cfg = {**pair_cfg(), "domain": {"kind": "radial", "rho": [1.7, 0.2, 0.2]}}
+        code, out, err = run(capsys, "solve", "--problem", write_problem(tmp_path, cfg))
+        assert (code, out) == (2, "")
+        assert "radial profile's spline must be positive" in err
+
     @pytest.mark.parametrize(
         "section, value, kind, key",
         [

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import tracemalloc
@@ -210,8 +211,8 @@ class TestRadial:
 
         dom = radial(rho)
         th = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
-        assert np.array_equal(dom.rho, [rho(t) for t in th])
-        again = geom.RadialDomain(dom.rho.tolist())
+        assert dom.rho == tuple(rho(t) for t in th)
+        again = geom.RadialDomain(dom.rho)
         s = np.linspace(0.0, dom.perimeter, 101)
         assert again.perimeter == dom.perimeter
         assert all(map(np.array_equal, again.frame(s), dom.frame(s)))
@@ -220,7 +221,7 @@ class TestRadial:
         dom = radial(lambda t: 1.0 + 0.05 * math.cos(3 * t))
         twin = pickle.loads(pickle.dumps(dom))
         assert twin.perimeter == dom.perimeter
-        assert np.array_equal(twin.rho, dom.rho)
+        assert twin == dom
         assert not any(a.flags.writeable for a in twin.trace_ring)
         assert all(map(np.array_equal, twin.trace_ring, dom.trace_ring))
 
@@ -231,6 +232,26 @@ class TestRadial:
     def test_fewer_than_three_samples_refused(self, rho):
         with pytest.raises(ValueError, match="3 or more samples"):
             geom.RadialDomain(rho)
+
+    def test_samples_cannot_change(self):
+        # the spline reads the samples, so they are a tuple in the domain
+        # and in its copies, and equal samples make equal domains
+        samples = [1.0 + 0.05 * math.cos(2 * math.pi * 3 * k / 64) for k in range(64)]
+        dom = geom.RadialDomain(samples)
+        point = dom.boundary_point([0.0])
+        samples[0] *= 2
+        for twin in (dom, pickle.loads(pickle.dumps(dom)), copy.deepcopy(dom)):
+            assert type(twin.rho) is tuple
+            with pytest.raises(TypeError):
+                twin.rho[0] = 2.0
+            assert twin == dom == geom.RadialDomain(dom.rho)
+            assert np.array_equal(twin.boundary_point([0.0]), point)
+
+    def test_looping_spline_refused(self):
+        # positive samples and positive curvature at every angle, but the
+        # spline dips to -0.175 at theta = pi: a limacon with an inner loop
+        with pytest.raises(ValueError, match="spline must be positive"):
+            geom.RadialDomain([1.7, 0.2, 0.2])
 
     def test_three_samples_of_a_circle(self):
         assert geom.RadialDomain([1, 1, 1]).perimeter == pytest.approx(2 * math.pi, rel=1e-12)
