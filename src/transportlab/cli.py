@@ -126,7 +126,18 @@ def _check_pairs(items, where: str) -> None:
 
 
 def load_problem(path: str) -> dict:
-    """Parse and validate a problem file; unknown keys are rejected."""
+    """Parse and validate a problem file; unknown keys are rejected.
+
+    A list or object nested about as deep as the recursion limit (1,000)
+    exhausts it while the file is read or checked: a schema error too.
+    """
+    try:
+        return _read_problem(path)
+    except RecursionError:
+        raise SchemaError("problem file nests its lists or objects too deep") from None
+
+
+def _read_problem(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(

@@ -414,7 +414,9 @@ class QuadraticNorm(Norm):
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        # a read-only copy: _in_place reads a afresh at every call, and no
+        # check runs again after a write
+        a = np.array(self.a, dtype=float)
         if a.shape != (2, 2):
             raise ValueError(f"quadratic norm needs a 2x2 matrix, got shape {a.shape}")
         if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
@@ -422,7 +424,13 @@ class QuadraticNorm(Norm):
         eigs = np.linalg.eigvalsh(a)
         if eigs.min() <= 0:
             raise ValueError(f"quadratic norm matrix must be positive definite, eigenvalues {eigs}")
+        a.setflags(write=False)
         self.a = a
+
+    def __setstate__(self, state):
+        # pickle and deepcopy hand over a writeable copy of a
+        self.__dict__.update(state)
+        self.a.setflags(write=False)
 
     def _in_place(self, dx, dy):
         (a00, a01), (a10, a11) = self.a

@@ -93,6 +93,13 @@ def deposit_segments(values, origin, cell, start, end, weight):
     go in chunks of at most ``MAX_VISITS`` visits (a longer segment goes
     alone), and the pieces are summed by ``np.bincount`` in a fixed
     order, so the result is reproducible bit for bit.
+
+    A chunk whose segments all start and end in one row skips the row
+    split: each segment is then its own row piece, over t in [0, 1] and
+    from its start's column to its end's, which are the values the row
+    split would give, so the ``bincount`` sees the same index and
+    weights.  The rays of a pair grid in its chart frame are level, so
+    most of its chunks take this path.
     """
     ny, nx = values.shape
     ox, oy = float(origin[0]), float(origin[1])
@@ -109,34 +116,46 @@ def deposit_segments(values, origin, cell, start, end, weight):
     c0 = _cell_index(x0, ox, cell, nx)
     c1 = _cell_index(x0 + dx, ox, cell, nx)
     cum = np.cumsum(np.abs(r1 - r0) + np.abs(c1 - c0) + 1)
+    one_row = r0 == r1
     lo = 0
     while lo < len(keep):
         base = cum[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(cum, base + MAX_VISITS, side="right")))
         part = slice(lo, hi)
         ra, rb = r0[part], r1[part]
-        rc, rfirst, rup, row, t1 = _split(0.0, 1.0, ra, rb, y0[part], dy[part], oy, cell)
-        t0 = np.empty_like(t1)
-        t0[1:] = t1[:-1]
-        t0[rfirst] = 0.0
-        xs, xd = x0[part].repeat(rc), dx[part].repeat(rc)
-        x1 = t1 * xd
-        x1 += xs
-        c_out = _cell_index(x1, ox, cell, nx)
-        c_in = np.empty_like(c_out)
-        c_in[1:] = c_out[:-1]
-        c_in[rfirst] = c0[part]
-        cc, cfirst, cup, col, t = _split(t0, t1, c_in, c_out, xs, xd, ox, cell)
+        # sum over the rows this chunk spans only, not the whole grid
+        if one_row[part].all():
+            # every segment is one row piece over t in [0, 1], from
+            # column c0 to c1 (x0 + 1.0 * dx is x0 + dx, bit for bit)
+            r_lo, r_hi = ra.min(), ra.max() + 1
+            t0, t1 = 0.0, 1.0
+            xs, xd = x0[part], dx[part]
+            cc, cfirst, cup, col, t = _split(t0, t1, c0[part], c1[part], xs, xd, ox, cell)
+            wr = w[part]
+            row = ra - r_lo
+        else:
+            r_lo = min(ra.min(), rb.min())
+            r_hi = max(ra.max(), rb.max()) + 1
+            rc, rfirst, rup, row, t1 = _split(0.0, 1.0, ra, rb, y0[part], dy[part], oy, cell)
+            t0 = np.empty_like(t1)
+            t0[1:] = t1[:-1]
+            t0[rfirst] = 0.0
+            xs, xd = x0[part].repeat(rc), dx[part].repeat(rc)
+            x1 = t1 * xd
+            x1 += xs
+            c_out = _cell_index(x1, ox, cell, nx)
+            c_in = np.empty_like(c_out)
+            c_in[1:] = c_out[:-1]
+            c_in[rfirst] = c0[part]
+            cc, cfirst, cup, col, t = _split(t0, t1, c_in, c_out, xs, xd, ox, cell)
+            wr = w[part].repeat(rc)
+            row -= rup.repeat(rc)
+            row -= r_lo
         length = np.empty_like(t)
         np.subtract(t[1:], t[:-1], out=length[1:])
         length[cfirst] = t[cfirst] - t0
-        length *= w[part].repeat(rc).repeat(cc)
-        # sum over the rows this chunk spans only, not the whole grid; a
-        # row piece's base is (row - r_lo) * nx - up of its column split
-        r_lo = min(ra.min(), rb.min())
-        r_hi = max(ra.max(), rb.max()) + 1
-        row -= rup.repeat(rc)
-        row -= r_lo
+        length *= wr.repeat(cc)
+        # a row piece's base is (row - r_lo) * nx - up of its column split
         row *= nx
         row -= cup
         col += row.repeat(cc)

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from transportlab import cli
 from transportlab.cex import run_counterexample
-from transportlab.cli import main
+from transportlab.cli import load_problem, main
+from transportlab.errors import SchemaError
 
 
 def write_problem(tmp_path, cfg, name="problem.json"):
@@ -214,6 +216,30 @@ class TestSchemaErrors:
         code, _, err = run(capsys, "solve", "--problem", prob)
         assert code == 2
         assert "bad boundary data" in err
+
+    @pytest.mark.parametrize("where", ["radius", "top"])
+    def test_deep_nesting_is_a_schema_error(self, tmp_path, capsys, where):
+        # nesting near the recursion limit exhausts it in json.load, its
+        # number hook or the message of the radius check; every depth from
+        # below the limit to past it is refused, never exit 5
+        path = tmp_path / "problem.json"
+
+        def write(n):
+            nest = "[" * n + "1" + "]" * n
+            if where == "top":
+                path.write_text(nest)
+            else:
+                path.write_text(json.dumps(pair_cfg()).replace('"radius": 1.0', '"radius": ' + nest))
+
+        limit = sys.getrecursionlimit()
+        for n in range(limit - 150, limit + 10):
+            write(n)
+            with pytest.raises(SchemaError):
+                load_problem(str(path))
+        write(100_000)
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert (code, out) == (2, "")
+        assert err == "schema error: problem file nests its lists or objects too deep\n"
 
 
 DOMAINS = {
@@ -521,6 +547,17 @@ def test_import_leaves_scipy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_internal_error_exits_5(capsys, monkeypatch):
+    # a fault of the program, not of its input: exit 5 with the type named
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_cex", fail)
+    code, out, err = run(capsys, "cex", "--pairs", "2", "--p", "2")
+    assert (code, out) == (5, "")
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 class TestInfeasible:

@@ -319,6 +319,20 @@ class TestNorms:
         with pytest.raises(ValueError):
             QuadraticNorm([[1.0, 0.5], [0.0, 1.0]])  # asymmetric
 
+    def test_quadratic_matrix_cannot_change(self):
+        # _in_place reads a at every call and no check runs again, so a
+        # write would make norm(1, 0) nan; a copy or an unpickled twin is
+        # read-only too, and the caller's array stays the caller's
+        given = np.array([[2.0, 0.3], [0.3, 1.0]])
+        norm = QuadraticNorm(given)
+        given[0, 0] = -1.0
+        for twin in (norm, pickle.loads(pickle.dumps(norm)), copy.deepcopy(norm)):
+            with pytest.raises(ValueError, match="read-only"):
+                twin.a[0, 0] = -1.0
+            assert twin.a.tolist() == [[2.0, 0.3], [0.3, 1.0]]
+            assert twin(1.0, 0.0) == math.sqrt(2.0)
+        assert given.flags.writeable
+
     @pytest.mark.parametrize(
         "norm",
         [EuclideanNorm(), LqNorm(2.5), QuadraticNorm([[2.0, 0.3], [0.3, 1.0]])],

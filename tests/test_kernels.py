@@ -153,10 +153,10 @@ def lattice_segments(rng, n, step=1.0 / 32):
 
 
 def assert_same_as_gather(shape, origin, cell, a, b, weight):
-    """The kernel and gather_deposit give the same grid, bit for bit."""
+    """The kernel and gather_deposit give the same grid, byte for byte."""
     got = kernels.deposit_segments(np.zeros(shape), origin, cell, a, b, weight)
     want = gather_deposit(np.zeros(shape), origin, cell, a, b, weight)
-    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
     return got
 
 
@@ -365,6 +365,105 @@ class TestDeposit:
         kernels.deposit_segments(values, (0.0, 0.0), 1.0, a, e, np.array([5.0, 2.0]))
         assert values.sum() == pytest.approx(2.0)
         assert values[0, 0] == pytest.approx(0.5)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOneRowChunks:
+    """A chunk whose segments all stay in one row skips the row split and
+    gives the grid the row split gives, byte for byte.  Chunks hold 16
+    visits here, so a few segments make several chunks; gather_deposit
+    reads the same MAX_VISITS."""
+
+    origin = (-1.0, -0.5)
+    cell = 1.0 / 8
+    shape = (8, 16)  # rows over y in [-0.5, 0.5), columns over x in [-1, 1)
+
+    @pytest.fixture(autouse=True)
+    def axes(self, monkeypatch):
+        """The axis of each _split call of the kernel, in order."""
+        axes = []
+        split = kernels._split
+
+        def counted(lo, hi, i0, i1, p0, d, origin, cell):
+            axes.append("row" if origin == self.origin[1] else "column")
+            return split(lo, hi, i0, i1, p0, d, origin, cell)
+
+        monkeypatch.setattr(kernels, "_split", counted)
+        monkeypatch.setattr(kernels, "MAX_VISITS", 16)
+        return axes
+
+    def _agree(self, a, b):
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        weight = np.linspace(0.5, 2.0, len(a))
+        return assert_same_as_gather(self.shape, self.origin, self.cell, a, b, weight)
+
+    def test_chunks_over_several_rows(self, axes):
+        # short level and sloped segments, each inside one of eight rows
+        rng = np.random.default_rng(12)
+        row = rng.integers(0, 8, 60)
+        y = -0.5 + (row[:, None] + rng.uniform(0.05, 0.95, (60, 2))) * self.cell
+        x = rng.uniform(-0.95, 0.95, 60)[:, None] + [0.0, 0.0]
+        x[:, 1] += rng.uniform(-0.4, 0.4, 60)  # some leave the grid's sides
+        y[:20, 1] = y[:20, 0]
+        self._agree(np.stack([x[:, 0], y[:, 0]], 1), np.stack([x[:, 1], y[:, 1]], 1))
+        assert len(axes) > 5 and set(axes) == {"column"}
+
+    def test_right_to_left(self, axes):
+        a = [[0.9, -0.45], [0.6, 0.05], [0.95, 0.3], [-0.2, -0.2]]
+        b = [[-0.9, -0.4], [-0.1, 0.1], [0.2, 0.3], [-0.8, -0.24]]
+        self._agree(a, b)
+        assert set(axes) == {"column"}
+
+    def test_outside_the_grid_rows(self, axes):
+        # below the grid and above it, level and sloped: every row index
+        # clamps to the border row, so each segment stays in one row
+        a = [[-0.9, -0.7], [-0.5, -3.0], [0.8, 0.6], [-0.3, 0.55], [0.1, 2.0]]
+        b = [[0.4, -0.9], [0.7, -0.51], [-0.6, 0.9], [0.9, 0.55], [-0.2, 0.5]]
+        grid = self._agree(a, b)
+        assert set(axes) == {"column"}
+        assert np.all(grid[1:7] == 0.0)
+
+    def test_on_horizontal_grid_lines(self, axes):
+        # level segments on the bottom edge, on inner lines and on the top
+        # edge (row 8, clamped to 7): dy == 0, so the row split's line
+        # crossings would be 0/0 or x/0
+        y = [-0.5, -0.125, 0.0, 0.25, 0.5]
+        a = [[-0.9, v] for v in y] + [[0.7, -0.125]]
+        b = [[0.6, v] for v in y] + [[-0.75, -0.125]]
+        grid = self._agree(a, b)
+        assert set(axes) == {"column"}
+        # a segment on a line lies in the row above it, the top edge's in
+        # row 7
+        assert np.flatnonzero(grid.sum(axis=1)).tolist() == [0, 3, 4, 6, 7]
+
+    def test_after_a_mixed_chunk(self, axes):
+        # four visits each, so four segments to a chunk: the first chunk
+        # holds a segment that crosses a row line, the second stays in one
+        # row (two of its segments in row 7, two in row 0)
+        a = [[-0.95, -0.2], [-0.95, 0.1], [0.05, -0.45], [-0.55, 0.3],
+             [0.2, 0.45], [0.6, -0.45], [-0.3, 0.4], [0.8, -0.5]]
+        b = [[-0.7, -0.1], [-0.55, 0.1], [0.45, -0.4], [-0.95, 0.3],
+             [0.6, 0.4], [0.2, -0.45], [0.1, 0.49], [0.4, -0.41]]
+        self._agree(a, b)
+        assert axes == ["row", "column", "column"]
+
+    def test_one_split_per_one_row_chunk(self, axes):
+        # chunks of four 4-visit segments, one-row (L) and mixed (M), in
+        # random rows and directions: a one-row chunk splits once, along
+        # the columns, and a mixed chunk twice, rows first
+        rng = np.random.default_rng(13)
+        chunks = ["LLLL", "LMLL", "LLLL", "LLLM", "LL"]
+        ends = []
+        for kind in "".join(chunks):
+            r, c = rng.integers(0, 7), rng.integers(0, 13)
+            lift = 1.0 if kind == "M" else rng.uniform(-0.4, 0.4)
+            run = 2.0 if kind == "M" else 3.0
+            seg = np.array([[c + 0.5, r + 0.5], [c + 0.5 + run, r + 0.5 + lift]])
+            ends.append(seg[::-1] if rng.random() < 0.5 else seg)
+        a, b = (np.array(ends)[:, k] * self.cell + self.origin for k in (0, 1))
+        self._agree(a, b)
+        want = [["row", "column"] if "M" in kind else ["column"] for kind in chunks]
+        assert axes == sum(want, [])
 
 
 class TestPowerSum:
