@@ -73,12 +73,16 @@ def _check_number(value, where: str, depth: int = 0) -> None:
     """A number is an int or a float, never a bool: type() and not
     isinstance(), as JSON true and false are bools, bool is a subclass
     of int, and float() would read them as 1 and 0.  At a depth d > 0, a
-    list's entries are checked at depth d - 1; the class checks its shape."""
+    list's entries are checked at depth d - 1; the class checks its shape.
+    The message echoes at most 40 characters of the value."""
     if depth and isinstance(value, list):
         for i, x in enumerate(value):
             _check_number(x, f"{where}[{i}]", depth - 1)
     elif type(value) not in (int, float):
-        raise SchemaError(f"{where} must be a number, not {json.dumps(value)}")
+        text = json.dumps(value)
+        if len(text) > 40:
+            text = text[:37] + "..."
+        raise SchemaError(f"{where} must be a number, not {text}")
 
 
 def _check_kind(cfg: dict, section: str) -> None:

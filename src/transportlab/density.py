@@ -25,26 +25,30 @@ class GridField:
     """Square-cell grid holding either a density or function samples.
 
     values[iy, ix] belongs to the cell with lower-left corner
-    origin + cell*(ix, iy).  kind is "density" (measure per unit area,
-    nonnegative) or "function" (plain samples).
+    origin + cell*(ix, iy), so the grid has ``nx`` columns and ``ny``
+    rows, read from the shape of ``values``.  kind is "density"
+    (measure per unit area, nonnegative) or "function" (plain samples).
     """
 
     origin: tuple
     cell: float
-    nx: int
-    ny: int
     values: np.ndarray
     kind: str = "density"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.ny, self.nx):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match "
-                f"(ny, nx) = {(self.ny, self.nx)}"
-            )
+        if self.values.ndim != 2:
+            raise ValueError(f"values must be 2-d, got shape {self.values.shape}")
         if self.kind not in ("density", "function"):
             raise ValueError(f"unknown field kind {self.kind!r}")
+
+    @property
+    def nx(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def ny(self) -> int:
+        return self.values.shape[0]
 
     def centers(self) -> np.ndarray:
         """Cell centers, shape (ny, nx, 2)."""
@@ -59,14 +63,7 @@ class GridField:
         return float(self.values.sum() * self.cell**2)
 
     def copy_empty(self, kind: str) -> "GridField":
-        return GridField(
-            origin=self.origin,
-            cell=self.cell,
-            nx=self.nx,
-            ny=self.ny,
-            values=np.zeros((self.ny, self.nx)),
-            kind=kind,
-        )
+        return GridField(self.origin, self.cell, np.zeros(self.values.shape), kind)
 
 
 def grid_for_domain(domain: Domain, n: int) -> GridField:
@@ -83,14 +80,7 @@ def grid_for_domain(domain: Domain, n: int) -> GridField:
     cell = max(w, h) / n
     nx = max(1, int(math.ceil(w / cell - 1e-12)))
     ny = max(1, int(math.ceil(h / cell - 1e-12)))
-    return GridField(
-        origin=(x0, y0),
-        cell=cell,
-        nx=nx,
-        ny=ny,
-        values=np.zeros((ny, nx)),
-        kind="density",
-    )
+    return GridField((x0, y0), cell, np.zeros((ny, nx)))
 
 
 def deposit_partial_density(
@@ -202,6 +192,8 @@ def write_csv(field: GridField, path: str) -> None:
 
 
 def read_csv(path: str) -> GridField:
+    """The grid a :func:`write_csv` file holds; a header whose nx and ny
+    disagree with the rows read raises ``ValueError``."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("# origin="):
@@ -211,14 +203,13 @@ def read_csv(path: str) -> GridField:
         )
         ox, oy = (float(v) for v in fields["origin"].split(","))
         values = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return GridField(
-        origin=(ox, oy),
-        cell=float(fields["cell"]),
-        nx=int(fields["nx"]),
-        ny=int(fields["ny"]),
-        values=values,
-        kind=fields.get("kind", "density"),
-    )
+    shape = (int(fields["ny"]), int(fields["nx"]))
+    if values.shape != shape:
+        raise ValueError(
+            f"{path} holds rows of shape {values.shape}, "
+            f"but its header says (ny, nx) = {shape}"
+        )
+    return GridField((ox, oy), float(fields["cell"]), values, fields.get("kind", "density"))
 
 
 def write_pgm(field: GridField, path: str) -> None:

@@ -411,11 +411,13 @@ class LqNorm(Norm):
 
 @dataclass
 class QuadraticNorm(Norm):
-    a: np.ndarray
+    """The norm sqrt(v' A v) of a symmetric positive definite 2x2 matrix
+    ``a``, held as a tuple of row tuples of floats, which cannot change
+    under the checks made on it."""
+
+    a: tuple
 
     def __post_init__(self):
-        # a read-only copy: _in_place reads a afresh at every call, and no
-        # check runs again after a write
         a = np.array(self.a, dtype=float)
         if a.shape != (2, 2):
             raise ValueError(f"quadratic norm needs a 2x2 matrix, got shape {a.shape}")
@@ -424,13 +426,7 @@ class QuadraticNorm(Norm):
         eigs = np.linalg.eigvalsh(a)
         if eigs.min() <= 0:
             raise ValueError(f"quadratic norm matrix must be positive definite, eigenvalues {eigs}")
-        a.setflags(write=False)
-        self.a = a
-
-    def __setstate__(self, state):
-        # pickle and deepcopy hand over a writeable copy of a
-        self.__dict__.update(state)
-        self.a.setflags(write=False)
+        self.a = tuple(map(tuple, a.tolist()))
 
     def _in_place(self, dx, dy):
         (a00, a01), (a10, a11) = self.a
@@ -439,7 +435,7 @@ class QuadraticNorm(Norm):
         return np.sqrt(a00 * dx * dx + a01 * dx * dy + a10 * dy * dx + a11 * dy * dy, out=dx)
 
     def rotated(self):
-        return QuadraticNorm(_ROT_MINUS_90.T @ self.a @ _ROT_MINUS_90)
+        return QuadraticNorm(_ROT_MINUS_90.T @ np.array(self.a) @ _ROT_MINUS_90)
 
 
 @dataclass

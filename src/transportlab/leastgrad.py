@@ -111,7 +111,7 @@ def gradient_norm_field(u: GridField, phi: Norm, domain: Domain) -> GridField:
     gy /= h
     vals = phi._in_place(gx, gy)
     vals[outside] = 0.0
-    return GridField(u.origin, u.cell, u.nx, u.ny, vals, kind="density")
+    return GridField(u.origin, u.cell, vals, kind="density")
 
 
 def total_variation(grad: GridField) -> float:

@@ -10,7 +10,7 @@ plans never contain chords crossing in the interior of the domain.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,31 +28,45 @@ COST_RTOL = 1e-12
 class SolverStats:
     """Deterministic record of how the simplex reached a plan.
 
-    ``start`` is the starting basis used: "certified" (the LIFO tree
-    from the seam at s = 0, at which the simplex stopped at its first
-    pricing), "certified_seam" (the same from the cheapest seam) or
-    "lifo" (a LIFO tree that made pivots); see
-    :func:`simplex.solve_transport`.  ``seam`` is the event index the
-    boundary walk starts at, ``fallback`` why a certified start was not
-    used ("" when it was), ``pivots`` the simplex pivots and
-    ``b_scale`` the factor sum(a) / sum(b) that rebalanced the target
-    masses.
+    It holds ``seam``, the event index the boundary walk started at,
+    ``pivots``, the simplex pivots, and ``b_scale``, the factor
+    sum(a) / sum(b) that rebalanced the target masses.  A start is
+    certified when it makes no pivot: the simplex stopped at its first
+    pricing.  The words of the start follow from these:
 
-    ``fallback`` gives seam 0's reason first: its walk's verdict, or
+    ``start`` is "certified" (the LIFO tree from the seam at s = 0,
+    certified), "certified_seam" (the same from a cheaper seam) or
+    "lifo" (a LIFO tree that made pivots).
+
+    ``fallback`` says why a certified start was not used, "" when it
+    was.  It gives seam 0's reason first: its walk's verdict, or
     "seam 0: seam S is cheaper" when the seam sweep found a strictly
     cheaper plan and seam 0 was not walked.  Then "; no cheaper seam"
     (separated supports, or no seam cheaper) or "; seam S: " and the
     cheaper seam's verdict follows when that start did not certify.
     """
 
-    start: str
     seam: int
-    fallback: str
     pivots: int
     b_scale: float
 
+    @property
+    def start(self) -> str:
+        if self.pivots:
+            return "lifo"
+        return "certified_seam" if self.seam else "certified"
+
+    @property
+    def fallback(self) -> str:
+        why = "its first pricing finds a negative reduced cost"
+        if not self.seam:
+            return f"seam 0: {why}; no cheaper seam" if self.pivots else ""
+        cheaper = f"seam 0: seam {self.seam} is cheaper"
+        return f"{cheaper}; seam {self.seam}: {why}" if self.pivots else cheaper
+
     def config(self) -> dict:
-        return asdict(self)
+        keys = ("start", "seam", "fallback", "pivots", "b_scale")
+        return {key: getattr(self, key) for key in keys}
 
 
 @dataclass
@@ -171,7 +185,7 @@ def solve_kantorovich(
     PQ = cost.domain.boundary_point(np.concatenate([f_plus.s, f_minus.s]))
     P, Q = PQ[: len(f_plus)], PQ[len(f_plus) :]
     C = cost.matrix(P, Q)
-    bi, bj, f, u, v, start, iters = simplex.solve_transport(
+    bi, bj, f, u, v, seam, iters = simplex.solve_transport(
         C, a, b, s_a=f_plus.s, s_b=f_minus.s
     )
     keep = np.flatnonzero(f > 0)
@@ -194,7 +208,7 @@ def solve_kantorovich(
         entry_costs=entry_costs,
         gap=total_cost - dual_obj,
         potentials=(u, v),
-        stats=SolverStats(*start, pivots=iters - 1, b_scale=b_scale),
+        stats=SolverStats(seam, iters - 1, b_scale),
     )
     plan.validate()
     return plan

@@ -95,12 +95,15 @@ def _solve_core(C, a, b, bi, bj, f):
     the start prices out.  The pricing tolerance scales with the largest
     cost, the iteration cap with n + m and the degenerate-pivot
     tolerance with the largest mass.  Raises :class:`SolverError` when
-    the start is not a spanning tree, when a cycle has no leaving cell,
-    or at the iteration cap.
+    a cost is not finite, when the start is not a spanning tree, when a
+    cycle has no leaving cell, or at the iteration cap.
     """
     n, m = C.shape
     nn = n + m
-    tol = 1e-12 * (1.0 + float(np.abs(C).max(initial=0.0)))
+    c_max = float(np.abs(C).max(initial=0.0))
+    if not c_max < np.inf:  # NaN fails too
+        raise SolverError(f"the cost matrix is not finite (largest |cost| {c_max})")
+    tol = 1e-12 * (1.0 + c_max)
     max_iter = 400 * nn + 200000
     # the basic cells' costs; fromiter converts lists faster than np.array
     cl = C[np.fromiter(bi, np.int64), np.fromiter(bj, np.int64)].tolist()
@@ -436,34 +439,18 @@ def boundary_stack_basis(C, a, b, s_a, s_b):
     return bi, bj, f, seam
 
 
-def _start(seam, certified):
-    """The (kind, seam, reason) tuple of a start."""
-    why = "its first pricing finds a negative reduced cost"
-    if not seam:
-        return ("certified", 0, "") if certified else ("lifo", 0, f"seam 0: {why}; no cheaper seam")
-    cheaper = f"seam 0: seam {seam} is cheaper"
-    if certified:
-        return ("certified_seam", seam, cheaper)
-    return ("lifo", seam, f"{cheaper}; seam {seam}: {why}")
-
-
 def solve_transport(C, a, b, s_a, s_b):
-    """Run the simplex; returns (bi, bj, f, u, v, start, iterations).
+    """Run the simplex; returns (bi, bj, f, u, v, seam, iterations).
 
     The start is :func:`boundary_stack_basis` on the boundary positions
     ``s_a`` and ``s_b``, certified when the core stops at its first
     pricing; the core's lists come back as int64 cells and float64
-    flows.  ``start`` is the tuple (kind, seam, reason) that
-    :class:`ot.SolverStats` records.
-
-    The reason of a start from seam 0 is "" when it certified, else
-    "seam 0: " and its verdict, then "; no cheaper seam".  A start from
-    a cheaper seam S gives "seam 0: seam S is cheaper", since seam 0
-    was not walked, and adds "; seam S: " and its verdict when it did
-    not certify.
+    flows.  ``seam`` is the event index the start's walk began at;
+    :class:`ot.SolverStats` words the start from it and the pivots,
+    iterations - 1.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
     bi, bj, f, seam = boundary_stack_basis(C, a, b, s_a, s_b)
     u, v, iters = _solve_core(C, a, b, bi, bj, f)
     bi, bj = np.fromiter(bi, np.int64), np.fromiter(bj, np.int64)
-    return bi, bj, np.fromiter(f, float), u, v, _start(seam, iters == 1), iters
+    return bi, bj, np.fromiter(f, float), u, v, seam, iters

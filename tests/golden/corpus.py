@@ -50,12 +50,12 @@ from transportlab import cli, density, geom, leastgrad, simplex
 from transportlab.cex import build_arcs, run_counterexample
 from transportlab.instances import smooth_arc_instance
 from transportlab.measures import BoundaryDatum, remove_common_mass, tangential_derivative
-from transportlab.ot import solve_kantorovich
+from transportlab.ot import SolverStats, solve_kantorovich
 
 # the tests' reference solvers and instances live one directory up
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from instances import cosine_datum, mirror_cosine_measures
-from oracles import northwest_solve
+from oracles import NORTHWEST, northwest_solve
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus.json")
 RTOL = 1e-12
@@ -180,13 +180,17 @@ def core_trials() -> dict:
             ("positions", simplex.solve_transport(C, a, b, s_a, s_b)),
             ("northwest", northwest_solve(C, a, b)),
         ):
-            bi, bj, f, u, v, start, iters = solved
+            bi, bj, f, u, v, seam, iters = solved
             keep = np.flatnonzero(f > 0)
             keep = keep[np.lexsort((bj[keep], bi[keep]))]
             i, j, mass = bi[keep], bj[keep], f[keep]
             cost = float(np.dot(mass, C[i, j]))
             gap = cost - float(np.dot(u, a) + np.dot(v, b))
-            stats = {**dict(zip(("start", "seam", "fallback"), start)), "pivots": iters - 1}
+            if name == "positions":
+                stats = SolverStats(seam, iters - 1, 1.0).config()
+                del stats["b_scale"]
+            else:
+                stats = {**NORTHWEST, "pivots": iters - 1}
             out[f"core/{trial:02d}/{name}"] = _plan_entry(i, j, mass, cost, gap, u, v, stats)
     return out
 

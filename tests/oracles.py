@@ -81,9 +81,22 @@ def slackness_violation(pot: DualPotentials, plan: TransportPlan) -> float:
     return float(np.max(np.abs(diff - plan.entry_costs), initial=0.0))
 
 
-# the start tuple solve_transport gave input without boundary
-# positions before it required them
-NORTHWEST = ("northwest", -1, "no boundary positions")
+# the start words solve_transport gave input without boundary positions
+# before it required them; northwest_solve reports no seam as -1
+NORTHWEST = {"start": "northwest", "seam": -1, "fallback": "no boundary positions"}
+
+
+def start_words(seam, certified):
+    """The (start, seam, fallback) words of a boundary start from
+    ``seam``, as ``simplex.solve_transport`` returned them before
+    ``SolverStats`` derived them: the reference table of its words."""
+    why = "its first pricing finds a negative reduced cost"
+    if not seam:
+        return ("certified", 0, "") if certified else ("lifo", 0, f"seam 0: {why}; no cheaper seam")
+    cheaper = f"seam 0: seam {seam} is cheaper"
+    if certified:
+        return ("certified_seam", seam, cheaper)
+    return ("lifo", seam, f"{cheaper}; seam {seam}: {why}")
 
 
 def simplex_limits(C, a, b):
@@ -100,14 +113,14 @@ def simplex_limits(C, a, b):
 def northwest_solve(C, a, b):
     """The positionless reference solve: ``simplex._solve_core``, under
     its own limits, pivots the lists of ``simplex.northwest_basis``.
-    Returns solve_transport's tuple (bi, bj, f, u, v, NORTHWEST,
-    iterations), the basis as int64 and float64 arrays; a failed solve
-    raises the core's SolverError."""
+    Returns solve_transport's tuple (bi, bj, f, u, v, -1, iterations),
+    the basis as int64 and float64 arrays; a failed solve raises the
+    core's SolverError."""
     C = np.ascontiguousarray(C, dtype=np.float64)
     bi, bj, f = simplex.northwest_basis(a, b)
     u, v, iters = simplex._solve_core(C, a, b, bi, bj, f)
     bi, bj = np.array(bi, dtype=np.int64), np.array(bj, dtype=np.int64)
-    return bi, bj, np.array(f), u, v, NORTHWEST, iters
+    return bi, bj, np.array(f), u, v, -1, iters
 
 
 def plain_lifo(a, b, kinds, idxs):

@@ -170,8 +170,8 @@ class TestCellMask:
         assert again is not mask and np.array_equal(again, mask)
         # the origin is part of the key
         shifted = GridField(
-            (first.origin[0] + first.cell, first.origin[1]), first.cell, first.nx,
-            first.ny, np.zeros((first.ny, first.nx)),
+            (first.origin[0] + first.cell, first.origin[1]), first.cell,
+            np.zeros((first.ny, first.nx)),
         )
         assert np.array_equal(
             interior_mask(shifted, domain), domain.contains(shifted.centers())

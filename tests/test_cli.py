@@ -303,6 +303,19 @@ class TestProblemKinds:
         assert (code, out) == (2, "")
         assert err.startswith(f"schema error: {key} must be a number, not ")
 
+    @pytest.mark.parametrize(
+        "radius, echo",
+        [([1, 2], "[1, 2]"), (list(range(200_000)), "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11...")],
+        ids=["short", "long"],
+    )
+    def test_echoed_value_is_capped(self, tmp_path, capsys, radius, echo):
+        # a long value is cut to 40 characters, not echoed whole
+        prob = write_problem(tmp_path, {**pair_cfg(), "domain": {"kind": "disk", "radius": radius}})
+        code, out, err = run(capsys, "solve", "--problem", prob)
+        assert (code, out) == (2, "")
+        assert err == f"schema error: domain.radius must be a number, not {echo}\n"
+        assert len(err) < 100
+
     def test_int_literals_echo_as_floats(self, tmp_path, capsys):
         cfg = {**pair_cfg(), "domain": {"kind": "disk", "radius": 1},
                "norm": {"kind": "lq", "q": 3}}
@@ -558,6 +571,16 @@ def test_internal_error_exits_5(capsys, monkeypatch):
     code, out, err = run(capsys, "cex", "--pairs", "2", "--p", "2")
     assert (code, out) == (5, "")
     assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_costs_exit_5(tmp_path, capsys):
+    # |dx|**q overflows at q = 1e6: the solver refuses the costs rather
+    # than report an infinite cost and a nan gap
+    prob = write_problem(tmp_path, {**pair_cfg(), "norm": {"kind": "lq", "q": 1e6}})
+    code, out, err = run(capsys, "solve", "--problem", prob)
+    assert (code, out) == (5, "")
+    assert err.startswith("internal error: SolverError: the cost matrix is not finite")
 
 
 class TestInfeasible:

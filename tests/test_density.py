@@ -70,8 +70,16 @@ class TestGrid:
         assert (g.nx, g.ny) == (8, 8)
 
     def test_bad_values_shape_rejected(self):
-        with pytest.raises(ValueError):
-            GridField(origin=(0.0, 0.0), cell=1.0, nx=3, ny=2, values=np.zeros((3, 2)))
+        for shape in [(6,), (2, 3, 1)]:
+            with pytest.raises(ValueError, match="2-d"):
+                GridField(origin=(0.0, 0.0), cell=1.0, values=np.zeros(shape))
+
+    def test_shape_follows_values(self):
+        # nx and ny are read from the values, so a replaced array can
+        # never disagree with them
+        g = GridField(origin=(0.0, 0.0), cell=1.0, values=np.zeros((8, 8)))
+        g.values = np.zeros((3, 5))
+        assert (g.nx, g.ny) == (5, 3)
 
 
 class TestDeposit:
@@ -130,7 +138,7 @@ class TestDeposit:
 class TestNorms:
     def test_constant_field_norms(self):
         vals = np.full((4, 5), 3.0)
-        f = GridField(origin=(0.0, 0.0), cell=0.5, nx=5, ny=4, values=vals)
+        f = GridField(origin=(0.0, 0.0), cell=0.5, values=vals)
         area = 20 * 0.25
         assert lp_norm(f, 1) == pytest.approx(3.0 * area)
         assert lp_norm(f, 2) == pytest.approx(3.0 * math.sqrt(area))
@@ -138,20 +146,17 @@ class TestNorms:
 
     def test_field_left_unchanged(self):
         vals = np.array([[0.0, 2.0], [0.5, 0.0]])
-        f = GridField(origin=(0.0, 0.0), cell=1.0, nx=2, ny=2, values=vals.copy())
+        f = GridField(origin=(0.0, 0.0), cell=1.0, values=vals.copy())
         assert lp_norm(f, 2.5) == np.sum(vals**2.5) ** (1.0 / 2.5)
         assert np.array_equal(f.values, vals)
 
     def test_p_below_one_rejected(self):
-        f = GridField(origin=(0.0, 0.0), cell=1.0, nx=2, ny=2, values=np.ones((2, 2)))
+        f = GridField(origin=(0.0, 0.0), cell=1.0, values=np.ones((2, 2)))
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
 
     def test_function_kind_rejected(self):
-        f = GridField(
-            origin=(0.0, 0.0), cell=1.0, nx=2, ny=2,
-            values=np.ones((2, 2)), kind="function",
-        )
+        f = GridField(origin=(0.0, 0.0), cell=1.0, values=np.ones((2, 2)), kind="function")
         with pytest.raises(ValueError):
             lp_norm(f, 2)
 
@@ -248,7 +253,7 @@ class TestBoundFactors:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: lp_norm(GridField((0.0, 0.0), 1.0, 2, 2, np.ones((2, 2))), math.nan), "be >= 1"),
+        (lambda: lp_norm(GridField((0.0, 0.0), 1.0, np.ones((2, 2))), math.nan), "be >= 1"),
         (lambda: time_factor(math.nan, 0.5), "exceed 1"),
         (lambda: lp_bound_factors(diameter_plan(), math.nan, 0.5), "exceed 1"),
     ],
@@ -279,7 +284,7 @@ class TestSerialization:
         vals[hit] = rng.uniform(-10.0, 10.0, hit.sum())
         vals[0, :6] = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308]
         vals[1, :2] = [1e-310, 1.7976931348623157e308]
-        f = GridField(origin=(-1.5, 0.25), cell=0.1, nx=48, ny=64, values=vals)
+        f = GridField(origin=(-1.5, 0.25), cell=0.1, values=vals)
         path = tmp_path / "density.csv"
         write_csv(f, path)
         expect = (
@@ -294,10 +299,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_csv(path)
 
+    @pytest.mark.parametrize("nx, ny", [(2, 3), (3, 3), (3, 1)])
+    def test_header_must_match_rows(self, tmp_path, nx, ny):
+        # the header is the one place a shape arrives from outside, and
+        # the message names the file
+        path = tmp_path / "density.csv"
+        path.write_text(f"# origin=0.0,0.0 cell=1.0 nx={nx} ny={ny} kind=density\n1,2,3\n4,5,6\n")
+        want = rf"density\.csv holds rows of shape \(2, 3\), but its header says \(ny, nx\) = \({ny}, {nx}\)"
+        with pytest.raises(ValueError, match=want):
+            read_csv(path)
+
     def test_pgm_header_and_orientation(self, tmp_path):
         vals = np.zeros((2, 3))
         vals[1, 0] = 1.0  # largest y, smallest x
-        f = GridField(origin=(0.0, 0.0), cell=1.0, nx=3, ny=2, values=vals)
+        f = GridField(origin=(0.0, 0.0), cell=1.0, values=vals)
         path = tmp_path / "density.pgm"
         write_pgm(f, path)
         raw = path.read_bytes()

@@ -322,16 +322,23 @@ class TestNorms:
     def test_quadratic_matrix_cannot_change(self):
         # _in_place reads a at every call and no check runs again, so a
         # write would make norm(1, 0) nan; a copy or an unpickled twin is
-        # read-only too, and the caller's array stays the caller's
+        # a tuple too, and the caller's array stays the caller's
         given = np.array([[2.0, 0.3], [0.3, 1.0]])
         norm = QuadraticNorm(given)
         given[0, 0] = -1.0
         for twin in (norm, pickle.loads(pickle.dumps(norm)), copy.deepcopy(norm)):
-            with pytest.raises(ValueError, match="read-only"):
-                twin.a[0, 0] = -1.0
-            assert twin.a.tolist() == [[2.0, 0.3], [0.3, 1.0]]
+            with pytest.raises(TypeError):
+                twin.a[0][0] = -1.0
+            assert twin.a == ((2.0, 0.3), (0.3, 1.0))
+            assert all(type(x) is float for row in twin.a for x in row)
             assert twin(1.0, 0.0) == math.sqrt(2.0)
         assert given.flags.writeable
+
+    def test_quadratic_norms_compare_by_value(self):
+        a = [[2.0, 0.3], [0.3, 1.0]]
+        assert QuadraticNorm(a) == QuadraticNorm(np.array(a))
+        assert QuadraticNorm(a) != QuadraticNorm([[2.0, 0.3], [0.3, 1.5]])
+        assert QuadraticNorm(a).rotated().rotated() == QuadraticNorm(a)
 
     @pytest.mark.parametrize(
         "norm",

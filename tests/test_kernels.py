@@ -1096,6 +1096,16 @@ class TestSimplexCores:
         with pytest.raises(SolverError, match="^the start basis is not a spanning tree$"):
             simplex._solve_core(C, a, b, bi, bj, [1.0] * 4)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_cost_refused(self, bad):
+        # refused before the first pricing, where a nan reduced cost
+        # never prices in and an infinite one makes nan potentials
+        C, a, b = np.ones((2, 3)), np.full(2, 1.5), np.ones(3)
+        C[1, 2] = bad
+        bi, bj, f = simplex.northwest_basis(a, b)
+        with pytest.raises(SolverError, match="^the cost matrix is not finite"):
+            simplex._solve_core(C, a, b, bi, bj, f)
+
     def test_solve_transport_returns_arrays(self):
         rng = np.random.default_rng(5)
         C, a, b = self._instance(rng, 12, 17)

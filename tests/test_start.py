@@ -13,6 +13,7 @@ first pricing, and a start that does not certify makes at least one
 pivot.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     plain_lifo,
     plain_lifo_forest,
     stack_lifo,
+    start_words,
 )
 from test_kernels import cex_inputs, core_inputs, harmonic_datum
 from transportlab import cex, simplex
@@ -91,17 +93,17 @@ TRANSPORT_DUST = (21, 38)
 
 def solve_both(C, a, b, s_a, s_b):
     """solve_transport and the positionless reference solve from the
-    northwest corner, as (start, pivots, positive cells, cost, gap) each;
+    northwest corner, as (seam, pivots, positive cells, cost, gap) each;
     the cost sums the cells in (i, j) order, as solve_kantorovich does."""
     out = []
     for solved in (simplex.solve_transport(C, a, b, s_a, s_b), northwest_solve(C, a, b)):
-        bi, bj, f, u, v, start, iters = solved
+        bi, bj, f, u, v, seam, iters = solved
         keep = np.flatnonzero(f > 0)
         keep = keep[np.lexsort((bj[keep], bi[keep]))]
         cost = float(np.dot(f[keep], C[bi[keep], bj[keep]]))
         gap = cost - float(np.dot(u, a) + np.dot(v, b))
         cells = set(zip(bi[keep].tolist(), bj[keep].tolist()))
-        out.append((start, iters - 1, cells, cost, gap))
+        out.append((seam, iters - 1, cells, cost, gap))
     return out
 
 
@@ -131,13 +133,11 @@ class TestSoundness:
             b *= a.sum() / b.sum()
             s_a = rng.uniform(0.0, 2 * math.pi, n)
             s_b = rng.uniform(0.0, 2 * math.pi, m)
-            ((kind, _, _), pivots, cells, cost, gap), (_, _, nw_cells, nw_cost, _) = (
-                solve_both(C, a, b, s_a, s_b)
-            )
             # uniform costs have no boundary structure: these seldom
             # certify, and check the fallbacks as much as the certificate
-            if kind.startswith("certified"):
-                assert pivots == 0, f"trial {trial}"
+            (_, _, cells, cost, gap), (_, _, nw_cells, nw_cost, _) = solve_both(
+                C, a, b, s_a, s_b
+            )
             assert cells == nw_cells, f"trial {trial}"
             assert abs(cost - nw_cost) <= 1e-15 * nw_cost, f"trial {trial}"
             assert abs(gap) <= 1e-14 * cost, f"trial {trial}"
@@ -145,11 +145,11 @@ class TestSoundness:
     @pytest.mark.parametrize("atoms_per_arc", [24, 100, 400])
     def test_cex_pairs(self, atoms_per_arc):
         C, a, b, s_a, s_b = cex_inputs(atoms_per_arc)
-        (start, pivots, cells, cost, gap), (_, _, nw_cells, nw_cost, _) = solve_both(
+        (seam, pivots, cells, cost, gap), (_, _, nw_cells, nw_cost, _) = solve_both(
             C, a, b, s_a, s_b
         )
-        assert start == ("certified", 0, "")
-        assert pivots == 0
+        # certified from seam 0
+        assert (seam, pivots) == (0, 0)
         assert cells == nw_cells
         assert abs(cost - nw_cost) <= 1e-15 * nw_cost
         assert abs(gap) <= 1e-14 * cost
@@ -271,7 +271,7 @@ class TestTieJoins:
         assert simplex.boundary_stack_basis(C, a, b, s_a, s_b) == (
             [0, 1, 1], [0, 1, 0], [1.0, 1.0, 0.0], 0
         )
-        assert simplex.solve_transport(C, a, b, s_a, s_b)[5:] == (("certified", 0, ""), 1)
+        assert simplex.solve_transport(C, a, b, s_a, s_b)[5:] == (0, 1)
         check_against_northwest(f_plus, f_minus, EUC)
 
     def test_tie_at_the_last_atom(self):
@@ -283,7 +283,7 @@ class TestTieJoins:
         C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, EUC)
         kinds, idxs = simplex._events(s_a, s_b)
         assert simplex._lifo(a, b, kinds, idxs) == ([1, 0], [0, 1], [1.0, 1.0], [(0, 0)])
-        assert simplex.solve_transport(C, a, b, s_a, s_b)[5:] == (("certified", 0, ""), 1)
+        assert simplex.solve_transport(C, a, b, s_a, s_b)[5:] == (0, 1)
         check_against_northwest(f_plus, f_minus, EUC)
 
     def test_dust_walk_certifies_as_one_tree(self, monkeypatch):
@@ -455,10 +455,23 @@ class TestSolverStats:
     def test_certified(self):
         f_plus, f_minus = mirror_cosine_measures(50)
         stats = solve_kantorovich(f_plus, f_minus, EUC).stats
-        assert stats == SolverStats("certified", 0, "", 0, stats.b_scale)
+        assert stats == SolverStats(0, 0, stats.b_scale)
         assert stats.config() == {
             "start": "certified", "seam": 0, "fallback": "", "pivots": 0,
             "b_scale": stats.b_scale,
+        }
+
+    @pytest.mark.parametrize("pivots", [0, 3])
+    @pytest.mark.parametrize("seam", [0, 75])
+    def test_words_follow_seam_and_pivots(self, seam, pivots):
+        # the record holds its inputs alone, and words them as the start
+        # table did: a start certifies when it makes no pivot
+        stats = SolverStats(seam, pivots, 1.0)
+        assert [f.name for f in dataclasses.fields(stats)] == ["seam", "pivots", "b_scale"]
+        assert (stats.start, stats.seam, stats.fallback) == start_words(seam, pivots == 0)
+        assert stats.config() == {
+            "start": stats.start, "seam": seam, "fallback": stats.fallback,
+            "pivots": pivots, "b_scale": 1.0,
         }
 
     def test_seam_recorded(self):
@@ -586,13 +599,9 @@ class TestSingleTreeStart:
             certified[group] = 0
             for C, a, b, s_a, s_b in inputs:
                 calls.clear()
-                start, iters = simplex.solve_transport(C, a, b, s_a, s_b)[5:]
+                iters = simplex.solve_transport(C, a, b, s_a, s_b)[6]
                 assert len(calls) == 1
-                if start[0].startswith("certified"):
-                    assert iters == 1
-                    certified[group] += 1
-                else:
-                    assert start[0] == "lifo" and iters > 1
+                certified[group] += iters == 1
             if group == "lsg":
                 assert not forests
         assert certified == {"lsg": 35, "radial": 1, "random": 104}
@@ -709,9 +718,8 @@ class TestOneWalk:
         for trial in range(50):
             C, a, b, s_a, s_b = two_runs(rng, ties=trial % 2 == 1)
             walks.clear()
-            start = simplex.solve_transport(C, a, b, s_a, s_b)[5]
-            assert start[1] == 0 and len(walks) == 1
-            assert start[2] == "" or start[2].endswith("; no cheaper seam")
+            seam = simplex.solve_transport(C, a, b, s_a, s_b)[5]
+            assert seam == 0 and len(walks) == 1
         assert not sweeps
 
     def test_lsg_pool(self, monkeypatch):
@@ -743,8 +751,9 @@ class TestOneWalk:
         ei, ej, _, ties = simplex._lifo(a, b, *walk)
         assert seam == 3 and len(ei) + len(ties) == n + m - 2
         walks = counting(monkeypatch, "_lifo")
-        (start, pivots, _, cost, gap), want = solve_both(C, a, b, s_a, s_b)
-        assert start == (
+        (seam, pivots, _, cost, gap), want = solve_both(C, a, b, s_a, s_b)
+        stats = SolverStats(seam, pivots, 1.0)
+        assert (stats.start, stats.seam, stats.fallback) == (
             "lifo",
             3,
             "seam 0: seam 3 is cheaper; seam 3: its first pricing finds a negative reduced cost",
