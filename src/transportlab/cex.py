@@ -50,7 +50,8 @@ def _shape(n) -> np.ndarray:
 
 @dataclass
 class ArcSystem:
-    """Layout of N adjacent arc pairs on a circle.
+    """Layout of N adjacent arc pairs on the unit circle, from the length
+    ``eps[n]`` of each arc of pair n and the ``scale`` of the lengths.
 
     Pair n occupies [starts[n], starts[n] + 2 eps[n]] in arclength; the
     positive arc comes first in odd pairs (1-indexed) and second in
@@ -58,15 +59,25 @@ class ArcSystem:
     mass ever profits from crossing a pair boundary.
     """
 
-    domain: Disk
     eps: np.ndarray
     scale: float
-    starts: np.ndarray
-    plus_first: np.ndarray
+
+    @property
+    def domain(self) -> Disk:
+        return disk(1.0)
 
     @property
     def n_pairs(self) -> int:
         return len(self.eps)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Arclength where each pair begins: the pairs abut from s = 0."""
+        return np.concatenate([[0.0], np.cumsum(2.0 * self.eps[:-1])])
+
+    @property
+    def plus_first(self) -> np.ndarray:
+        return np.arange(self.n_pairs) % 2 == 0
 
     def center(self, n: int) -> float:
         """Arclength of the reflection point of pair n (0-indexed)."""
@@ -106,8 +117,7 @@ def build_arcs(N: int, eps: list = None) -> ArcSystem:
     N = operator.index(N)
     if N < 1:
         raise ValueError(f"need at least one arc pair, got {N}")
-    domain = disk(1.0)
-    per = domain.perimeter
+    per = disk(1.0).perimeter
     if eps is None:
         scale = per / (4.0 * SERIES_SUM_BOUND)
         lengths = scale * _shape(np.arange(1, N + 1))
@@ -125,15 +135,7 @@ def build_arcs(N: int, eps: list = None) -> ArcSystem:
                 f"arcs of total length {2 * lengths.sum():.6g} overflow the "
                 f"perimeter {per:.6g}"
             )
-    starts = np.concatenate([[0.0], np.cumsum(2.0 * lengths[:-1])])
-    plus_first = np.arange(N) % 2 == 0
-    return ArcSystem(
-        domain=domain,
-        eps=lengths,
-        scale=scale,
-        starts=starts,
-        plus_first=plus_first,
-    )
+    return ArcSystem(eps=lengths, scale=scale)
 
 
 def _gauss_jacobi(beta: float) -> tuple[np.ndarray, np.ndarray]:

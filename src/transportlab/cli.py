@@ -6,8 +6,9 @@ two-factor estimate), lsg (least-gradient reconstruction), cex (the
 alternating-arc family).  Reports are JSON on stdout with sorted keys
 and no timestamps, so identical inputs give byte-identical output.
 
-Exit codes: 0 ok, 2 malformed problem file or flag value, 3 infeasible
-data, 4 flagged divergence in the requested quantity, 5 internal error.
+Exit codes: 0 ok, 2 malformed problem file or flag value, or data
+whose costs leave the float range, 3 infeasible data, 4 flagged
+divergence in the requested quantity, 5 internal error.
 
 Each command imports only the layers it runs, since every call of the
 program is a fresh process that compiles what it imports: solve loads
@@ -29,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__, backend_name
-from .errors import InfeasibleError, SchemaError
+from .errors import InfeasibleError, NonFiniteCostError, SchemaError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -262,22 +263,14 @@ def _resolved_config(cfg: dict, domain, norm, grid_n: int = None) -> dict:
 
 
 def _sanitize(obj):
-    """JSON-safe deep copy: numpy scalars to python, non-finite to strings."""
+    """JSON-safe deep copy: non-finite floats (numpy's float64 is a
+    float) to the strings "inf", "-inf" and "nan"."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        if math.isnan(f):
-            return "nan"
-        return f
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
     return obj
 
 
@@ -564,6 +557,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except NonFiniteCostError as e:
+        print(f"outside the float range: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)

@@ -11,3 +11,7 @@ class InfeasibleError(ValueError):
 
 class SolverError(RuntimeError):
     """The transport solver failed to terminate cleanly."""
+
+
+class NonFiniteCostError(SolverError):
+    """Finite data whose costs leave the float range."""

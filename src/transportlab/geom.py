@@ -455,7 +455,8 @@ class ChordCost:
         the output, its y differences into one temporary, and the norm
         writes its values over the x differences.  Every entry is the
         same float as from one (n, m) difference array per axis, and the
-        matrix is the one n x m array held.
+        matrix is the one n x m array held; a norm that leaves the float
+        range writes inf or nan with no warning, and the solver refuses it.
         """
         p, q = (
             x if x.ndim == 2 else self.domain.boundary_point(x)
@@ -464,7 +465,8 @@ class ChordCost:
         qx, qy = np.ascontiguousarray(q.T)
         out = np.empty((len(p), len(q)))
         rows = max(1, _BLOCK // max(len(q), 1))
-        for lo in range(0, len(p), rows):
-            dx = np.subtract(p[lo : lo + rows, 0, None], qx, out=out[lo : lo + rows])
-            self.norm._in_place(dx, p[lo : lo + rows, 1, None] - qy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(p), rows):
+                dx = np.subtract(p[lo : lo + rows, 0, None], qx, out=out[lo : lo + rows])
+                self.norm._in_place(dx, p[lo : lo + rows, 1, None] - qy)
         return out

@@ -137,9 +137,13 @@ class LeastGradientResult:
     u: GridField
     grad: GridField  # gradient_norm_field(u, phi, domain)
     plan: TransportPlan
-    cost: float
     tv: float
     trace_err: float
+
+    @property
+    def cost(self) -> float:
+        """The plan's cost, 0.0 for a constant datum, which has no plan."""
+        return 0.0 if self.plan is None else self.plan.cost
 
 
 def solve_least_gradient(
@@ -164,12 +168,10 @@ def solve_least_gradient(
     f_plus, f_minus = remove_common_mass(f_plus, f_minus)
     if len(f_plus) == 0:
         # constant datum: nothing moves
-        plan, cost = None, 0.0
+        plan, mass = None, np.zeros(0)
         seg_a = seg_b = np.zeros((0, 2))
-        mass = np.zeros(0)
     else:
         plan = solve_kantorovich(f_plus, f_minus, ChordCost(domain, phi.rotated()))
-        cost = plan.cost
         (seg_a, seg_b), mass = plan.entry_segments(), plan.mass
     # positional: pipebench's tracer counts the rays as len(args[0])
     u = reconstruct_u(seg_a, seg_b, mass, g, grid, domain)
@@ -178,7 +180,6 @@ def solve_least_gradient(
         u=u,
         grad=grad,
         plan=plan,
-        cost=cost,
         tv=total_variation(grad),
         trace_err=trace_error(u, g, domain),
     )

@@ -48,7 +48,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import NonFiniteCostError, SolverError
 
 STALL_LIMIT = 64
 
@@ -95,14 +95,15 @@ def _solve_core(C, a, b, bi, bj, f):
     the start prices out.  The pricing tolerance scales with the largest
     cost, the iteration cap with n + m and the degenerate-pivot
     tolerance with the largest mass.  Raises :class:`SolverError` when
-    a cost is not finite, when the start is not a spanning tree, when a
-    cycle has no leaving cell, or at the iteration cap.
+    a cost is not finite (its subclass NonFiniteCostError), when the
+    start is not a spanning tree, when a cycle has no leaving cell, or
+    at the iteration cap.
     """
     n, m = C.shape
     nn = n + m
     c_max = float(np.abs(C).max(initial=0.0))
     if not c_max < np.inf:  # NaN fails too
-        raise SolverError(f"the cost matrix is not finite (largest |cost| {c_max})")
+        raise NonFiniteCostError(f"the cost matrix is not finite (largest |cost| {c_max})")
     tol = 1e-12 * (1.0 + c_max)
     max_iter = 400 * nn + 200000
     # the basic cells' costs; fromiter converts lists faster than np.array

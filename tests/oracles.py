@@ -39,7 +39,6 @@ def brute_force_plan(
         i=i,
         j=j,
         mass=np.full(n, unit),
-        cost=float(unit * entry_costs.sum()),
         source_points=cost.domain.boundary_point(f_plus.s),
         target_points=cost.domain.boundary_point(f_minus.s),
         entry_costs=entry_costs,
@@ -55,7 +54,6 @@ def reversed_plan(plan: TransportPlan) -> TransportPlan:
         i=plan.j.copy(),
         j=plan.i.copy(),
         mass=plan.mass.copy(),
-        cost=plan.cost,
         source_points=plan.target_points,
         target_points=plan.source_points,
         entry_costs=plan.entry_costs.copy(),
@@ -227,6 +225,73 @@ def stack_lifo(a, b, kinds, idxs):
         else:
             stack.append([kind, idx, rem])
     return ei, ej, ef, ties
+
+
+# every float64 is an integer multiple of 2**-1074, the least subnormal
+_ULP_SHIFT = 1074
+
+
+def _exact_units(C) -> list:
+    """The rows of C as python ints in units of 2**-1074, exactly."""
+    return [
+        [n << (_ULP_SHIFT + 1 - d.bit_length()) for n, d in map(float.as_integer_ratio, row)]
+        for row in np.asarray(C, dtype=float).tolist()
+    ]
+
+
+def exact_reduced_costs(C, bi, bj) -> np.ndarray:
+    """Reduced costs C[i, j] - u_i - v_j of a basis tree in exact
+    arithmetic, as an (n, m) object array of python ints in units of
+    2**-1074.
+
+    The cells (bi[e], bj[e]) must form a spanning tree of the n sources
+    and m targets.  It is hung from source 0 with u_0 = 0, and every
+    cell sets u_i + v_j = C[i, j] exactly, so basic cells read 0 and the
+    basis is exactly optimal for the float costs when no cell reads
+    negative.  Raises ValueError when the cells are not a spanning tree.
+    """
+    n, m = np.shape(C)
+    Z = _exact_units(C)
+    adj = [[] for _ in range(n + m)]
+    for i, j in zip(np.asarray(bi).tolist(), np.asarray(bj).tolist()):
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+    pot = [None] * (n + m)  # u, then v
+    pot[0] = 0
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        for y in adj[x]:
+            if pot[y] is None:
+                i, j = (x, y - n) if x < n else (y, x - n)
+                pot[y] = Z[i][j] - pot[x]
+                todo.append(y)
+    if len(bi) != n + m - 1 or None in pot:
+        raise ValueError("the basis cells are not a spanning tree")
+    u, v = pot[:n], pot[n:]
+    reduced = np.empty((n, m), dtype=object)
+    reduced[:] = [[z - ui - vj for z, vj in zip(row, v)] for row, ui in zip(Z, u)]
+    return reduced
+
+
+def exact_monge_breaks(C, order_i, order_j) -> list:
+    """Adjacent 2 x 2 minors of C, rows and columns taken in the orders
+    given, that break the Monge inequality in exact arithmetic.
+
+    With r, r' adjacent in ``order_i`` and c, c' in ``order_j``, the
+    minor breaks when C[r, c] + C[r', c'] > C[r, c'] + C[r', c].
+    Returns its (k, l) positions in the orders.  Sources in walk order
+    and targets in reverse walk order on separated supports make the
+    chord costs Monge: chords with interleaved ends cross, and the
+    triangle inequality at the crossing gives the inequality.
+    """
+    Z = _exact_units(np.asarray(C)[np.ix_(order_i, order_j)])
+    return [
+        (k, l)
+        for k, (row, nxt) in enumerate(zip(Z, Z[1:]))
+        for l in range(len(row) - 1)
+        if row[l] + nxt[l + 1] > row[l + 1] + nxt[l]
+    ]
 
 
 def newton_param_of_arclength(table, s):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -573,14 +574,24 @@ def test_internal_error_exits_5(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_non_finite_costs_exit_5(tmp_path, capsys):
+def test_non_finite_costs_exit_2(tmp_path, capsys):
     # |dx|**q overflows at q = 1e6: the solver refuses the costs rather
-    # than report an infinite cost and a nan gap
-    prob = write_problem(tmp_path, {**pair_cfg(), "norm": {"kind": "lq", "q": 1e6}})
-    code, out, err = run(capsys, "solve", "--problem", prob)
-    assert (code, out) == (5, "")
-    assert err.startswith("internal error: SolverError: the cost matrix is not finite")
+    # than report an infinite cost and a nan gap, and every command that
+    # solves reports them as bad data in one line, with no numpy warning
+    lq = {"norm": {"kind": "lq", "q": 1e6}, "grid": {"n": 16}}
+    problems = [{**pair_cfg(), **lq}, {**cos_cfg(40), **lq}]
+    commands = [["solve"], ["density"], ["lp-norm", "--p", "2"], ["bound", "--p", "2"]]
+    for k, cfg in enumerate(problems):
+        prob = write_problem(tmp_path, cfg, name=f"problem{k}.json")
+        for argv in commands + [["lsg"]] * ("g" in cfg):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, *argv, "--problem", prob)
+            assert (code, out) == (2, ""), argv
+            assert err == (
+                "outside the float range: the cost matrix is not finite "
+                "(largest |cost| inf)\n"
+            )
 
 
 class TestInfeasible:

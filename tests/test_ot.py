@@ -143,7 +143,6 @@ class TestNoncrossing:
             i=np.array([0, 1]),
             j=np.array([0, 1]),
             mass=np.array([1.0, 1.0]),
-            cost=4.0,
             source_points=plan.source_points,
             target_points=plan.target_points,
             entry_costs=np.array([2.0, 2.0]),
@@ -236,9 +235,8 @@ class TestPlanMethods:
             (lambda p: {"mass": p.mass * [1.0, 0.0]}, "must carry positive mass"),
             (lambda p: {"i": np.zeros_like(p.i)}, "does not match the source marginal"),
             (lambda p: {"j": np.zeros_like(p.j)}, "does not match the target marginal"),
-            (lambda p: {"cost": p.cost * (1 + 1e-9)}, "stored cost .* disagrees with entries"),
         ],
-        ids=["mass", "source", "target", "cost"],
+        ids=["mass", "source", "target"],
     )
     def test_validate_names_each_fault(self, fault, message):
         # each entry carries mass 1, from a distinct source to a distinct target

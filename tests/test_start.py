@@ -22,6 +22,8 @@ import pytest
 from instances import cosine_datum, mirror_cosine_measures, random_atoms_instance
 from oracles import (
     brute_force_plan,
+    exact_monge_breaks,
+    exact_reduced_costs,
     lifo_seam_costs,
     northwest_solve,
     plain_lifo,
@@ -778,3 +780,63 @@ class TestOneWalk:
             )
             pivots.append(stats.pivots)
         assert pivots == [25, 25, 28]
+
+
+def walk_orders(s_a, s_b):
+    """Sources in walk order and targets in reverse walk order when the
+    supports are separated (the event kinds form at most two runs
+    around the boundary), else None.  A run of sources or targets that
+    wraps round s = 0 is walked from its start."""
+    kinds, idxs = simplex._events(s_a, s_b)
+    turns = np.flatnonzero(kinds[1:] != kinds[:-1])
+    if len(turns) > 2:
+        return None
+    if len(turns) == 2:
+        kinds, idxs = np.roll(kinds, -turns[1] - 1), np.roll(idxs, -turns[1] - 1)
+    return idxs[kinds == 0], idxs[kinds == 1][::-1]
+
+
+class TestExactCertificate:
+    """Every final basis is exactly optimal for its float costs, and
+    separated supports keep the Monge property in exact arithmetic: no
+    tolerance decides either (``oracles.exact_reduced_costs`` and
+    ``oracles.exact_monge_breaks``)."""
+
+    def test_oracles_see_faults(self):
+        # the antipodal pairing of two unit atoms a side crosses: its
+        # tree prices the nested pairing in, and in walk order the
+        # crossing pairing's minor is the one that breaks
+        C, a, b, s_a, s_b = core_inputs(
+            BoundaryMeasure([0.0, 1.0], [1.0, 1.0], TWO_PI),
+            BoundaryMeasure([2.0, 3.0], [1.0, 1.0], TWO_PI),
+            EUC,
+        )
+        reduced = exact_reduced_costs(C, [0, 1, 0], [0, 1, 1])
+        assert reduced[0, 0] == reduced[1, 1] == reduced[0, 1] == 0
+        assert reduced[1, 0] < 0
+        order_i, order_j = walk_orders(s_a, s_b)
+        assert (order_i.tolist(), order_j.tolist()) == ([0, 1], [1, 0])
+        assert exact_monge_breaks(C, order_i, order_j) == []
+        assert exact_monge_breaks(C, order_i, order_j[::-1]) == [(0, 0)]
+        with pytest.raises(ValueError, match="spanning tree"):
+            exact_reduced_costs(C, [0, 1], [0, 0])
+
+    def test_workload_samples(self):
+        # the 8 pairs of one cex_grid op, six lsg solves (1 and 7 have
+        # separated supports; 2, 13 and 15 pivot) and one transport solve
+        arcs = cex_grid_pool(1)[0]
+        cost = ChordCost(arcs.domain, EuclideanNorm())
+        inputs = [(*arcs.pair_measures(n, 24), cost) for n in range(arcs.n_pairs)]
+        lsg = lsg_pool(16)
+        inputs += [lsg[k] for k in (0, 1, 2, 7, 13, 15)] + transport_pool(1)
+        separated = pivoted = 0
+        for f_plus, f_minus, cost in inputs:
+            C, a, b, s_a, s_b = core_inputs(f_plus, f_minus, cost)
+            bi, bj, _, _, _, _, iters = simplex.solve_transport(C, a, b, s_a, s_b)
+            assert min(exact_reduced_costs(C, bi, bj).flat) >= 0
+            orders = walk_orders(s_a, s_b)
+            if orders is not None:
+                assert exact_monge_breaks(C, *orders) == []
+                separated += 1
+            pivoted += iters > 1
+        assert (len(inputs), separated, pivoted) == (15, 11, 3)
