@@ -16,6 +16,11 @@ that a run starts (the CLI tests that spawn an interpreter, for one)
 are not.  Modules imported before the run starts lose their top-level
 lines, so the script imports nothing of the package itself.
 
+Python drops a trace function that raises, as one does when a run
+exhausts the recursion limit inside it; every line after that goes
+uncounted.  The script then says that its counts are partial and exits
+non-zero.
+
 This is a measuring tool: no test or CI step runs it.
 """
 
@@ -54,9 +59,10 @@ def _ranges(lines: list[int], executable: list[int]) -> str:
     return ", ".join(f"{a}-{b}" if a != b else f"{a}" for a, b in runs)
 
 
-def run_traced(argv: list[str]) -> tuple[dict[str, set[int]], int]:
+def run_traced(argv: list[str]) -> tuple[dict[str, set[int]], int, bool]:
     """Run ``argv`` (``-m module args`` or ``script args``) traced; the
-    lines reached per file under the package, and the exit code."""
+    lines reached per file under the package, the exit code, and
+    whether the collector was still installed at the end."""
     reached: dict[str, set[int]] = collections.defaultdict(set)
     files: dict[str, str | None] = {}
 
@@ -86,16 +92,17 @@ def run_traced(argv: list[str]) -> tuple[dict[str, set[int]], int]:
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else int(e.code is not None)
     finally:
+        kept = sys.gettrace() is call
         sys.settrace(None)
         threading.settrace(None)
-    return reached, code
+    return reached, code, kept
 
 
 def main(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help") or argv == ["-m"]:
         print(__doc__)
         return 2
-    reached, code = run_traced(argv)
+    reached, code, kept = run_traced(argv)
     total_reached = total = 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
@@ -110,6 +117,9 @@ def main(argv: list[str]) -> int:
         if missed:
             print(f"  unreached: {_ranges(missed, executable)}")
     print(f"total: {total_reached} of {total} executable lines reached")
+    if not kept:
+        print("partial counts: the run dropped the line collector, so later lines went uncounted")
+        return code or 1
     return code
 
 

@@ -3,9 +3,9 @@
 Pairs of adjacent equal-length arcs carry +1 and -1 boundary density;
 within each pair the optimal transport reflects across the pair
 midpoint, so the density near the shared endpoint behaves like a
-corner fan.  On a circle of radius R the p-th power integral of the
-density of a pair with half angle a = eps/R is
-2 R^2 int_0^a sin(phi)^(2-p) dphi, finite exactly for p < 3; exact mode
+corner fan.  On the unit circle the p-th power integral of the density
+of a pair of arc length eps, which is also its half angle, is
+2 int_0^eps sin(phi)^(2-p) dphi, finite exactly for p < 3; exact mode
 evaluates it by Gauss-Jacobi quadrature.  With arc lengths shrinking
 like 1/(n ln^2(1+n)) it scales like (arc length)^(3-p) per pair, so the
 sum over pairs is finite for p <= 2 and infinite for every p > 2.
@@ -51,15 +51,16 @@ def _shape(n) -> np.ndarray:
 @dataclass
 class ArcSystem:
     """Layout of N adjacent arc pairs on the unit circle, from the length
-    ``eps[n]`` of each arc of pair n and the ``scale`` of the lengths.
+    ``eps[n]`` of each arc of pair n, a tuple of floats, and the
+    ``scale`` of the lengths.
 
-    Pair n occupies [starts[n], starts[n] + 2 eps[n]] in arclength; the
-    positive arc comes first in odd pairs (1-indexed) and second in
+    The pairs abut from s = 0 in arclength, pair n spanning 2 eps[n];
+    the positive arc comes first in odd pairs (1-indexed) and second in
     even ones, so consecutive pairs always abut with equal signs and no
     mass ever profits from crossing a pair boundary.
     """
 
-    eps: np.ndarray
+    eps: tuple
     scale: float
 
     @property
@@ -70,25 +71,15 @@ class ArcSystem:
     def n_pairs(self) -> int:
         return len(self.eps)
 
-    @property
-    def starts(self) -> np.ndarray:
-        """Arclength where each pair begins: the pairs abut from s = 0."""
-        return np.concatenate([[0.0], np.cumsum(2.0 * self.eps[:-1])])
-
-    @property
-    def plus_first(self) -> np.ndarray:
-        return np.arange(self.n_pairs) % 2 == 0
-
-    def center(self, n: int) -> float:
-        """Arclength of the reflection point of pair n (0-indexed)."""
-        return float(self.starts[n] + self.eps[n])
-
     def intervals(self, n: int) -> tuple[tuple[float, float], tuple[float, float]]:
-        """((plus_lo, plus_hi), (minus_lo, minus_hi)) for pair n."""
-        s0 = float(self.starts[n])
-        mid = s0 + float(self.eps[n])
-        hi = s0 + 2.0 * float(self.eps[n])
-        if self.plus_first[n]:
+        """((plus_lo, plus_hi), (minus_lo, minus_hi)) for pair n
+        (0-indexed); the two arcs share the pair's reflection point."""
+        # the earlier pairs summed in order, the floats of np.cumsum
+        s0 = 0.0
+        for e in self.eps[:n]:
+            s0 += 2.0 * e
+        mid, hi = s0 + self.eps[n], s0 + 2.0 * self.eps[n]
+        if n % 2 == 0:
             return (s0, mid), (mid, hi)
         return (mid, hi), (s0, mid)
 
@@ -135,7 +126,7 @@ def build_arcs(N: int, eps: list = None) -> ArcSystem:
                 f"arcs of total length {2 * lengths.sum():.6g} overflow the "
                 f"perimeter {per:.6g}"
             )
-    return ArcSystem(eps=lengths, scale=scale)
+    return ArcSystem(eps=tuple(lengths.tolist()), scale=scale)
 
 
 def _gauss_jacobi(beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,42 +147,33 @@ def _gauss_jacobi(beta: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, mu0 * vecs[0] ** 2
 
 
-def exact_pair_lps(arcs: ArcSystem, pairs, p: float) -> list[float]:
-    """Integral of each listed pair's density to the p-th power, by
-    quadrature; ``pairs`` is a sequence of pair indices.
+def exact_pair_lps(arcs: ArcSystem, p: float) -> list[float]:
+    """Integral of each pair's density to the p-th power, by quadrature.
 
-    In the chart over the tangent at the pair midpoint the circle is
-    the graph s -> alpha(s) with alpha'(s) = s/sqrt(R^2 - s^2); rays
+    In the chart over the tangent at the pair midpoint the unit circle
+    is the graph s -> alpha(s) with alpha'(s) = s/sqrt(1 - s^2); rays
     join (s, alpha) to (-s, alpha) and the area Jacobian of the ray
     parameterization is 2 s alpha'(s).  The trip direction integrates
-    out exactly, and with s = R sin(phi) the remaining 1-d integral is
-    2 R^2 times the integral of sin(phi)^(2-p) over [0, a], a = eps/R the
-    pair's half angle.  Near phi = 0 this behaves like phi^(2-p):
-    integrable for p < 3, divergent (returns inf) for p >= 3.  With
-    phi = a (1 + x) / 2 the singular factor is the Gauss-Jacobi weight
-    (1 + x)^(2-p), and the smooth rest (sin(phi)/phi)^(2-p) is
+    out exactly, and with s = sin(phi) the remaining 1-d integral is
+    2 times the integral of sin(phi)^(2-p) over [0, eps], the pair's
+    half angle eps being its arc length.  Near phi = 0 this behaves like
+    phi^(2-p): integrable for p < 3, divergent (returns inf) for p >= 3.
+    With phi = eps (1 + x) / 2 the singular factor is the Gauss-Jacobi
+    weight (1 + x)^(2-p), and the smooth rest (sin(phi)/phi)^(2-p) is
     integrated with GJ_NODES nodes, one rule for all pairs: it depends
-    on p alone.  Raises IndexError for a pair outside 0..N-1 (a negative
-    index does not wrap) and ValueError unless p >= 1.
+    on p alone.  Raises ValueError unless p >= 1.
     """
-    for n in pairs:
-        if not 0 <= n < arcs.n_pairs:
-            raise IndexError(f"pair {n} outside 0..{arcs.n_pairs - 1}")
     if not p >= 1.0:  # NaN fails too
         raise ValueError(f"p must be >= 1, got {p!r}")
     if p >= 3.0:
-        return [math.inf] * len(pairs)
-    R = arcs.domain.radius
+        return [math.inf] * arcs.n_pairs
     beta = 2.0 - p
     x, w = _gauss_jacobi(beta)
     out = []
-    for n in pairs:
-        half_angle = float(arcs.eps[n]) / R
-        phi = 0.5 * half_angle * (1.0 + x)
+    for e in arcs.eps:
+        phi = 0.5 * e * (1.0 + x)
         smooth = (np.sin(phi) / phi) ** beta
-        out.append(
-            float(2.0 * R * R * (0.5 * half_angle) ** (beta + 1.0) * np.dot(w, smooth))
-        )
+        out.append(float(2.0 * (0.5 * e) ** (beta + 1.0) * np.dot(w, smooth)))
     return out
 
 
@@ -211,10 +193,9 @@ def _pair_grid(arcs: ArcSystem, n: int, grid_n: int) -> tuple:
     = x axis, inward normal = y axis).  Cells are sized so grid_n of them
     span the sag, with two cells of padding around the ray fan.
     """
-    R = arcs.domain.radius
-    half_angle = float(arcs.eps[n]) / R
-    s_max = R * math.sin(half_angle)
-    sag = R * (1.0 - math.cos(half_angle))
+    half_angle = arcs.eps[n]
+    s_max = math.sin(half_angle)
+    sag = 1.0 - math.cos(half_angle)
     cell = sag / grid_n
     pad = 2 * cell
     nx = int(math.ceil((2 * s_max + 2 * pad) / cell))
@@ -260,9 +241,9 @@ def _pair_grid_lp(
 
     plan = pair_plan(arcs, n, atoms_per_arc)
     a, b = plan.entry_segments()
-    R = arcs.domain.radius
-    theta = arcs.center(n) / R
-    c = np.array([R * math.cos(theta), R * math.sin(theta)])
+    # the reflection point is the shared end of the pair's two arcs
+    theta = max(lo for lo, _ in arcs.intervals(n))
+    c = np.array([math.cos(theta), math.sin(theta)])
     tangent = np.array([-math.sin(theta), math.cos(theta)])
     inward = np.array([-math.cos(theta), -math.sin(theta)])
     frame = np.stack([tangent, inward], axis=1)
@@ -308,16 +289,16 @@ def run_counterexample(
         check_pair_grids(arcs, grid_n)
         per_pair = [_pair_grid_lp(arcs, n, p, grid_n, atoms_per_arc) for n in range(N)]
     else:
-        per_pair = exact_pair_lps(arcs, range(N), p)
+        per_pair = exact_pair_lps(arcs, p)
     diverged = [not math.isfinite(v) for v in per_pair]
     partial = math.inf if any(diverged) else float(sum(per_pair))
-    reference = float(np.sum(arcs.eps ** (3.0 - p)))
+    reference = float(np.sum(np.array(arcs.eps) ** (3.0 - p)))
     report = {
         "pairs": N,
         "p": float(p),
         "mode": mode,
-        "scale": float(arcs.scale),
-        "eps": [float(e) for e in arcs.eps],
+        "scale": arcs.scale,
+        "eps": list(arcs.eps),
         "per_pair": per_pair,
         "diverged": diverged,
         "partial_sum": partial,

@@ -6,9 +6,10 @@ two-factor estimate), lsg (least-gradient reconstruction), cex (the
 alternating-arc family).  Reports are JSON on stdout with sorted keys
 and no timestamps, so identical inputs give byte-identical output.
 
-Exit codes: 0 ok, 2 malformed problem file or flag value, or data
-whose costs leave the float range, 3 infeasible data, 4 flagged
-divergence in the requested quantity, 5 internal error.
+Exit codes: 0 ok, 2 malformed problem file or flag value, or finite
+data whose derived values (costs, variation, masses, cell area) leave
+the float range, 3 infeasible data, 4 flagged divergence, 5 internal
+error.
 
 Each command imports only the layers it runs, since every call of the
 program is a fresh process that compiles what it imports: solve loads
@@ -30,7 +31,7 @@ import sys
 import numpy as np
 
 from . import __version__, backend_name
-from .errors import InfeasibleError, NonFiniteCostError, SchemaError
+from .errors import FloatRangeError, InfeasibleError, SchemaError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -558,7 +559,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except NonFiniteCostError as e:
+    except FloatRangeError as e:
         print(f"outside the float range: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     except InfeasibleError as e:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .errors import FloatRangeError
 from .geom import Domain
 from .ot import TransportPlan, displacement_lengths
 
@@ -70,7 +71,8 @@ def grid_for_domain(domain: Domain, n: int) -> GridField:
     """Empty density grid of square cells covering the domain's box.
 
     n counts cells along the longer box side; the CLI takes its n from
-    ``cli._grid_n``.
+    ``cli._grid_n``.  A cell area, or its reciprocal, that overflows
+    raises FloatRangeError: the deposit and the integrals use both.
     """
     n = operator.index(n)
     if n < 1:
@@ -78,6 +80,8 @@ def grid_for_domain(domain: Domain, n: int) -> GridField:
     x0, y0, x1, y1 = domain.bbox()
     w, h = x1 - x0, y1 - y0
     cell = max(w, h) / n
+    if not (0.0 < cell * cell < math.inf and 1.0 / (cell * cell) < math.inf):
+        raise FloatRangeError(f"grid cells of side {cell:.6g}: area or reciprocal overflows")
     nx = max(1, int(math.ceil(w / cell - 1e-12)))
     ny = max(1, int(math.ceil(h / cell - 1e-12)))
     return GridField((x0, y0), cell, np.zeros((ny, nx)))

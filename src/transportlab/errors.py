@@ -13,5 +13,9 @@ class SolverError(RuntimeError):
     """The transport solver failed to terminate cleanly."""
 
 
-class NonFiniteCostError(SolverError):
+class FloatRangeError(ArithmeticError):
+    """Finite data whose derived values leave the float range."""
+
+
+class NonFiniteCostError(SolverError, FloatRangeError):
     """Finite data whose costs leave the float range."""

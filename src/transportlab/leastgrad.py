@@ -21,11 +21,12 @@ from .ot import TransportPlan, solve_kantorovich
 
 
 def _generic_anchor(
-    anchor_s: float, ends: np.ndarray, domain: Domain, clear: float
+    anchor_s: float, ends: np.ndarray, domain: Domain
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """First arclength at or after anchor_s whose boundary point stays
-    at least ``clear`` away from every point of ``ends``, shape (k, 2),
-    with that point and its inward normal."""
+    at least 1e-8 times the domain's diameter away from every point of
+    ``ends``, shape (k, 2), with that point and its inward normal."""
+    clear = 1e-8 * domain.diameter
     step = 1e-7 * domain.perimeter
     for k in range(256):
         s = anchor_s + k * step
@@ -65,9 +66,7 @@ def reconstruct_u(
         out.values[:] = float(g.eval(float(anchor_s))[0])
         return out
     ends = np.concatenate([seg_a, seg_b])
-    anchor_s, anchor, normal = _generic_anchor(
-        float(anchor_s), ends, domain, clear=1e-8 * domain.diameter
-    )
+    anchor_s, anchor, normal = _generic_anchor(float(anchor_s), ends, domain)
     u0 = float(g.eval(anchor_s)[0])
     centers = grid.centers()
     acc = kernels.crossing_field(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import FloatRangeError, InfeasibleError
 
 MERGE_TOL = 1e-12
 BALANCE_TOL = 1e-10
@@ -179,8 +179,13 @@ class BoundaryDatum:
 
     def total_variation(self) -> float:
         v = self.samples[:, 1]
-        incr = np.abs(np.diff(np.concatenate([v, v[:1]])))
-        return float(np.sum(incr) + np.sum(np.abs(self.jumps[:, 1])))
+        # finite samples may still rise by more than a float holds
+        with np.errstate(over="ignore"):
+            incr = np.abs(np.diff(np.concatenate([v, v[:1]])))
+            tv = float(np.sum(incr) + np.sum(np.abs(self.jumps[:, 1])))
+        if tv == np.inf:
+            raise FloatRangeError("the datum's total variation overflows")
+        return tv
 
     def eval(self, s) -> np.ndarray:
         """Evaluate the datum (right-continuous at jump locations)."""
@@ -213,7 +218,7 @@ def tangential_derivative(
     ``quadrature`` and ``solve_least_gradient`` use; finely sampled data
     need no more); jumps contribute single atoms of mass |height|.
     The two returned measures balance to within 1e-10 of the datum's
-    total variation.
+    total variation; a mass beyond the float range raises FloatRangeError.
     """
     n_quad = operator.index(n_quad)
     if n_quad < 1:
@@ -227,7 +232,10 @@ def tangential_derivative(
     length, rise = length[keep], rise[keep]
     sub = length / n_quad
     mids = xs[keep, None] + (np.arange(n_quad) + 0.5) * sub[:, None]
-    mass = np.abs(rise / length) * sub
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = np.abs(rise / length) * sub
+    if not np.isfinite(mass).all():
+        raise FloatRangeError("the datum's derivative masses overflow")
     up = rise > 0
     h = datum.jumps[:, 1]
     # each piece's atoms in piece order, then the jumps in jump order

@@ -195,14 +195,14 @@ def test_criterion_08_counterexample_scaling():
     ok = True
     details = []
     for p in (2.0, 2.5):
-        vals = np.array(exact_pair_lps(arcs, range(200), p))
-        r = vals / arcs.eps ** (3.0 - p)
+        vals = np.array(exact_pair_lps(arcs, p))
+        r = vals / np.array(arcs.eps) ** (3.0 - p)
         spread = r.max() / r.min()
         ok &= bool(spread <= 10.0)
         details.append(f"exact p={p} band spread {spread:.3f}")
     # exact integrals diverge for p = 3; the finite-resolution surrogate
     # must still show the flat per-pair profile
-    p3 = exact_pair_lps(arcs, range(200), 3.0)
+    p3 = exact_pair_lps(arcs, 3.0)
     ok &= all(v == math.inf for v in p3)
     details.append("exact p=3 flagged infinite on all pairs")
     rep = run_counterexample(24, 3.0, mode="grid", grid_n=16, atoms_per_arc=64)

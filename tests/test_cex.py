@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -29,26 +31,47 @@ class TestArcLayout:
 
     def test_pairs_abut_and_fit(self):
         arcs = build_arcs(10)
+        assert min(lo for lo, _ in arcs.intervals(0)) == 0.0
         for k in range(9):
-            lo, hi = arcs.starts[k], arcs.starts[k] + 2 * arcs.eps[k]
-            assert arcs.starts[k + 1] == pytest.approx(hi, rel=1e-12)
-        total = arcs.starts[-1] + 2 * arcs.eps[-1]
+            end = max(hi for _, hi in arcs.intervals(k))
+            start = min(lo for lo, _ in arcs.intervals(k + 1))
+            assert start == pytest.approx(end, rel=1e-12)
+        total = max(hi for _, hi in arcs.intervals(9))
         assert total <= arcs.domain.perimeter / 2
+
+    def test_layout_is_the_cumsum_layout(self):
+        # each start sums the earlier pairs in order, as np.cumsum does
+        arcs = build_arcs(200)
+        eps = np.array(arcs.eps)
+        starts = np.concatenate([[0.0], np.cumsum(2.0 * eps[:-1])])
+        for n in range(arcs.n_pairs):
+            s0, mid, hi = starts[n], starts[n] + eps[n], starts[n] + 2.0 * eps[n]
+            first, second = (s0, mid), (mid, hi)
+            want = (first, second) if n % 2 == 0 else (second, first)
+            assert arcs.intervals(n) == want
 
     def test_layout_independent_of_count(self):
         # adding pairs must not move the existing ones
         a = build_arcs(5)
         b = build_arcs(40)
-        assert np.allclose(a.eps, b.eps[:5], rtol=1e-15)
-        assert np.allclose(a.starts, b.starts[:5], rtol=1e-15)
+        assert a.eps == b.eps[:5]
+        assert [a.intervals(n) for n in range(5)] == [b.intervals(n) for n in range(5)]
         assert a.scale == b.scale
 
     def test_signs_alternate_within_and_across(self):
         arcs = build_arcs(4)
-        assert arcs.plus_first.tolist() == [True, False, True, False]
+        plus_first = [p_lo < m_lo for (p_lo, _), (m_lo, _) in map(arcs.intervals, range(4))]
+        assert plus_first == [True, False, True, False]
         # junction between consecutive pairs carries equal signs
         for k in range(3):
-            assert arcs.plus_first[k + 1] != arcs.plus_first[k]
+            assert plus_first[k + 1] != plus_first[k]
+
+    def test_systems_compare_by_value(self):
+        arcs = build_arcs(3)
+        assert arcs == build_arcs(3)
+        assert arcs != build_arcs(4)
+        assert pickle.loads(pickle.dumps(arcs)) == arcs
+        assert copy.deepcopy(arcs) == arcs
 
     def test_intervals_partition_pair(self):
         arcs = build_arcs(3)
@@ -69,7 +92,7 @@ class TestArcLayout:
     def test_custom_eps(self):
         arcs = build_arcs(3, eps=[0.1, 0.05, 0.02])
         assert arcs.scale == 1.0
-        assert np.allclose(arcs.eps, [0.1, 0.05, 0.02])
+        assert arcs.eps == (0.1, 0.05, 0.02)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_eps_rejected(self, bad):
@@ -91,20 +114,20 @@ class TestArcLayout:
 class TestExactIntegrals:
     def test_p_two_is_twice_eps(self):
         arcs = build_arcs(30)
-        got = exact_pair_lps(arcs, [0, 7, 29], 2.0)
-        assert got == pytest.approx(2 * arcs.eps[[0, 7, 29]], rel=1e-9)
+        got = exact_pair_lps(arcs, 2.0)
+        assert got == pytest.approx([2 * e for e in arcs.eps], rel=1e-9)
 
     def test_p_one_closed_form(self):
         # L^1 mass of the fan equals 2 R^2 (1 - cos(eps / R))
         arcs = build_arcs(2, eps=[0.1, 0.05])
-        assert exact_pair_lps(arcs, [0, 1], 1.0) == pytest.approx(
+        assert exact_pair_lps(arcs, 1.0) == pytest.approx(
             [2 * (1 - math.cos(e)) for e in (0.1, 0.05)], rel=1e-9
         )
 
     def test_p_one_matches_transport_cost(self):
         arcs = build_arcs(2, eps=[0.1, 0.08])
         plan = pair_plan(arcs, 0, atoms_per_arc=400)
-        assert plan.cost == pytest.approx(exact_pair_lps(arcs, [0], 1.0)[0], rel=1e-2)
+        assert plan.cost == pytest.approx(exact_pair_lps(arcs, 1.0)[0], rel=1e-2)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 2.9, 2.99])
     def test_matches_adaptive_quadrature(self, p):
@@ -117,7 +140,7 @@ class TestExactIntegrals:
             ap = s / math.sqrt(R * R - s * s)
             return 2.0 * s * (1.0 + ap * ap) ** (p / 2.0) * ap ** (1.0 - p)
 
-        got = exact_pair_lps(arcs, range(arcs.n_pairs), p)
+        got = exact_pair_lps(arcs, p)
         for n in range(arcs.n_pairs):
             s_max = R * math.sin(arcs.eps[n] / R)
             ref, _ = quad(integrand, 0.0, s_max, epsabs=0.0, epsrel=1e-9, limit=200)
@@ -125,25 +148,14 @@ class TestExactIntegrals:
 
     def test_divergence_at_p_three_and_beyond(self):
         arcs = build_arcs(3)
-        assert exact_pair_lps(arcs, [0], 3.0) == [math.inf]
-        assert exact_pair_lps(arcs, [1, 2], 4.5) == [math.inf, math.inf]
+        assert exact_pair_lps(arcs, 3.0) == [math.inf] * 3
+        assert exact_pair_lps(arcs, 4.5) == [math.inf] * 3
 
     def test_invalid_args(self):
         arcs = build_arcs(3)
         for p in (0.5, math.nan):
             with pytest.raises(ValueError, match="p must be >= 1"):
-                exact_pair_lps(arcs, [0], p)
-        # every index is checked, at p >= 3 too; a negative one does not wrap
-        for p in (2.0, 3.0):
-            for pairs in ([5], [-1], [0, 3], [2, -3]):
-                with pytest.raises(IndexError):
-                    exact_pair_lps(arcs, pairs, p)
-
-    def test_values_unchanged_by_batching(self):
-        # one rule for the batch gives each pair's value of its own call
-        arcs = build_arcs(40)
-        batch = exact_pair_lps(arcs, range(40), 2.5)
-        assert batch == [exact_pair_lps(arcs, [n], 2.5)[0] for n in range(40)]
+                exact_pair_lps(arcs, p)
 
 
 class TestPairPlans:

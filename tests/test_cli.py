@@ -594,6 +594,37 @@ def test_non_finite_costs_exit_2(tmp_path, capsys):
             )
 
 
+# finite problem files whose derived values leave the float range: the
+# datum's total variation (rises of 2e308), its slopes (samples 1e-321
+# apart on a disk of radius 1e-320) and the area of a grid cell (a disk
+# of radius 1e300, whose plan alone stays in range)
+OUT_OF_RANGE = {
+    "variation": (1.0, [[0.0, 1e308], [1.57, -1e308], [3.14, 1e308], [4.71, -1e308]]),
+    "slope": (1e-320, [[0.0, 1.0], [1e-321, 0.0], [2e-321, -1.0], [3e-321, 0.0]]),
+    "cell": (1e300, [[0.0, 1.0], [1.57e300, 0.0], [3.14e300, -1.0], [4.71e300, 0.0]]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        pytest.param(name, argv, id=f"{name}-{argv[0]}")
+        for name in OUT_OF_RANGE
+        for argv in (["solve"], ["density"], ["lp-norm", "--p", "2"], ["bound", "--p", "2"], ["lsg"])
+        if (name, argv[0]) != ("cell", "solve")
+    ],
+)
+def test_derived_values_out_of_range_exit_2(tmp_path, capsys, name, argv):
+    radius, samples = OUT_OF_RANGE[name]
+    cfg = {"domain": {"kind": "disk", "radius": radius}, "g": {"samples": samples}}
+    prob = write_problem(tmp_path, {**cfg, "grid": {"n": 16}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--problem", prob)
+    assert (code, out) == (2, "")
+    assert err.startswith("outside the float range: ") and err.count("\n") == 1
+
+
 class TestInfeasible:
     def test_unbalanced_measures(self, tmp_path, capsys):
         cfg = pair_cfg()

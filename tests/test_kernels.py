@@ -623,7 +623,7 @@ class TestCrossingField:
             a, b = plan.entry_segments()
             ends = np.concatenate([a, b])
             for s0 in (0.0, 0.37 * per):
-                s, _, _ = _generic_anchor(s0, ends, domain, clear=1e-8 * domain.diameter)
+                s, _, _ = _generic_anchor(s0, ends, domain)
                 self._compare_on_grid(domain, a, b, plan.mass, s, 64)
 
     @pytest.mark.parametrize(
@@ -645,9 +645,7 @@ class TestCrossingField:
             mass = np.concatenate([plan.mass, [0.7, 0.4]])
             grid = grid_for_domain(domain, 61)
             centers, inside = grid.centers(), interior_mask(grid, domain)
-            s, anchor, normal = _generic_anchor(
-                0.2 * per, np.concatenate([a, b]), domain, clear=1e-8 * domain.diameter
-            )
+            s, anchor, normal = _generic_anchor(0.2 * per, np.concatenate([a, b]), domain)
             field = kernels.crossing_field(centers, anchor, a, b, mass, inside, normal)
             ref = one_array_interior_field(centers, anchor, a, b, mass)
             assert np.array_equal(field[inside], ref[inside])
